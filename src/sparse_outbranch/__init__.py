@@ -2,6 +2,7 @@
 
 from .digraph import (
     Arc,
+    Dominators,
     OutBranching,
     RootedDigraph,
     bfs_out_branching,
@@ -9,6 +10,7 @@ from .digraph import (
     cut_edges,
     cut_structure,
     cut_vertices,
+    dominators,
     is_connected,
     planarity_witness_check,
     private_neighbors,

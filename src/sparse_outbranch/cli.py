@@ -1,7 +1,8 @@
 """Command-line surface: generate, reduce, kernelize, solve, verify, bench.
 
 Exit codes are a stable contract: 0 for reduced/solved output, 10 for a
-YES resolution, 20 for a NO resolution, 1 for usage or input errors. All
+YES resolution, 20 for a NO resolution, 1 for input errors and failed
+structural or contract checks (one ``error:`` line, no traceback). All
 randomness flows from --seed (or the SPARSE_OUTBRANCH_SEED environment
 variable), so identical invocations produce identical artifacts up to the
 timing fields of reports.
@@ -45,7 +46,8 @@ def _default_seed() -> int:
     try:
         return int(env) if env else 0
     except ValueError:
-        return 0
+        raise ValueError(
+            f"SPARSE_OUTBRANCH_SEED must be an integer, got {env!r}") from None
 
 
 def _write_json(path: Optional[str], payload: dict) -> None:
@@ -335,7 +337,7 @@ def cmd_bench(args) -> int:
                     row.update({"outcome": outcome.status, "n_out": "",
                                 "m_out": "", "cover_size": ""})
             elif args.family in ("iob-twins", "degenerate"):
-                g = generate("iob-twins", n, k, seed, d=args.d or 3)
+                g = generate(args.family, n, k, seed, d=args.d or 3)
                 row.update({"kind": "iob", "n_input": g.n, "m_input": g.m})
                 t0 = time.monotonic()
                 outcome, _ = kernelize_iob(IobInstance(g, k))
@@ -449,16 +451,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)
             return EXIT_ERROR
         raise
-    except (ValueError, OSError) as exc:
+    except RecursionError:
+        raise
+    except (ValueError, OSError, RuntimeError) as exc:
+        # RuntimeError covers lob_analyzer.StructureError, the reducers'
+        # missing fixpoint and broken contract checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -4,11 +4,13 @@ A rooted digraph is a simple directed graph (no loops, no duplicate arcs;
 anti-parallel pairs allowed) with a designated root of in-degree 0.
 Connectivity is always taken in the rooted sense: a graph is connected when
 every vertex is reachable from the root, a cut-vertex (cut-edge) is a
-vertex (arc) whose removal breaks that property.
+vertex (arc) whose removal breaks that property. Both come from the
+graph's dominator tree.
 
 Graphs are immutable after construction; every surgery returns a new graph
 together with an old-id -> new-id mapping so that reduction traces can be
-replayed against original vertex names.
+replayed against original vertex names. Immutability is what lets a graph
+cache its dominator tree.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ Arc = tuple[int, int]
 class RootedDigraph:
     """Simple digraph on vertices 0..n-1 with a root of in-degree 0."""
 
-    __slots__ = ("n", "root", "out_adj", "in_adj", "_arcset")
+    __slots__ = ("n", "root", "out_adj", "in_adj", "_arcset", "_dom")
 
     def __init__(self, n: int, root: int, arcs: Iterable[Arc]):
         if n <= 0:
@@ -53,6 +55,7 @@ class RootedDigraph:
         self.out_adj = out_adj
         self.in_adj = in_adj
         self._arcset = arcset
+        self._dom: Optional[Dominators] = None
 
     @property
     def m(self) -> int:
@@ -195,54 +198,134 @@ def is_connected(d: RootedDigraph) -> bool:
     return len(reachable(d, d.root)) == d.n
 
 
-def _reach_avoiding(d: RootedDigraph, avoid: int) -> list[bool]:
-    """Reachability table from the root with one vertex deleted."""
-    seen = [False] * d.n
-    seen[avoid] = True
-    if avoid == d.root:
-        raise ValueError("cannot remove the root")
-    seen[d.root] = True
-    queue = deque([d.root])
-    out_adj = d.out_adj
-    while queue:
-        u = queue.popleft()
-        for w in out_adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    seen[avoid] = False
-    return seen
+class Dominators:
+    """Dominator tree of a rooted digraph, with the cut structure it yields.
 
-
-def cut_structure(d: RootedDigraph) -> tuple[set[int], set[Arc]]:
-    """Cut-vertices and cut-edges of a connected rooted digraph in one pass.
-
-    An arc (u,v) disconnects something exactly when v itself loses all
-    alternative access, i.e. no other in-neighbor of v stays reachable once
-    v is deleted. So one reachability run per vertex yields both sets.
+    Each reached vertex owns the interval of dominator-tree preorder numbers
+    of its subtree, so ``dominates`` is an O(1) test. ``reached`` counts the
+    vertices the root reaches; the cut sets cover that part of the graph.
     """
-    if not is_connected(d):
+
+    __slots__ = ("reached", "cut_vertices", "cut_edges", "_pre", "_size")
+
+    def __init__(self, d: RootedDigraph):
+        # Semidominators by Lengauer-Tarjan's link-eval with iterative path
+        # compression, then immediate dominators by nearest common ancestor
+        # (SEMI-NCA). Work is in DFS preorder numbers.
+        n, out_adj, in_adj = d.n, d.out_adj, d.in_adj
+        num = [-1] * n
+        num[d.root] = 0
+        order = [d.root]
+        parent = [0]
+        stack = [(0, iter(out_adj[d.root]))]
+        while stack:
+            i, it = stack[-1]
+            for w in it:
+                if num[w] < 0:
+                    num[w] = len(order)
+                    parent.append(i)
+                    stack.append((len(order), iter(out_adj[w])))
+                    order.append(w)
+                    break
+            else:
+                stack.pop()
+        count = len(order)
+        semi = list(range(count))
+        label = list(range(count))
+        anc = [-1] * count
+        path: list[int] = []
+        for i in range(count - 1, 0, -1):
+            s = i
+            for u in in_adj[order[i]]:
+                j = num[u]
+                if j > i:
+                    # u is already linked: eval(j), compressing its path
+                    v = j
+                    while anc[anc[v]] >= 0:
+                        path.append(v)
+                        v = anc[v]
+                    while path:
+                        v = path.pop()
+                        a = anc[v]
+                        if semi[label[a]] < semi[label[v]]:
+                            label[v] = label[a]
+                        anc[v] = anc[a]
+                    j = semi[label[j]]
+                if 0 <= j < s:
+                    s = j
+            semi[i] = s
+            anc[i] = parent[i]
+        idom = [0] * count
+        for i in range(1, count):
+            a = parent[i]
+            while a > semi[i]:
+                a = idom[a]
+            idom[i] = a
+        # idom[i] < i, so sizes accumulate bottom-up and preorder slots
+        # can be handed out top-down without walking the tree
+        size = [1] * count
+        for i in range(count - 1, 0, -1):
+            size[idom[i]] += size[i]
+        pre = [0] * count
+        free = [1] * count
+        for i in range(1, count):
+            p = idom[i]
+            pre[i] = free[p]
+            free[p] += size[i]
+            free[i] = pre[i] + 1
+        self.reached = count
+        self._pre = [-1] * n
+        self._size = [0] * n
+        for i, v in enumerate(order):
+            self._pre[v] = pre[i]
+            self._size[v] = size[i]
+        # A non-root vertex is a cut-vertex when it is some vertex's
+        # immediate dominator; (u, v) is a cut-edge when u is the only
+        # in-neighbor of v that v does not dominate.
+        self.cut_vertices = frozenset(order[idom[i]] for i in range(1, count)) - {d.root}
+        cut_e = []
+        for v in order[1:]:
+            alive = [u for u in in_adj[v] if not self.dominates(v, u)]
+            if len(alive) == 1:
+                cut_e.append((alive[0], v))
+        self.cut_edges = frozenset(cut_e)
+
+    def reaches(self, v: int) -> bool:
+        """True when v is reachable from the root."""
+        return self._pre[v] >= 0
+
+    def dominates(self, a: int, b: int) -> bool:
+        """True when every path from the root to b passes through a. Every
+        vertex dominates itself; a vertex the root does not reach is
+        dominated by all."""
+        pa, pb = self._pre[a], self._pre[b]
+        return pb < 0 or pa <= pb < pa + self._size[a]
+
+
+def dominators(d: RootedDigraph) -> Dominators:
+    """The dominator tree of ``d``, computed on first use and cached on the
+    (immutable) graph."""
+    dom = d._dom
+    if dom is None:
+        dom = d._dom = Dominators(d)
+    return dom
+
+
+def cut_structure(d: RootedDigraph) -> tuple[frozenset[int], frozenset[Arc]]:
+    """Cut-vertices and cut-edges of a connected rooted digraph, read off
+    its dominator tree."""
+    dom = dominators(d)
+    if dom.reached != d.n:
         raise ValueError("cut structure requires a connected digraph")
-    cut_v: set[int] = set()
-    cut_e: set[Arc] = set()
-    for v in range(d.n):
-        if v == d.root:
-            continue
-        seen = _reach_avoiding(d, v)
-        if not all(seen[w] for w in range(d.n) if w != v):
-            cut_v.add(v)
-        alive = [w for w in d.in_adj[v] if seen[w]]
-        if len(alive) == 1:
-            cut_e.add((alive[0], v))
-    return cut_v, cut_e
+    return dom.cut_vertices, dom.cut_edges
 
 
-def cut_vertices(d: RootedDigraph) -> set[int]:
+def cut_vertices(d: RootedDigraph) -> frozenset[int]:
     """Vertices (other than the root) whose removal disconnects the graph."""
     return cut_structure(d)[0]
 
 
-def cut_edges(d: RootedDigraph) -> set[Arc]:
+def cut_edges(d: RootedDigraph) -> frozenset[Arc]:
     """Arcs whose single removal makes some vertex unreachable from the root."""
     return cut_structure(d)[1]
 
@@ -262,10 +345,8 @@ def private_neighbors(d: RootedDigraph, u: int) -> set[int]:
     removed. For u = root this is all of its out-neighbors."""
     if not 0 <= u < d.n:
         raise ValueError(f"vertex {u} out of range")
-    if u == d.root:
-        return set(d.out_adj[u])
-    seen = _reach_avoiding(d, u)
-    return {w for w in d.out_adj[u] if not seen[w]}
+    dom = dominators(d)
+    return {w for w in d.out_adj[u] if dom.dominates(u, w)}
 
 
 def contract_arc(d: RootedDigraph, arc: Arc) -> tuple[RootedDigraph, list[int]]:

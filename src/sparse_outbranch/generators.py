@@ -205,5 +205,6 @@ def generate(family: str, n: int, k: int, seed: int, **kwargs) -> RootedDigraph:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
     g = FAMILIES[family](n, k, seed, **kwargs)
-    assert is_connected(g)
+    if not is_connected(g):
+        raise RuntimeError(f"family {family!r} generated a disconnected graph")
     return g

@@ -306,8 +306,8 @@ def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None
         if isinstance(found, OutBranching):
             return YesOutcome(found), trace
         cover = found
-        assert len(cover) <= max(2 * current.k - 1, 1), \
-            f"cover size {len(cover)} exceeds 2k-1"
+        if len(cover) > max(2 * current.k - 1, 1):
+            raise RuntimeError(f"cover size {len(cover)} exceeds 2k-1")
         b = build_aux_graph(current.graph, cover)
         classes, _ = small_degree_classes(current.graph, cover, threshold)
         fired = False
@@ -325,11 +325,8 @@ def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None
                 break
         if not fired:
             for key, group in classes.items():
-                hood = set()
-                for w in group:
-                    hood.update(b.w_adj[w])
-                assert len(group) <= 2 * (len(key) ** 2 + len(key)), \
-                    "retained class exceeds its structural bound"
+                if len(group) > 2 * (len(key) ** 2 + len(key)):
+                    raise RuntimeError("retained class exceeds its structural bound")
             return ReducedOutcome(current, trace), trace
     raise RuntimeError("kernelization failed to reach a fixpoint")
 

@@ -26,9 +26,11 @@ from typing import Optional
 
 from .digraph import (
     Arc,
+    Dominators,
     RootedDigraph,
     contract_arc,
     cut_structure,
+    dominators,
     reachable,
 )
 from .outcomes import KernelOutcome, NoOutcome, ReducedOutcome, ReductionTrace
@@ -138,33 +140,47 @@ def find_rule_3(d: RootedDigraph) -> Optional[tuple[int, ...]]:
     return best
 
 
+def _separated_by_dominance(dom: Dominators, ins: list[int], y: int) -> bool:
+    """Rule 4's test for an x with at most two in-neighbors, none the root:
+    the other in-neighbor z separates y from the root exactly when z
+    dominates y; with no other in-neighbor, y must already be unreachable."""
+    others = [z for z in ins if z != y]
+    return dom.dominates(others[0], y) if others else not dom.reaches(y)
+
+
 def _rule_4_guard(d: RootedDigraph, x: int, y: int) -> bool:
     """True when removing N^-(x) - {y} cuts y off from the root."""
     if y == d.root:
         return False
-    ins = set(d.in_adj[x])
+    ins = d.in_adj[x]
     if y not in ins:
         return False
-    blockers = ins - {y}
-    if d.root in blockers:
+    if d.root in ins:
         return True
+    if len(ins) <= 2:
+        return _separated_by_dominance(dominators(d), ins, y)
     alive = reachable(d, d.root, removed_vertices=ins)
     return not any(w in alive for w in d.in_adj[y])
 
 
 def find_rule_4(d: RootedDigraph) -> Optional[tuple[int, int]]:
+    dom = dominators(d)
     for x in range(d.n):
         ins = d.in_adj[x]
         if not ins:
             continue
-        ins_set = set(ins)
-        if d.root in ins_set:
+        if d.root in ins:
             # removing the root cuts everything, so every other in-arc goes
             for y in ins:
                 if y != d.root:
                     return (x, y)
             continue
-        alive = reachable(d, d.root, removed_vertices=ins_set)
+        if len(ins) <= 2:
+            for y in ins:
+                if _separated_by_dominance(dom, ins, y):
+                    return (x, y)
+            continue
+        alive = reachable(d, d.root, removed_vertices=ins)
         for y in ins:
             if not any(w in alive for w in d.in_adj[y]):
                 return (x, y)

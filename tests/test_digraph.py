@@ -1,3 +1,6 @@
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from sparse_outbranch.digraph import (
     cut_edges,
     cut_structure,
     cut_vertices,
+    dominators,
     is_connected,
     planarity_witness_check,
     private_neighbors,
@@ -19,11 +23,61 @@ from sparse_outbranch.digraph import (
 )
 from sparse_outbranch.oracle import solve_branch_and_bound, SolveMode
 
+from sparse_outbranch.generators import gen_bipath_chain, gen_planar
+
 from conftest import random_connected, small_digraphs
 
 
 def path3():
     return RootedDigraph(3, 0, [(0, 1), (1, 2)])
+
+
+def _reach_avoiding(d, avoid):
+    """Reachability table from the root with one vertex deleted."""
+    seen = [False] * d.n
+    seen[avoid] = True
+    if avoid == d.root:
+        raise ValueError("cannot remove the root")
+    seen[d.root] = True
+    queue = deque([d.root])
+    out_adj = d.out_adj
+    while queue:
+        u = queue.popleft()
+        for w in out_adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                queue.append(w)
+    seen[avoid] = False
+    return seen
+
+
+def _cut_structure_bfs(d):
+    """Reference cut structure: one reachability run per deleted vertex.
+
+    An arc (u,v) disconnects something exactly when v itself loses all
+    alternative access, i.e. no other in-neighbor of v stays reachable once
+    v is deleted.
+    """
+    if not is_connected(d):
+        raise ValueError("cut structure requires a connected digraph")
+    cut_v = set()
+    cut_e = set()
+    for v in range(d.n):
+        if v == d.root:
+            continue
+        seen = _reach_avoiding(d, v)
+        if not all(seen[w] for w in range(d.n) if w != v):
+            cut_v.add(v)
+        alive = [w for w in d.in_adj[v] if seen[w]]
+        if len(alive) == 1:
+            cut_e.add((alive[0], v))
+    return cut_v, cut_e
+
+
+def _relabelled(rng, d):
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    return RootedDigraph(d.n, perm[d.root], [(perm[u], perm[v]) for u, v in d.arcs()])
 
 
 class TestReachable:
@@ -127,6 +181,63 @@ class TestCutStructure:
                         if len(reachable(d, 0, removed_arcs={a})) != d.n}
             assert cv == naive_cv
             assert ce == naive_ce
+
+
+class TestDominators:
+    """The dominator-tree cut structure against the per-vertex BFS reference."""
+
+    def test_matches_bfs_on_random_relabelled(self):
+        rng = random.Random(5150)
+        for _ in range(600):
+            d = random_connected(rng, rng.randint(1, 30),
+                                 rng.choice([0.02, 0.05, 0.1, 0.3]),
+                                 bidi=rng.random() * 0.6)
+            d = _relabelled(rng, d)
+            assert cut_structure(d) == _cut_structure_bfs(d), d.arcs()
+
+    def test_matches_bfs_on_bipath_chain(self):
+        for length in (2, 3, 12, 160):
+            d = gen_bipath_chain(length)
+            assert cut_structure(d) == _cut_structure_bfs(d)
+
+    def test_matches_bfs_on_planar(self):
+        d = gen_planar(200, seed=7, both_prob=0.1, keep_prob=0.25)
+        assert cut_structure(d) == _cut_structure_bfs(d)
+
+    def test_long_path_needs_no_recursion(self):
+        n = 5000
+        d = RootedDigraph(n, 0, [(i, i + 1) for i in range(n - 1)])
+        cv, ce = cut_structure(d)
+        assert cv == set(range(1, n - 1))
+        assert ce == {(i, i + 1) for i in range(n - 1)}
+        assert dominators(d).dominates(1, n - 1)
+
+    def test_dominates_matches_vertex_removal(self):
+        # includes graphs the root does not fully reach: an unreached
+        # vertex is dominated by every vertex, and dominates only itself
+        # and other unreached vertices; private neighbors follow suit
+        rng = random.Random(77)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            arcs = {(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)}
+            d = _relabelled(rng, RootedDigraph(
+                n, 0, {(u, v) for u, v in arcs if u != v and v != 0}))
+            dom = dominators(d)
+            reached = reachable(d, d.root)
+            for a in range(n):
+                seen = None if a == d.root else _reach_avoiding(d, a)
+                for b in range(n):
+                    expected = a == b or seen is None or not seen[b]
+                    assert dom.dominates(a, b) == expected, (d.arcs(), a, b)
+                assert dom.reaches(a) == (a in reached)
+                private = {w for w in d.out_adj[a] if seen is None or not seen[w]}
+                assert private_neighbors(d, a) == private
+
+    def test_computed_once_per_graph(self):
+        d = path3()
+        assert dominators(d) is dominators(d)
+        g, _ = contract_arc(d, (0, 1))
+        assert dominators(g) is not dominators(d)
 
 
 class TestPrivateNeighbors:

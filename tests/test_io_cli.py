@@ -52,6 +52,14 @@ class TestParse:
         assert "line 2" in str(err.value)
 
 
+def test_generate_rejects_a_disconnected_result(monkeypatch):
+    from sparse_outbranch import generators
+    monkeypatch.setitem(generators.FAMILIES, "path",
+                        lambda n, k, seed, **kw: RootedDigraph(3, 0, [(0, 1)]))
+    with pytest.raises(RuntimeError, match="disconnected"):
+        generate("path", 3, 1, seed=0)
+
+
 class TestCliPipelines:
     def run(self, *argv):
         return main(list(argv))
@@ -178,6 +186,55 @@ class TestCliPipelines:
             fields = line.split(",")
             assert fields[0] == "iob-twins" and fields[7] == "reduced"
             assert int(fields[10]) <= 2 * int(fields[2]) - 1
+
+    def test_bench_degenerate_runs_its_own_generator(self, tmp_path):
+        rows = {}
+        for family in ("degenerate", "iob-twins"):
+            csv_path = tmp_path / f"{family}.csv"
+            assert self.run("bench", "--family", family, "--k-min", "3",
+                            "--k-max", "4", "--reps", "1", "--seed", "5",
+                            "--csv", str(csv_path)) == 0
+            lines = csv_path.read_text().splitlines()[1:]
+            assert all(line.split(",")[0] == family for line in lines)
+            # the input sizes, which the generator alone decides
+            rows[family] = [line.split(",")[5:7] for line in lines]
+        assert rows["degenerate"] != rows["iob-twins"]
+
+    def test_invalid_env_seed_is_an_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("SPARSE_OUTBRANCH_SEED", "seven")
+        assert self.run("gen", "path", "--n", "4") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "SPARSE_OUTBRANCH_SEED" in err
+
+    def _reduce_with(self, tmp_path, monkeypatch, name, exc):
+        from sparse_outbranch import cli
+
+        def broken(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, name, broken)
+        inst = tmp_path / "s.lob"
+        assert self.run("gen", "planar", "--n", "30", "--k", "2", "--seed", "1",
+                        "--out", str(inst)) == 0
+        return self.run("reduce-lob", str(inst), "--solve-max-n", "0")
+
+    def test_structure_error_exits_cleanly(self, tmp_path, monkeypatch, capsys):
+        from sparse_outbranch.lob_analyzer import StructureError
+        code = self._reduce_with(tmp_path, monkeypatch, "analyze",
+                                 StructureError("bags overlap"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: bags overlap\n"
+
+    def test_missing_fixpoint_exits_cleanly(self, tmp_path, monkeypatch, capsys):
+        msg = "reduction did not reach a fixpoint within n+m steps"
+        code = self._reduce_with(tmp_path, monkeypatch, "reduce_to_fixpoint",
+                                 RuntimeError(msg))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {msg}\n"
+
+    def test_recursion_error_not_masked(self, tmp_path, monkeypatch):
+        with pytest.raises(RecursionError):
+            self._reduce_with(tmp_path, monkeypatch, "reduce_to_fixpoint",
+                              RecursionError("maximum recursion depth exceeded"))
 
     def test_verify_cli(self):
         assert self.run("verify", "--suite", "oracle", "--trials", "20") == 0

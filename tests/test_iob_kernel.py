@@ -320,3 +320,27 @@ class TestKernelEquivalence:
                 assert truth == after
             checked += 1
         assert checked >= 100
+
+
+class TestContractChecks:
+    """The kernel's contract checks raise, so they survive ``python -O``."""
+
+    def test_oversized_cover_raises(self, monkeypatch):
+        from sparse_outbranch import iob_kernel
+        monkeypatch.setattr(iob_kernel, "vc_or_solution", lambda inst: {0, 1, 2, 3})
+        d = RootedDigraph(5, 0, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        with pytest.raises(RuntimeError, match="exceeds 2k-1"):
+            kernelize_iob(IobInstance(d, 2))
+
+    def test_retained_class_bound_raises(self, monkeypatch):
+        # five W-vertices share the three cover units 1, 2, 3, so no crown
+        # fires (5 <= 2 * 3); filed under a one-vertex class key their
+        # count breaks the retained bound 2 * (1 + 1)
+        from sparse_outbranch import iob_kernel
+        arcs = [(0, 1), (0, 2), (0, 3)] + [(c, w) for c in (1, 2, 3) for w in range(4, 9)]
+        d = RootedDigraph(9, 0, arcs)
+        monkeypatch.setattr(iob_kernel, "vc_or_solution", lambda inst: {0, 1, 2, 3})
+        monkeypatch.setattr(iob_kernel, "small_degree_classes",
+                            lambda g, cover, threshold: ({(1,): [4, 5, 6, 7, 8]}, []))
+        with pytest.raises(RuntimeError, match="structural bound"):
+            kernelize_iob(IobInstance(d, 6))

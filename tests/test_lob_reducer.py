@@ -1,16 +1,23 @@
+import random
 import re
 
 import pytest
 
+from sparse_outbranch import lob_reducer
 from sparse_outbranch.digraph import (
     RootedDigraph,
     cut_structure,
     is_connected,
     planarity_witness_check,
+    reachable,
 )
 from sparse_outbranch.generators import gen_bipath_chain, gen_planar
 from sparse_outbranch.lob_reducer import (
+    Contract,
+    DeleteArc,
     LobInstance,
+    RuleApplication,
+    TraceStep,
     apply,
     apply_rule_1,
     apply_rule_2,
@@ -27,15 +34,34 @@ from sparse_outbranch.lob_reducer import (
     replay_trace,
 )
 from sparse_outbranch.oracle import SolveMode, solve_branch_and_bound
-from sparse_outbranch.outcomes import NoOutcome, ReducedOutcome
+from sparse_outbranch.outcomes import NoOutcome, ReducedOutcome, ReductionTrace
 
 from conftest import random_connected
+from test_digraph import _cut_structure_bfs, _relabelled
 
 
 def maxleaf(d):
     res = solve_branch_and_bound(d, None, SolveMode.LEAF)
     assert res.exact
     return res.best_value
+
+
+def _find_rule_4_bfs(d):
+    """Reference rule-4 finder: one reachability run per x, any in-degree."""
+    for x in range(d.n):
+        ins = set(d.in_adj[x])
+        if not ins:
+            continue
+        if d.root in ins:
+            for y in d.in_adj[x]:
+                if y != d.root:
+                    return (x, y)
+            continue
+        alive = reachable(d, d.root, removed_vertices=ins)
+        for y in d.in_adj[x]:
+            if not any(w in alive for w in d.in_adj[y]):
+                return (x, y)
+    return None
 
 
 def bipath_arcs(chain):
@@ -333,6 +359,21 @@ class TestDriver:
         with pytest.raises(ValueError):
             replay_trace(LobInstance(d, 1), forged)  # vertex 1 is no cut-vertex
 
+    @pytest.mark.parametrize("app", [
+        RuleApplication(2, (1,), Contract((0, 1))),
+        RuleApplication(5, (1, 3, 2, 3), Contract((1, 2))),
+        RuleApplication(6, (1, 2), DeleteArc((2, 1))),
+    ], ids=["rule2", "rule5", "rule6"])
+    def test_forged_trace_rejected_with_cache(self, app):
+        # 1 and 2 are joined both ways and both feed 3: the graph has no
+        # cut-vertex and no cut-edge, so none of these loci is genuine
+        d = RootedDigraph(4, 0, [(0, 1), (0, 2), (1, 2), (2, 1), (1, 3), (2, 3)])
+        inst = LobInstance(d, 1)
+        assert find_rule(inst) is not None  # fills the dominator cache
+        assert cut_structure(d) == (set(), set())
+        with pytest.raises(ValueError):
+            replay_trace(inst, ReductionTrace([TraceStep(app, None)]))
+
     def test_replay_random(self, rng):
         for _ in range(40):
             d = random_connected(rng, rng.randint(2, 9), 0.3, bidi=0.4)
@@ -359,6 +400,30 @@ class TestDriver:
         out, trace = reduce_to_fixpoint(LobInstance(gen_bipath_chain(20), 2))
         rules = [s.application.rule_id for s in trace]
         assert 3 in rules
+
+
+class TestReferenceEquivalence:
+    """Traces under the dominator-tree connectivity equal those under the
+    BFS reference for the cut structure and rule 4."""
+
+    def corpus(self):
+        rng = random.Random(4242)
+        graphs = []
+        for _ in range(200):
+            d = random_connected(rng, rng.randint(2, 25),
+                                 rng.choice([0.03, 0.08, 0.2]), bidi=rng.random())
+            graphs.append(_relabelled(rng, d))
+        graphs.append(gen_planar(100, seed=3, both_prob=0.1, keep_prob=0.25))
+        return graphs
+
+    def test_traces_byte_identical(self, monkeypatch):
+        graphs = self.corpus()
+        fast = [reduce_to_fixpoint(LobInstance(d, 3))[1].serialize() for d in graphs]
+        monkeypatch.setattr(lob_reducer, "cut_structure", _cut_structure_bfs)
+        monkeypatch.setattr(lob_reducer, "find_rule_4", _find_rule_4_bfs)
+        slow = [reduce_to_fixpoint(LobInstance(d, 3))[1].serialize() for d in graphs]
+        assert fast == slow
+        assert sum(1 for t in fast if "RULE 4" in t) >= 20
 
 
 class TestPipelineEquivalence:
