@@ -18,8 +18,6 @@ import sys
 import time
 from typing import Optional
 
-import numpy as np
-
 from . import verify as verify_mod
 from .generators import FAMILIES, generate
 from .instance_io import (
@@ -365,13 +363,9 @@ def cmd_bench(args) -> int:
         if out is not sys.stdout:
             out.close()
     sized = [(r["k"], r["n_out"]) for r in rows if r["outcome"] == "reduced"]
-    if len(sized) >= 3:
-        xs = np.array([s[0] for s in sized], dtype=float)
-        ys = np.array([s[1] for s in sized], dtype=float)
-        slope, intercept = np.polyfit(xs, ys, 1)
-        pred = slope * xs + intercept
-        ss_tot = float(((ys - ys.mean()) ** 2).sum())
-        r2 = 1.0 - float(((ys - pred) ** 2).sum()) / ss_tot if ss_tot else 1.0
+    if len(sized) >= 3 and len({k for k, _ in sized}) > 1:
+        slope, intercept, r2 = verify_mod.linear_fit([k for k, _ in sized],
+                                                     [n for _, n in sized])
         print(f"fit: kernel_size ~ {slope:.2f}*k + {intercept:.2f} (R^2 = {r2:.3f})",
               file=sys.stderr)
     return EXIT_OK

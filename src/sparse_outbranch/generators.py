@@ -1,19 +1,18 @@
 """Seeded instance generators.
 
 Families are chosen to exercise specific machinery: bipath chains drive
-the bipath contraction rule, planar triangulations feed the minor-closed
-kernel bounds, bounded-degeneracy twin families feed the crown rule, and
-plain random digraphs feed the oracle sweeps. Every generator is a pure
-function of its parameters and an explicit random seed.
+the bipath contraction rule, seeded grid triangulations (planar by
+construction) feed the minor-closed kernel bounds, bounded-degeneracy
+twin families feed the crown rule, and plain random digraphs feed the
+oracle sweeps. Every generator is a pure function of its parameters and
+an explicit random seed.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Optional
-
-import numpy as np
-from scipy.spatial import Delaunay
 
 from .digraph import RootedDigraph, is_connected
 
@@ -70,51 +69,53 @@ def gen_bipath_chain(length: int) -> RootedDigraph:
     return RootedDigraph(n, 0, arcs)
 
 
-def _triangulation_edges(rng: random.Random, n: int) -> list[set[int]]:
-    """Planar undirected graph: Delaunay triangulation of a jittered grid."""
-    if n < 3:
-        return [set() for _ in range(n)] if n == 0 else \
-            [{1} if n == 2 and v == 0 else ({0} if n == 2 else set()) for v in range(n)]
-    side = int(np.ceil(np.sqrt(n)))
-    pts = []
-    for i in range(n):
-        gx, gy = divmod(i, side)
-        pts.append((gx + 0.42 * rng.random(), gy + 0.42 * rng.random()))
-    tri = Delaunay(np.asarray(pts))
+def _grid_triangulation(rng: random.Random, n: int) -> list[set[int]]:
+    """Planar undirected graph: row-major grid of ``n`` points with every
+    side edge plus one random diagonal per cell. Planar by construction."""
+    side = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     adj: list[set[int]] = [set() for _ in range(n)]
-    for simplex in tri.simplices:
-        for a in range(3):
-            u, v = int(simplex[a]), int(simplex[(a + 1) % 3])
-            adj[u].add(v)
-            adj[v].add(u)
+
+    def link(a: int, b: int) -> None:
+        if a < n and b < n:
+            adj[a].add(b)
+            adj[b].add(a)
+
+    for i in range(n):
+        link(i, i + side)
+        if i % side + 1 < side:
+            link(i, i + 1)
+            if rng.random() < 0.5:
+                link(i, i + side + 1)
+            else:
+                link(i + 1, i + side)
     return adj
 
 
 def gen_planar(n: int, seed: int, both_prob: float = 0.25,
                keep_prob: float = 1.0) -> RootedDigraph:
-    """Random planar digraph: each triangulation edge is dropped with
-    probability 1-keep_prob, else oriented one way or both ways; a
-    spanning out-tree inside the triangulation guarantees connectivity,
-    so the underlying graph stays a subgraph of the triangulation."""
+    """Random planar digraph: each edge of a seeded grid triangulation is
+    dropped with probability 1-keep_prob, else oriented one way or both
+    ways (never into the root); a spanning out-tree inside the
+    triangulation guarantees connectivity, so the underlying graph stays
+    a subgraph of the triangulation. Edges are visited in sorted order,
+    so the output does not depend on set iteration order."""
     rng = random.Random(seed)
-    adj = _triangulation_edges(rng, n)
+    adj = _grid_triangulation(rng, n)
     arcs: set[tuple[int, int]] = set()
     for u in range(n):
-        for v in adj[u]:
-            if u < v:
-                if rng.random() > keep_prob:
-                    continue
-                if rng.random() < both_prob:
-                    if v != 0:
-                        arcs.add((u, v))
-                    if u != 0:
-                        arcs.add((v, u))
-                elif rng.random() < 0.5:
-                    if v != 0:
-                        arcs.add((u, v))
-                else:
-                    if u != 0:
-                        arcs.add((v, u))
+        for v in sorted(adj[u]):
+            if u >= v or rng.random() > keep_prob:
+                continue
+            if rng.random() < both_prob:
+                if v != 0:
+                    arcs.add((u, v))
+                if u != 0:
+                    arcs.add((v, u))
+            elif rng.random() < 0.5:
+                if v != 0:
+                    arcs.add((u, v))
+            elif u != 0:
+                arcs.add((v, u))
     _spanning_overlay(rng, n, arcs, adj)
     return RootedDigraph(n, 0, arcs)
 

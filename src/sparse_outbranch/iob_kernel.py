@@ -261,8 +261,6 @@ def apply_crown_rule(inst: IobInstance, crown: CrownDecomposition,
         raise ValueError("crown has empty C_u; nothing to remove")
     if b is not None:
         validate_crown(b, crown)
-        if not crown.c <= b.w_vertices:
-            raise ValueError("crown C-side escapes W")
     g, mapping = remove_vertices(inst.graph, crown.c_u)
     return IobInstance(g, inst.k), mapping
 
@@ -283,6 +281,26 @@ def small_degree_classes(d: RootedDigraph, cover: set[int], threshold: int
         else:
             heavy.append(w)
     return classes, heavy
+
+
+def crown_round(inst: IobInstance, cover: set[int],
+                classes: dict[tuple[int, ...], list[int]]
+                ) -> Optional[tuple[IobInstance, CrownStep]]:
+    """One crown round: the first class, in key order, larger than twice
+    its auxiliary neighborhood loses its crown's C_u. Returns the smaller
+    instance and its trace step, or None when no class is oversized. The
+    crown is validated once, when it is built."""
+    b = build_aux_graph(inst.graph, cover)
+    for key in sorted(classes):
+        members = set(classes[key])
+        hood: set[LeftKey] = set()
+        for w in members:
+            hood.update(b.w_adj[w])
+        if len(members) > 2 * len(hood):
+            crown = crown_in_class(b, members)
+            nxt, mapping = apply_crown_rule(inst, crown)
+            return nxt, CrownStep(key, tuple(sorted(crown.c_u)), mapping)
+    return None
 
 
 def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None
@@ -308,26 +326,15 @@ def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None
         cover = found
         if len(cover) > max(2 * current.k - 1, 1):
             raise RuntimeError(f"cover size {len(cover)} exceeds 2k-1")
-        b = build_aux_graph(current.graph, cover)
         classes, _ = small_degree_classes(current.graph, cover, threshold)
-        fired = False
-        for key in sorted(classes):
-            members = set(classes[key])
-            hood: set[LeftKey] = set()
-            for w in members:
-                hood.update(b.w_adj[w])
-            if len(members) > 2 * len(hood):
-                crown = crown_in_class(b, members)
-                nxt, mapping = apply_crown_rule(current, crown, b)
-                trace.append(CrownStep(key, tuple(sorted(crown.c_u)), mapping))
-                current = nxt
-                fired = True
-                break
-        if not fired:
+        fired = crown_round(current, cover, classes)
+        if fired is None:
             for key, group in classes.items():
                 if len(group) > 2 * (len(key) ** 2 + len(key)):
                     raise RuntimeError("retained class exceeds its structural bound")
             return ReducedOutcome(current, trace), trace
+        current, step = fired
+        trace.append(step)
     raise RuntimeError("kernelization failed to reach a fixpoint")
 
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import sparse_outbranch
 from sparse_outbranch.cli import main
 from sparse_outbranch.digraph import RootedDigraph
 from sparse_outbranch.generators import generate
@@ -13,6 +14,7 @@ from sparse_outbranch.instance_io import (
     parse_instance,
     serialize_instance,
 )
+from sparse_outbranch.verify import linear_fit
 
 
 class TestParse:
@@ -58,6 +60,36 @@ def test_generate_rejects_a_disconnected_result(monkeypatch):
                         lambda n, k, seed, **kw: RootedDigraph(3, 0, [(0, 1)]))
     with pytest.raises(RuntimeError, match="disconnected"):
         generate("path", 3, 1, seed=0)
+
+
+def _run_python(argv, **env):
+    """Run a fresh interpreter that imports the package under test."""
+    src = os.path.dirname(os.path.dirname(sparse_outbranch.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env})
+
+
+class TestLinearFit:
+    def test_line_slope_intercept_r2(self):
+        # Sxy = 9 and Sxx = 5 about the means (1.5, 4): slope 9/5, intercept
+        # 4 - 1.8 * 1.5; residuals (-0.3, 0.9, -0.9, 0.3) give ss_res 1.8
+        # against ss_tot 18
+        slope, intercept, r2 = linear_fit([0, 1, 2, 3], [1, 4, 4, 7])
+        assert slope == pytest.approx(1.8)
+        assert intercept == pytest.approx(1.3)
+        assert r2 == pytest.approx(0.9)
+
+    def test_constant_ys_have_r2_one(self):
+        assert linear_fit([1, 2, 3], [5, 5, 5]) == pytest.approx((0.0, 5.0, 1.0))
+
+    def test_through_origin(self):
+        # c = (1*2 + 2*3 + 3*7) / (1 + 4 + 9) = 29/14
+        c, intercept, r2 = linear_fit([1, 2, 3], [2, 3, 7], through_origin=True)
+        assert intercept == 0.0
+        assert c == pytest.approx(29 / 14)
+        ss_res = sum((y - 29 / 14 * x) ** 2 for x, y in [(1, 2), (2, 3), (3, 7)])
+        assert r2 == pytest.approx(1 - ss_res / 14.0)
 
 
 class TestCliPipelines:
@@ -186,6 +218,14 @@ class TestCliPipelines:
             fields = line.split(",")
             assert fields[0] == "iob-twins" and fields[7] == "reduced"
             assert int(fields[10]) <= 2 * int(fields[2]) - 1
+        assert "fit: kernel_size ~" in capsys.readouterr().err
+
+    def test_bench_single_k_prints_no_fit(self, tmp_path, capsys):
+        # a line through three points at one k is undetermined
+        assert self.run("bench", "--family", "iob-twins", "--k-min", "3",
+                        "--k-max", "3", "--reps", "3",
+                        "--csv", str(tmp_path / "b.csv")) == 0
+        assert "fit:" not in capsys.readouterr().err
 
     def test_bench_degenerate_runs_its_own_generator(self, tmp_path):
         rows = {}
@@ -261,6 +301,24 @@ class TestCliPipelines:
         args = build_parser().parse_args(["gen", "planar", "--n", "30",
                                           "--k", "2", "--out", str(out1)])
         assert args.seed == 77
+
+    def test_gen_identical_across_hash_seeds(self):
+        # the README's contract: same seed, byte-identical artifact, in
+        # fresh interpreters whose set iteration orders differ
+        outs = []
+        for hash_seed in ("1", "2"):
+            proc = _run_python(["-m", "sparse_outbranch.cli", "gen", "planar",
+                                "--n", "60", "--k", "3", "--seed", "11",
+                                "--keep-prob", "0.5"], PYTHONHASHSEED=hash_seed)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0].startswith("c family=planar")
+
+    def test_cli_imports_no_numeric_stack(self):
+        proc = _run_python(["-c", "import sys, sparse_outbranch.cli; "
+                            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_console_script(self):
         proc = subprocess.run([sys.executable, "-m", "sparse_outbranch.cli"],
