@@ -45,7 +45,6 @@ from .lob_analyzer import (
     WeakBipath,
     analyze,
     build_contracted,
-    certificate,
     classify_masters_slaves,
     decompose_bipaths,
     isolated_vertices,

@@ -35,7 +35,7 @@ from .outcomes import (
     ReductionTrace,
     YesOutcome,
 )
-from .sparsity import degeneracy
+from .sparsity import classify_by_modulator, degeneracy
 
 # left-side vertices of the auxiliary graph: ("u", x) for units,
 # ("p", x, y) for ordered pairs over the cover
@@ -268,19 +268,11 @@ def apply_crown_rule(inst: IobInstance, crown: CrownDecomposition,
 def small_degree_classes(d: RootedDigraph, cover: set[int], threshold: int
                          ) -> tuple[dict[tuple[int, ...], list[int]], list[int]]:
     """Bucket W-vertices of undirected degree below the threshold by their
-    exact undirected neighborhood (always inside the cover); the rest are
-    the heavy side W_b."""
-    classes: dict[tuple[int, ...], list[int]] = {}
-    heavy: list[int] = []
-    for w in range(d.n):
-        if w in cover:
-            continue
-        hood = d.undirected_neighbors(w)
-        if len(hood) < threshold:
-            classes.setdefault(tuple(sorted(hood)), []).append(w)
-        else:
-            heavy.append(w)
-    return classes, heavy
+    exact undirected neighborhood; the rest are the heavy side W_b. W is
+    independent, so every neighborhood lies inside the cover and equals
+    its trace there."""
+    classing = classify_by_modulator(d, cover, threshold)
+    return classing.classes, classing.heavy
 
 
 def crown_round(inst: IobInstance, cover: set[int],

@@ -212,12 +212,6 @@ def decompose_bipaths(dc: ContractedGraph, seed: set[int]) -> BipathDecompositio
     return BipathDecomposition(frozenset(seed), paths)
 
 
-def easy_vertices(dc: ContractedGraph) -> set[int]:
-    """Root, special vertices, and isolated vertices of the contracted graph."""
-    sp = special_vertices(dc)
-    return {dc.graph.root} | sp | isolated_vertices(dc, sp)
-
-
 def outside_neighborhood(dc: ContractedGraph, path: WeakBipath) -> frozenset[int]:
     """Out-neighbors (in the contracted graph) of the path's internal
     vertices, excluding the internals themselves."""
@@ -281,24 +275,13 @@ class LobCertificate:
         }
 
 
-def certificate(inst: LobInstance, dc: ContractedGraph,
-                dec: BipathDecomposition) -> LobCertificate:
-    """Acceptance decision for a reduced instance from the three counting
-    lower bounds. ``dec`` must be the decomposition over the easy seed."""
-    sp = special_vertices(dc)
-    iso = isolated_vertices(dc, sp)
-    _, slaves = classify_masters_slaves(dec, dc)
-    return LobCertificate(inst.k, len(sp), len(iso), len(slaves))
-
-
-def size_report(inst: LobInstance, dc: ContractedGraph,
-                dec: BipathDecomposition) -> dict:
+def size_report(inst: LobInstance, dc: ContractedGraph, dec: BipathDecomposition,
+                sp: set[int], iso: set[int]) -> dict:
     """Diagnostics over the hard-bipath structure: easy/hard counts, the
     per-path outside-neighborhood histogram (equivalently the bipath-minor
-    degree distribution), and the 10|O|+6 length check per path."""
+    degree distribution), and the 10|O|+6 length check per path. ``sp``
+    and ``iso`` are the special and isolated vertices of ``dc``."""
     g = dc.graph
-    sp = special_vertices(dc)
-    iso = isolated_vertices(dc, sp)
     easy = {g.root} | sp | iso
     hard = set(range(g.n)) - easy
     per_path = []
@@ -356,6 +339,6 @@ def analyze(inst: LobInstance, check: bool = True) -> LobAnalysis:
     dec = decompose_bipaths(dc, {dc.graph.root} | sp | iso)
     masters, slaves = classify_masters_slaves(dec, dc)
     cert = LobCertificate(inst.k, len(sp), len(iso), len(slaves))
-    report = size_report(inst, dc, dec)
+    report = size_report(inst, dc, dec, sp, iso)
     report["certificate"] = cert.to_dict()
     return LobAnalysis(dc, sp, iso, dec, masters, slaves, cert, report)

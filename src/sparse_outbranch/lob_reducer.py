@@ -17,12 +17,18 @@ shrinks n + m, which bounds the driver's work.
 Matches are deterministic: the lowest-numbered rule fires at its
 lexicographically smallest locus under the current vertex numbering, which
 makes traces replayable byte for byte.
+
+Each rule's condition lives only in its finder ``find_rule_i``, which
+returns the whole application (rule, locus, action); the driver carries
+out the action it matched without checking again. ``replay_trace`` and
+``apply_rule_i`` validate a step by running the rule's finder limited to
+the recorded locus and requiring the same application back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .digraph import (
     Arc,
@@ -90,11 +96,12 @@ class TraceStep:
         return self.application.line()
 
 
-def find_rule_1(d: RootedDigraph) -> Optional[int]:
+def find_rule_1(d: RootedDigraph) -> Optional[RuleApplication]:
     seen = reachable(d, d.root)
     if len(seen) == d.n:
         return None
-    return min(v for v in range(d.n) if v not in seen)
+    bad = min(v for v in range(d.n) if v not in seen)
+    return RuleApplication(1, (bad,), ResolveNo(f"vertex {bad} unreachable from root"))
 
 
 def find_rule_2(d: RootedDigraph, cut_v: set[int]) -> Optional[RuleApplication]:
@@ -118,10 +125,12 @@ def _proper_internal(d: RootedDigraph, v: int) -> Optional[tuple[int, int]]:
     return a, b
 
 
-def find_rule_3(d: RootedDigraph) -> Optional[tuple[int, ...]]:
-    """Lexicographically smallest length-4 proper bipath u1..u5."""
+def find_rule_3(d: RootedDigraph, middles: Optional[Iterable[int]] = None
+                ) -> Optional[RuleApplication]:
+    """Lexicographically smallest length-4 proper bipath u1..u5 whose u2 is
+    among ``middles`` (default: every vertex); contracts (u2, u3)."""
     best: Optional[tuple[int, ...]] = None
-    for u2 in range(d.n):
+    for u2 in range(d.n) if middles is None else middles:
         nbrs = _proper_internal(d, u2)
         if nbrs is None:
             continue
@@ -137,7 +146,7 @@ def find_rule_3(d: RootedDigraph) -> Optional[tuple[int, ...]]:
             seq = (u1, u2, u3, u4, u5)
             if len(set(seq)) == 5 and (best is None or seq < best):
                 best = seq
-    return best
+    return None if best is None else RuleApplication(3, best, Contract((best[1], best[2])))
 
 
 def _separated_by_dominance(dom: Dominators, ins: list[int], y: int) -> bool:
@@ -148,46 +157,33 @@ def _separated_by_dominance(dom: Dominators, ins: list[int], y: int) -> bool:
     return dom.dominates(others[0], y) if others else not dom.reaches(y)
 
 
-def _rule_4_guard(d: RootedDigraph, x: int, y: int) -> bool:
-    """True when removing N^-(x) - {y} cuts y off from the root."""
-    if y == d.root:
-        return False
-    ins = d.in_adj[x]
-    if y not in ins:
-        return False
-    if d.root in ins:
-        return True
-    if len(ins) <= 2:
-        return _separated_by_dominance(dominators(d), ins, y)
-    alive = reachable(d, d.root, removed_vertices=ins)
-    return not any(w in alive for w in d.in_adj[y])
-
-
-def find_rule_4(d: RootedDigraph) -> Optional[tuple[int, int]]:
+def find_rule_4(d: RootedDigraph, heads: Optional[Iterable[int]] = None
+                ) -> Optional[RuleApplication]:
+    """The first x among ``heads`` (default: every vertex) with an
+    in-neighbor y that N^-(x) - {y} cuts off from the root, and its first
+    such y; deletes (y, x). At most one reachability search per x."""
     dom = dominators(d)
-    for x in range(d.n):
+    for x in range(d.n) if heads is None else heads:
         ins = d.in_adj[x]
-        if not ins:
-            continue
         if d.root in ins:
             # removing the root cuts everything, so every other in-arc goes
             for y in ins:
                 if y != d.root:
-                    return (x, y)
+                    return RuleApplication(4, (x, y), DeleteArc((y, x)))
             continue
         if len(ins) <= 2:
             for y in ins:
                 if _separated_by_dominance(dom, ins, y):
-                    return (x, y)
+                    return RuleApplication(4, (x, y), DeleteArc((y, x)))
             continue
         alive = reachable(d, d.root, removed_vertices=ins)
         for y in ins:
             if not any(w in alive for w in d.in_adj[y]):
-                return (x, y)
+                return RuleApplication(4, (x, y), DeleteArc((y, x)))
     return None
 
 
-def find_rule_5(d: RootedDigraph, cut_e: set[Arc]) -> Optional[tuple[Arc, Arc]]:
+def find_rule_5(d: RootedDigraph, cut_e: set[Arc]) -> Optional[RuleApplication]:
     by_tail: dict[int, list[int]] = {}
     for u, v in cut_e:
         by_tail.setdefault(u, []).append(v)
@@ -195,14 +191,15 @@ def find_rule_5(d: RootedDigraph, cut_e: set[Arc]) -> Optional[tuple[Arc, Arc]]:
     for x1 in tails:
         for x2 in tails:
             if x1 != x2 and d.has_arc(x1, x2) and d.has_arc(x2, x1):
-                return ((x1, min(by_tail[x1])), (x2, min(by_tail[x2])))
+                locus = (x1, min(by_tail[x1]), x2, min(by_tail[x2]))
+                return RuleApplication(5, locus, Contract((x1, x2)))
     return None
 
 
-def find_rule_6(d: RootedDigraph, cut_e: set[Arc]) -> Optional[Arc]:
+def find_rule_6(d: RootedDigraph, cut_e: set[Arc]) -> Optional[RuleApplication]:
     for u, v in sorted(cut_e):
         if d.has_arc(v, u):
-            return (u, v)
+            return RuleApplication(6, (u, v), DeleteArc((v, u)))
     return None
 
 
@@ -210,118 +207,73 @@ def find_rule(inst: LobInstance) -> Optional[RuleApplication]:
     """The lowest-numbered applicable rule at its smallest locus, or None
     when rules 1-6 are all inapplicable."""
     d = inst.graph
-    bad = find_rule_1(d)
-    if bad is not None:
-        return RuleApplication(1, (bad,), ResolveNo(f"vertex {bad} unreachable from root"))
-    cut_v, cut_e = cut_structure(d)
-    app = find_rule_2(d, cut_v)
+    app = find_rule_1(d)
     if app is not None:
         return app
-    seq = find_rule_3(d)
-    if seq is not None:
-        return RuleApplication(3, seq, Contract((seq[1], seq[2])))
-    xy = find_rule_4(d)
-    if xy is not None:
-        x, y = xy
-        return RuleApplication(4, (x, y), DeleteArc((y, x)))
-    pair = find_rule_5(d, cut_e)
-    if pair is not None:
-        (x1, y1), (x2, y2) = pair
-        return RuleApplication(5, (x1, y1, x2, y2), Contract((x1, x2)))
-    uv = find_rule_6(d, cut_e)
-    if uv is not None:
-        u, v = uv
-        return RuleApplication(6, (u, v), DeleteArc((v, u)))
-    return None
+    cut_v, cut_e = cut_structure(d)
+    return (find_rule_2(d, cut_v) or find_rule_3(d) or find_rule_4(d)
+            or find_rule_5(d, cut_e) or find_rule_6(d, cut_e))
 
 
-def apply_rule_1(inst: LobInstance) -> KernelOutcome:
-    bad = find_rule_1(inst.graph)
-    if bad is None:
-        raise ValueError("rule 1 does not apply: graph is connected")
-    return NoOutcome(f"vertex {bad} unreachable from root")
+def _match_at(d: RootedDigraph, rule_id: int, locus: tuple[int, ...]
+              ) -> Optional[RuleApplication]:
+    """The rule's own finder, limited to the candidates named by locus."""
+    if rule_id == 1:
+        return find_rule_1(d)
+    if rule_id == 3:
+        return find_rule_3(d, locus[1:2])
+    if rule_id == 4:
+        return find_rule_4(d, locus[:1])
+    if rule_id not in (2, 5, 6):
+        raise ValueError(f"unknown rule id {rule_id}")
+    cut_v, cut_e = cut_structure(d)
+    if rule_id == 2:
+        return find_rule_2(d, cut_v & set(locus))
+    if rule_id == 5:
+        return find_rule_5(d, cut_e & {locus[:2], locus[2:]})
+    return find_rule_6(d, cut_e & {locus})
+
+
+def _rematch(inst: LobInstance, rule_id: int, locus: tuple[int, ...]) -> RuleApplication:
+    app = _match_at(inst.graph, rule_id, locus)
+    if app is None or app.locus != locus:
+        raise ValueError(f"rule {rule_id} does not apply at locus {locus}")
+    return app
 
 
 def apply_rule_2(inst: LobInstance, locus: int) -> tuple[LobInstance, list[int]]:
-    d = inst.graph
-    cut_v, _ = cut_structure(d)
-    if locus not in cut_v:
-        raise ValueError(f"rule 2 does not apply: {locus} is not a cut-vertex")
-    if d.in_degree(locus) == 1:
-        arc = (d.in_adj[locus][0], locus)
-    elif d.out_degree(locus) == 1:
-        arc = (locus, d.out_adj[locus][0])
-    else:
-        raise ValueError(f"rule 2 does not apply: {locus} has no forced arc")
-    g, mapping = contract_arc(d, arc)
-    return LobInstance(g, inst.k), mapping
+    return apply(inst, _rematch(inst, 2, (locus,)))
 
 
 def apply_rule_3(inst: LobInstance, locus: tuple[int, ...]) -> tuple[LobInstance, list[int]]:
-    d = inst.graph
-    if len(locus) != 5 or len(set(locus)) != 5:
-        raise ValueError("rule 3 locus must be five distinct vertices")
-    u1, u2, u3, u4, u5 = locus
-    for prev, mid, nxt in ((u1, u2, u3), (u2, u3, u4), (u3, u4, u5)):
-        nbrs = _proper_internal(d, mid)
-        if nbrs is None or set(nbrs) != {prev, nxt}:
-            raise ValueError(f"rule 3 does not apply: {mid} is not proper internal")
-    g, mapping = contract_arc(d, (u2, u3))
-    return LobInstance(g, inst.k), mapping
+    return apply(inst, _rematch(inst, 3, tuple(locus)))
 
 
 def apply_rule_4(inst: LobInstance, locus: tuple[int, int]) -> LobInstance:
-    d = inst.graph
-    x, y = locus
-    if not _rule_4_guard(d, x, y):
-        raise ValueError(f"rule 4 does not apply at x={x}, y={y}")
-    return LobInstance(d.with_arcs_removed([(y, x)]), inst.k)
+    return apply(inst, _rematch(inst, 4, tuple(locus)))[0]
 
 
 def apply_rule_5(inst: LobInstance, locus: tuple[Arc, Arc]) -> tuple[LobInstance, list[int]]:
-    d = inst.graph
     (x1, y1), (x2, y2) = locus
-    _, cut_e = cut_structure(d)
-    if (x1, y1) not in cut_e or (x2, y2) not in cut_e:
-        raise ValueError("rule 5 does not apply: loci are not cut-edges")
-    if not (d.has_arc(x1, x2) and d.has_arc(x2, x1)):
-        raise ValueError("rule 5 does not apply: tails not joined both ways")
-    g, mapping = contract_arc(d, (x1, x2))
-    return LobInstance(g, inst.k), mapping
+    return apply(inst, _rematch(inst, 5, (x1, y1, x2, y2)))
 
 
 def apply_rule_6(inst: LobInstance, locus: Arc) -> LobInstance:
-    d = inst.graph
-    u, v = locus
-    _, cut_e = cut_structure(d)
-    if (u, v) not in cut_e:
-        raise ValueError(f"rule 6 does not apply: ({u},{v}) is not a cut-edge")
-    if not d.has_arc(v, u):
-        raise ValueError(f"rule 6 does not apply: ({v},{u}) absent")
-    return LobInstance(d.with_arcs_removed([(v, u)]), inst.k)
+    return apply(inst, _rematch(inst, 6, tuple(locus)))[0]
 
 
 def apply(inst: LobInstance, app: RuleApplication
           ) -> tuple[KernelOutcome | LobInstance, Optional[list[int]]]:
-    """Apply one rule application; returns the new instance (or a final
-    outcome for rule 1) plus the vertex mapping when ids were compacted."""
-    if app.rule_id == 1:
-        return apply_rule_1(inst), None
-    if app.rule_id == 2:
-        new, mapping = apply_rule_2(inst, app.locus[0])
-        return new, mapping
-    if app.rule_id == 3:
-        new, mapping = apply_rule_3(inst, app.locus)
-        return new, mapping
-    if app.rule_id == 4:
-        return apply_rule_4(inst, (app.locus[0], app.locus[1])), None
-    if app.rule_id == 5:
-        x1, y1, x2, y2 = app.locus
-        new, mapping = apply_rule_5(inst, ((x1, y1), (x2, y2)))
-        return new, mapping
-    if app.rule_id == 6:
-        return apply_rule_6(inst, (app.locus[0], app.locus[1])), None
-    raise ValueError(f"unknown rule id {app.rule_id}")
+    """Carry out ``app.action`` without re-checking that its rule applies;
+    returns the new instance (or the No outcome of rule 1) plus the vertex
+    mapping when a contraction compacted the ids."""
+    action = app.action
+    if isinstance(action, ResolveNo):
+        return NoOutcome(action.reason), None
+    if isinstance(action, DeleteArc):
+        return LobInstance(inst.graph.with_arcs_removed([action.arc]), inst.k), None
+    g, mapping = contract_arc(inst.graph, action.arc)
+    return LobInstance(g, inst.k), mapping
 
 
 def reduce_to_fixpoint(inst: LobInstance) -> tuple[KernelOutcome, ReductionTrace]:
@@ -335,21 +287,24 @@ def reduce_to_fixpoint(inst: LobInstance) -> tuple[KernelOutcome, ReductionTrace
         app = find_rule(current)
         if app is None:
             return ReducedOutcome(current, trace), trace
-        if app.rule_id == 1:
-            trace.append(TraceStep(app, None))
-            return NoOutcome(app.action.reason), trace
         result, mapping = apply(current, app)
         trace.append(TraceStep(app, mapping))
+        if not isinstance(result, LobInstance):
+            return result, trace
         current = result
     raise RuntimeError("reduction did not reach a fixpoint within n+m steps")
 
 
 def replay_trace(inst: LobInstance, trace: ReductionTrace) -> KernelOutcome | LobInstance:
-    """Re-run the recorded actions against the original instance. Guards
-    are re-validated, so a forged trace fails loudly."""
+    """Re-run the recorded steps against the original instance. Each step
+    must equal (in rule, locus and action) what its rule's finder matches
+    when limited to the recorded locus, so a forged trace fails loudly."""
     current = inst
     for step in trace:
-        result, _ = apply(current, step.application)
+        app = step.application
+        if _match_at(current.graph, app.rule_id, app.locus) != app:
+            raise ValueError(f"trace step does not re-match: {app.line()}")
+        result, _ = apply(current, app)
         if not isinstance(result, LobInstance):
             return result
         current = result

@@ -233,16 +233,11 @@ class TestCertificate:
         assert ana.cert.decision == "yes"
 
     def test_standalone_certificate_and_report(self):
-        from sparse_outbranch.lob_analyzer import (certificate, easy_vertices,
-                                                   size_report)
         inst = parallel_instance(4)
-        dc = build_contracted(inst.graph)
-        dec = decompose_bipaths(dc, easy_vertices(dc))
-        cert = certificate(inst, dc, dec)
-        assert cert.slave_count == 2
-        rep = size_report(inst, dc, dec)
-        assert rep["hard_count"] == 4
-        assert rep["all_length_bounds_ok"]
+        ana = analyze(inst)
+        assert ana.cert.slave_count == 2
+        assert ana.report["hard_count"] == 4
+        assert ana.report["all_length_bounds_ok"]
 
     def test_certificate_soundness(self, rng):
         for inst in reduced_corpus(rng, 20):

@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparse_outbranch import lob_reducer
 from sparse_outbranch.digraph import (
@@ -16,16 +18,17 @@ from sparse_outbranch.lob_reducer import (
     Contract,
     DeleteArc,
     LobInstance,
+    ResolveNo,
     RuleApplication,
     TraceStep,
     apply,
-    apply_rule_1,
     apply_rule_2,
     apply_rule_3,
     apply_rule_4,
     apply_rule_5,
     apply_rule_6,
     find_rule,
+    find_rule_1,
     find_rule_3,
     find_rule_4,
     find_rule_5,
@@ -36,7 +39,7 @@ from sparse_outbranch.lob_reducer import (
 from sparse_outbranch.oracle import SolveMode, solve_branch_and_bound
 from sparse_outbranch.outcomes import NoOutcome, ReducedOutcome, ReductionTrace
 
-from conftest import random_connected
+from conftest import random_connected, small_digraphs
 from test_digraph import _cut_structure_bfs, _relabelled
 
 
@@ -55,12 +58,12 @@ def _find_rule_4_bfs(d):
         if d.root in ins:
             for y in d.in_adj[x]:
                 if y != d.root:
-                    return (x, y)
+                    return RuleApplication(4, (x, y), DeleteArc((y, x)))
             continue
         alive = reachable(d, d.root, removed_vertices=ins)
         for y in d.in_adj[x]:
             if not any(w in alive for w in d.in_adj[y]):
-                return (x, y)
+                return RuleApplication(4, (x, y), DeleteArc((y, x)))
     return None
 
 
@@ -101,16 +104,19 @@ class TestFindRule:
 
 class TestRule1:
     def test_isolated_no(self):
-        out = apply_rule_1(LobInstance(RootedDigraph(3, 0, [(0, 1)]), 1))
+        out, trace = reduce_to_fixpoint(LobInstance(RootedDigraph(3, 0, [(0, 1)]), 1))
         assert isinstance(out, NoOutcome)
+        assert trace.serialize() == "RULE 1 LOCUS 2 ACTION no\n"
 
     def test_unreachable_feeder_no(self):
-        out = apply_rule_1(LobInstance(RootedDigraph(3, 0, [(0, 1), (2, 1)]), 5))
-        assert isinstance(out, NoOutcome)
+        d = RootedDigraph(3, 0, [(0, 1), (2, 1)])
+        app = find_rule_1(d)
+        assert app == RuleApplication(1, (2,), ResolveNo("vertex 2 unreachable from root"))
+        out, mapping = apply(LobInstance(d, 5), app)
+        assert isinstance(out, NoOutcome) and mapping is None
 
     def test_connected_rejected(self):
-        with pytest.raises(ValueError):
-            apply_rule_1(LobInstance(RootedDigraph(2, 0, [(0, 1)]), 1))
+        assert find_rule_1(RootedDigraph(2, 0, [(0, 1)])) is None
 
 
 class TestRule2:
@@ -149,7 +155,7 @@ class TestRule3:
     def test_canonical_match(self):
         arcs = {(0, 1)} | bipath_arcs([1, 2, 3, 4, 5])
         d = RootedDigraph(6, 0, arcs)
-        assert find_rule_3(d) == (1, 2, 3, 4, 5)
+        assert find_rule_3(d) == RuleApplication(3, (1, 2, 3, 4, 5), Contract((2, 3)))
         nxt, _ = apply_rule_3(LobInstance(d, 1), (1, 2, 3, 4, 5))
         assert nxt.graph.n == 5
 
@@ -164,10 +170,10 @@ class TestRule3:
 
     def test_maxleaf_preserved_on_chain(self):
         g = gen_bipath_chain(12)
-        seq = find_rule_3(g)
-        assert seq is not None
+        app = find_rule_3(g)
+        assert app is not None
         before = maxleaf(g)
-        nxt, _ = apply_rule_3(LobInstance(g, 1), seq)
+        nxt, _ = apply_rule_3(LobInstance(g, 1), app.locus)
         assert maxleaf(nxt.graph) == before
 
 
@@ -175,13 +181,13 @@ class TestRule4:
     def test_paper_pattern(self):
         # in-neighbors z and y of x, removing z cuts y: drop (y, x)
         d = RootedDigraph(4, 0, [(0, 1), (1, 2), (1, 3), (2, 3)])
-        assert find_rule_4(d) == (3, 2)
+        assert find_rule_4(d) == RuleApplication(4, (3, 2), DeleteArc((2, 3)))
         nxt = apply_rule_4(LobInstance(d, 1), (3, 2))
         assert not nxt.graph.has_arc(2, 3)
 
     def test_root_remark(self):
         d = RootedDigraph(3, 0, [(0, 1), (2, 1), (0, 2)])
-        assert find_rule_4(d) == (1, 2)
+        assert find_rule_4(d).locus == (1, 2)
 
     def test_guard_rejected(self):
         d = RootedDigraph(3, 0, [(0, 1), (0, 2), (1, 2)])
@@ -189,37 +195,48 @@ class TestRule4:
             # y is the root itself: it can never be disconnected
             apply_rule_4(LobInstance(d, 1), (2, 0))
 
+    def test_only_the_finders_choice_accepted(self):
+        # both 1 and 2 satisfy rule 4 at x = 3 (the root feeds 3), but the
+        # finder picks the first in-neighbor, and only that locus replays
+        d = RootedDigraph(4, 0, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
+        assert find_rule_4(d).locus == (3, 1)
+        assert not apply_rule_4(LobInstance(d, 1), (3, 1)).graph.has_arc(1, 3)
+        with pytest.raises(ValueError):
+            apply_rule_4(LobInstance(d, 1), (3, 2))
+
     def test_maxleaf_preserved(self, rng):
         checked = 0
         for _ in range(200):
             d = random_connected(rng, rng.randint(3, 8), 0.3, bidi=0.2)
-            xy = find_rule_4(d)
-            if xy is None:
+            app = find_rule_4(d)
+            if app is None:
                 continue
             before = maxleaf(d)
-            nxt = apply_rule_4(LobInstance(d, 1), xy)
+            nxt = apply_rule_4(LobInstance(d, 1), app.locus)
             assert maxleaf(nxt.graph) == before
             checked += 1
         assert checked >= 40
 
     def test_guard_matches_literal_definition(self, rng):
-        # the single-sweep guard must agree with literally removing
-        # N^-(x) - {y} and testing y's reachability, for every pair
-        from sparse_outbranch.digraph import reachable
-        from sparse_outbranch.lob_reducer import _rule_4_guard
+        # at every x the finder's y must be the smallest y for which
+        # literally removing N^-(x) - {y} cuts y off from the root
         for _ in range(150):
             d = random_connected(rng, rng.randint(2, 9), 0.35, bidi=0.3)
             for x in range(d.n):
+                literal = []
                 for y in d.in_adj[x]:
                     blockers = set(d.in_adj[x]) - {y}
                     if d.root in blockers:
-                        literal = True
-                    elif y == d.root:
-                        literal = False
-                    else:
-                        literal = y not in reachable(d, d.root,
-                                                     removed_vertices=blockers)
-                    assert _rule_4_guard(d, x, y) == literal, (d.arcs(), x, y)
+                        literal.append(y)
+                    elif y != d.root and y not in reachable(
+                            d, d.root, removed_vertices=blockers):
+                        literal.append(y)
+                app = find_rule_4(d, [x])
+                if not literal:
+                    assert app is None, (d.arcs(), x)
+                else:
+                    y = min(literal)
+                    assert app == RuleApplication(4, (x, y), DeleteArc((y, x))), (d.arcs(), x)
 
 
 class TestRule5:
@@ -235,10 +252,10 @@ class TestRule5:
     def test_spec_example_maxleaf_two(self):
         d = RootedDigraph(5, 0, [(0, 1), (0, 2), (1, 2), (2, 1), (1, 3), (2, 4)])
         _, ce = cut_structure(d)
-        pair = find_rule_5(d, ce)
-        assert pair == ((1, 3), (2, 4))
+        app = find_rule_5(d, ce)
+        assert app == RuleApplication(5, (1, 3, 2, 4), Contract((1, 2)))
         assert maxleaf(d) == 2
-        nxt, _ = apply_rule_5(LobInstance(d, 2), pair)
+        nxt, _ = apply_rule_5(LobInstance(d, 2), ((1, 3), (2, 4)))
         assert maxleaf(nxt.graph) == 2
 
     def test_no_match_without_linked_tails(self):
@@ -251,11 +268,12 @@ class TestRule5:
         for _ in range(400):
             d = random_connected(rng, rng.randint(3, 8), 0.25, bidi=0.5)
             _, ce = cut_structure(d)
-            pair = find_rule_5(d, ce)
-            if pair is None:
+            app = find_rule_5(d, ce)
+            if app is None:
                 continue
             before = maxleaf(d)
-            nxt, _ = apply_rule_5(LobInstance(d, 1), pair)
+            x1, y1, x2, y2 = app.locus
+            nxt, _ = apply_rule_5(LobInstance(d, 1), ((x1, y1), (x2, y2)))
             assert maxleaf(nxt.graph) == before
             checked += 1
         assert checked >= 15
@@ -265,7 +283,7 @@ class TestRule6:
     def test_delete_reverse(self):
         d = RootedDigraph(3, 0, [(0, 1), (1, 2), (2, 1)])
         _, ce = cut_structure(d)
-        assert find_rule_6(d, ce) == (1, 2)
+        assert find_rule_6(d, ce) == RuleApplication(6, (1, 2), DeleteArc((2, 1)))
         nxt = apply_rule_6(LobInstance(d, 1), (1, 2))
         assert nxt.graph.arcs() == [(0, 1), (1, 2)]
 
@@ -279,11 +297,11 @@ class TestRule6:
         for _ in range(400):
             d = random_connected(rng, rng.randint(3, 8), 0.3, bidi=0.5)
             _, ce = cut_structure(d)
-            uv = find_rule_6(d, ce)
-            if uv is None:
+            app = find_rule_6(d, ce)
+            if app is None:
                 continue
             before = maxleaf(d)
-            nxt = apply_rule_6(LobInstance(d, 1), uv)
+            nxt = apply_rule_6(LobInstance(d, 1), app.locus)
             assert maxleaf(nxt.graph) == before
             checked += 1
         assert checked >= 30
@@ -358,6 +376,31 @@ class TestDriver:
             RuleApplication(2, (1,), Contract((0, 1))), None)])
         with pytest.raises(ValueError):
             replay_trace(LobInstance(d, 1), forged)  # vertex 1 is no cut-vertex
+
+    def test_wrong_action_rejected(self):
+        # the locus is genuine (1 is a cut-vertex of in-degree one) but
+        # the recorded action contracts the wrong arc
+        d = RootedDigraph(3, 0, [(0, 1), (1, 2)])
+        forged = ReductionTrace([TraceStep(
+            RuleApplication(2, (1,), Contract((1, 2))), None)])
+        with pytest.raises(ValueError):
+            replay_trace(LobInstance(d, 1), forged)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(small_digraphs(max_n=8), small_digraphs(max_n=8, connected=False)),
+           st.booleans())
+    def test_fixpoint_is_idempotent_and_replays(self, d, relabel):
+        if relabel:
+            d = _relabelled(random.Random(d.n + d.m), d)
+        inst = LobInstance(d, 2)
+        out, trace = reduce_to_fixpoint(inst)
+        replayed = replay_trace(inst, trace)
+        if isinstance(out, NoOutcome):
+            assert replayed == out
+            return
+        again, again_trace = reduce_to_fixpoint(out.instance)
+        assert len(again_trace) == 0 and again.instance == out.instance
+        assert replayed == out.instance
 
     @pytest.mark.parametrize("app", [
         RuleApplication(2, (1,), Contract((0, 1))),

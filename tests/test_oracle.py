@@ -119,11 +119,11 @@ class TestEquivalence:
                 break
             d = random_connected(rng, rng.randint(3, 7), 0.3, bidi=0.5)
             _, ce = cut_structure(d)
-            uv = find_rule_6(d, ce)
-            if uv is None:
+            app = find_rule_6(d, ce)
+            if app is None:
                 continue
             seen += 1
-            after = apply_rule_6(LobInstance(d, 0), uv).graph
+            after = apply_rule_6(LobInstance(d, 0), app.locus).graph
             for k in range(0, d.n + 1):
                 assert check_equivalence(d, after, k, SolveMode.LEAF)
         assert seen >= 10
