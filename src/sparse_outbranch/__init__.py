@@ -65,10 +65,7 @@ from .oracle import (
     SolveMode,
     SolveResult,
     brute_force_out_branchings,
-    check_equivalence,
     enumerate_out_branchings,
-    max_internal_exact,
-    maxleaf_exact,
     solve_branch_and_bound,
 )
 from .outcomes import KernelOutcome, NoOutcome, ReducedOutcome, YesOutcome

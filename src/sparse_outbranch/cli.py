@@ -453,8 +453,6 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return EXIT_ERROR
         raise
-    except RecursionError:
-        raise
     except (ValueError, OSError, RuntimeError) as exc:
         # RuntimeError covers lob_analyzer.StructureError, the reducers'
         # missing fixpoint and broken contract checks

@@ -19,7 +19,7 @@ The result is an induced subgraph of the input with the same k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .digraph import (
     OutBranching,
@@ -172,6 +172,50 @@ def validate_crown(b: AuxiliaryBipartite, crown: CrownDecomposition) -> None:
             raise ValueError(f"matching edge {h_key}-{w} not in the graph")
 
 
+def class_matching(b: AuxiliaryBipartite, members: set[int], hood: set[LeftKey]
+                   ) -> tuple[dict[LeftKey, int], dict[int, LeftKey]]:
+    """Maximum matching between a class `members` and its neighborhood
+    `hood` (augmenting paths from the small side, one search per left
+    vertex in sorted order). Returns the left->W and W->left maps."""
+    match_left: dict[LeftKey, int] = {}
+    match_w: dict[int, LeftKey] = {}
+
+    def augment(key: LeftKey) -> None:
+        # depth-first search on an explicit stack: at each left vertex try
+        # its free partners, then descend through its matched ones, each in
+        # sorted order; keys[j] reaches keys[j + 1] through its partner via[j]
+        seen = {key}
+        keys: list[LeftKey] = []
+        todo: list[Iterator[int]] = []
+        via: list[int] = []
+        while True:
+            partners = sorted(b.left_adj[key] & members)
+            free = next((w for w in partners if w not in match_w), None)
+            if free is not None:
+                for k, w in reversed([*zip(keys, via), (key, free)]):
+                    match_left[k] = w
+                    match_w[w] = k
+                return
+            keys.append(key)
+            todo.append(iter(partners))
+            while True:
+                key = next((match_w[w] for w in todo[-1]
+                            if match_w[w] not in seen), None)
+                if key is not None:
+                    break
+                keys.pop()
+                todo.pop()
+                if not keys:
+                    return
+                via.pop()
+            seen.add(key)
+            via.append(match_left[key])
+
+    for key in sorted(hood):
+        augment(key)
+    return match_left, match_w
+
+
 def crown_in_class(b: AuxiliaryBipartite, members: set[int]) -> CrownDecomposition:
     """Crown decomposition of the subgraph induced by a same-neighborhood
     class `members` and its bipartite neighborhood, extended to the whole
@@ -188,32 +232,8 @@ def crown_in_class(b: AuxiliaryBipartite, members: set[int]) -> CrownDecompositi
             f"class of size {len(members)} does not exceed twice its "
             f"neighborhood ({len(hood)}); crown rule does not fire")
 
-    member_list = sorted(members)
-    left_list = sorted(hood)
-    # maximum matching (augmenting paths from the small side)
-    match_left: dict[LeftKey, int] = {}
-    match_w: dict[int, LeftKey] = {}
-
-    def augment(key: LeftKey, seen: set[LeftKey]) -> bool:
-        for w in sorted(b.left_adj[key] & members):
-            if w not in match_w:
-                match_left[key] = w
-                match_w[w] = key
-                return True
-        for w in sorted(b.left_adj[key] & members):
-            nxt = match_w[w]
-            if nxt not in seen:
-                seen.add(nxt)
-                if augment(nxt, seen):
-                    match_left[key] = w
-                    match_w[w] = key
-                    return True
-        return False
-
-    for key in left_list:
-        augment(key, {key})
-
-    free = [w for w in member_list if w not in match_w]
+    match_left, match_w = class_matching(b, members, hood)
+    free = [w for w in sorted(members) if w not in match_w]
     c: set[int] = set(free)
     h: set[LeftKey] = set()
     queue = list(free)

@@ -298,13 +298,17 @@ def reduce_to_fixpoint(inst: LobInstance) -> tuple[KernelOutcome, ReductionTrace
 def replay_trace(inst: LobInstance, trace: ReductionTrace) -> KernelOutcome | LobInstance:
     """Re-run the recorded steps against the original instance. Each step
     must equal (in rule, locus and action) what its rule's finder matches
-    when limited to the recorded locus, so a forged trace fails loudly."""
+    when limited to the recorded locus, and its recorded vertex mapping
+    must equal the one the action produces, so a forged trace fails
+    loudly."""
     current = inst
     for step in trace:
         app = step.application
         if _match_at(current.graph, app.rule_id, app.locus) != app:
             raise ValueError(f"trace step does not re-match: {app.line()}")
-        result, _ = apply(current, app)
+        result, mapping = apply(current, app)
+        if mapping != step.mapping:
+            raise ValueError(f"trace step records a wrong vertex mapping: {app.line()}")
         if not isinstance(result, LobInstance):
             return result
         current = result

@@ -1,10 +1,12 @@
 """Ground-truth solvers for small rooted digraphs.
 
-Enumerates every spanning out-branching (recursive arc extension with a
+Enumerates every spanning out-branching (arc extension with a
 bridging-arc feasibility test, so dead subtrees are never entered and each
 branching is produced exactly once), plus an independent parent-vector
 brute force used to cross-check the enumeration, and a branch-and-bound
-solver for kernelized instances that are too big to enumerate.
+solver for kernelized instances that are too big to enumerate. Enumeration
+and branch and bound share one iterative search, so their depth is not
+limited by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .digraph import (
     OutBranching,
@@ -31,7 +33,6 @@ class BudgetExceeded(Exception):
 class EnumerationBudget:
     max_n: int = 12
     max_count: Optional[int] = None
-    timeout: Optional[float] = None  # seconds
 
 
 class SolveMode(Enum):
@@ -51,7 +52,7 @@ def _tree_value(t: OutBranching, mode: SolveMode) -> int:
 
 
 class _Grower:
-    """Shared state for the arc-extension recursion: a partial arborescence
+    """Shared state for the arc-extension search: a partial arborescence
     (parent map + attached flags), a set of banned arc indices, and the
     feasibility test that prunes branches which can no longer span."""
 
@@ -119,6 +120,33 @@ class _Grower:
         return (attached_now - self.internal) + self.unattached()
 
 
+def _search(st: _Grower, prune: Callable[[], bool]) -> Iterator[None]:
+    """Depth-first arc branching over ``st``, without recursion. At each
+    node, unless ``prune()`` is true or the partial branching can no
+    longer span, either yield (it spans; ``st.parent`` is the branching)
+    or branch on the first pivot arc: attach it, then ban it. The stack
+    holds one (arc id, banned) frame per open decision."""
+    stack: list[tuple[int, bool]] = []
+    while True:
+        if not prune() and st.feasible():
+            if st.unattached() == 0:
+                yield
+            else:
+                i = st.pivot()
+                if i is not None:
+                    st.attach(*st.arcs[i])
+                    stack.append((i, False))
+                    continue
+        while stack and stack[-1][1]:
+            st.banned[stack.pop()[0]] = False
+        if not stack:
+            return
+        i = stack[-1][0]
+        st.detach(*st.arcs[i])
+        st.banned[i] = True
+        stack[-1] = (i, True)
+
+
 def enumerate_out_branchings(d: RootedDigraph,
                              budget: Optional[EnumerationBudget] = None
                              ) -> Iterator[OutBranching]:
@@ -131,34 +159,11 @@ def enumerate_out_branchings(d: RootedDigraph,
         raise ValueError("enumeration requires a connected digraph")
     if d.n > budget.max_n:
         raise BudgetExceeded(f"n={d.n} exceeds enumeration cap {budget.max_n}")
-    deadline = None if budget.timeout is None else time.monotonic() + budget.timeout
     st = _Grower(d)
-    count = 0
-
-    def grow() -> Iterator[OutBranching]:
-        nonlocal count
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded("enumeration timeout")
-        if not st.feasible():
-            return
-        if st.unattached() == 0:
-            count += 1
-            if budget.max_count is not None and count > budget.max_count:
-                raise BudgetExceeded(f"more than {budget.max_count} branchings")
-            yield OutBranching(d.n, d.root, st.parent)
-            return
-        i = st.pivot()
-        if i is None:
-            return
-        u, v = st.arcs[i]
-        st.attach(u, v)
-        yield from grow()
-        st.detach(u, v)
-        st.banned[i] = True
-        yield from grow()
-        st.banned[i] = False
-
-    yield from grow()
+    for count, _ in enumerate(_search(st, lambda: False), 1):
+        if budget.max_count is not None and count > budget.max_count:
+            raise BudgetExceeded(f"more than {budget.max_count} branchings")
+        yield OutBranching(d.n, d.root, st.parent)
 
 
 def brute_force_out_branchings(d: RootedDigraph) -> Iterator[OutBranching]:
@@ -186,59 +191,20 @@ def brute_force_out_branchings(d: RootedDigraph) -> Iterator[OutBranching]:
             yield OutBranching(d.n, d.root, parent)
 
 
-def _optimize(d: RootedDigraph, mode: SolveMode,
-              budget: Optional[EnumerationBudget]) -> SolveResult:
-    best = -1
-    witness = None
-    try:
-        for t in enumerate_out_branchings(d, budget):
-            val = _tree_value(t, mode)
-            if val > best:
-                best, witness = val, t
-    except BudgetExceeded:
-        return SolveResult(best, witness, exact=False)
-    return SolveResult(best, witness, exact=True)
-
-
-def maxleaf_exact(d: RootedDigraph,
-                  budget: Optional[EnumerationBudget] = None) -> SolveResult:
-    """Exact maximum leaf count over all spanning out-branchings."""
-    return _optimize(d, SolveMode.LEAF, budget)
-
-
-def max_internal_exact(d: RootedDigraph,
-                       budget: Optional[EnumerationBudget] = None) -> SolveResult:
-    """Exact maximum internal count (equals n minus the minimum leaf count)."""
-    return _optimize(d, SolveMode.INTERNAL, budget)
-
-
-def check_equivalence(before: RootedDigraph, after: RootedDigraph, k: int,
-                      mode: SolveMode,
-                      budget: Optional[EnumerationBudget] = None) -> bool:
-    """True iff (value(before) >= k) == (value(after) >= k); raises
-    BudgetExceeded when either side cannot be computed exactly."""
-    rb = solve_branch_and_bound(before, None, mode, budget=budget)
-    ra = solve_branch_and_bound(after, None, mode, budget=budget)
-    if not (rb.exact and ra.exact):
-        raise BudgetExceeded("equivalence check inconclusive within budget")
-    return (rb.best_value >= k) == (ra.best_value >= k)
-
-
 def solve_branch_and_bound(d: RootedDigraph, k: Optional[int],
                            mode: SolveMode,
-                           budget: Optional[EnumerationBudget] = None,
                            timeout: float = 60.0) -> SolveResult:
     """Exact optimum by branch and bound over partial out-branchings.
 
     The optimistic bound counts every unattached vertex as a leaf (LEAF
     mode) or as internal (INTERNAL mode). When ``k`` is given the search
     exits as soon as a branching of value >= k is found (the result is then
-    a decision witness, not a proven optimum, so exact=False).
+    a decision witness, not a proven optimum, so exact=False). A search
+    still running after ``timeout`` seconds returns its incumbent with
+    exact=False.
     """
     if not is_connected(d):
         raise ValueError("branch and bound requires a connected digraph")
-    if budget is not None and budget.timeout is not None:
-        timeout = budget.timeout
     deadline = time.monotonic() + timeout
 
     seed = bfs_out_branching(d)
@@ -248,38 +214,20 @@ def solve_branch_and_bound(d: RootedDigraph, k: Optional[int],
         return SolveResult(best, witness, exact=False)
 
     st = _Grower(d)
-    state = {"timed_out": False, "early": False}
 
-    def search() -> None:
-        nonlocal best, witness
-        if state["timed_out"] or state["early"]:
-            return
+    def prune() -> bool:
         if time.monotonic() > deadline:
-            state["timed_out"] = True
-            return
-        if st.value_bound(mode) <= best:
-            return
-        if not st.feasible():
-            return
-        if st.unattached() == 0:
+            raise BudgetExceeded("branch and bound timeout")
+        return st.value_bound(mode) <= best
+
+    try:
+        for _ in _search(st, prune):
             t = OutBranching(d.n, d.root, st.parent)
             val = _tree_value(t, mode)
             if val > best:
                 best, witness = val, t
                 if k is not None and best >= k:
-                    state["early"] = True
-            return
-        i = st.pivot()
-        if i is None:
-            return
-        u, v = st.arcs[i]
-        st.attach(u, v)
-        search()
-        st.detach(u, v)
-        st.banned[i] = True
-        search()
-        st.banned[i] = False
-
-    search()
-    return SolveResult(best, witness,
-                       exact=not (state["timed_out"] or state["early"]))
+                    return SolveResult(best, witness, exact=False)
+    except BudgetExceeded:
+        return SolveResult(best, witness, exact=False)
+    return SolveResult(best, witness, exact=True)

@@ -1,4 +1,7 @@
+import contextlib
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -47,3 +50,16 @@ def random_connected(rng: random.Random, n: int, density: float = 0.3,
 @pytest.fixture
 def rng():
     return random.Random(20240731)
+
+
+@contextlib.contextmanager
+def stack_headroom(frames: int = 100):
+    """Allow only ``frames`` Python frames above the caller, so code that
+    recurses once per step of a large input fails fast whatever the speed
+    of the host."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

@@ -3,9 +3,11 @@ import pytest
 from sparse_outbranch.digraph import OutBranching, RootedDigraph, is_connected
 from sparse_outbranch.generators import gen_degenerate, gen_iob_twins
 from sparse_outbranch.iob_kernel import (
+    AuxiliaryBipartite,
     IobInstance,
     apply_crown_rule,
     build_aux_graph,
+    class_matching,
     crown_in_class,
     iob_report,
     kernelize_iob,
@@ -13,10 +15,40 @@ from sparse_outbranch.iob_kernel import (
     validate_crown,
     vc_or_solution,
 )
-from sparse_outbranch.oracle import SolveMode, max_internal_exact, solve_branch_and_bound
+from sparse_outbranch.oracle import enumerate_out_branchings
 from sparse_outbranch.outcomes import NoOutcome, ReducedOutcome, YesOutcome
 
 from conftest import random_connected
+
+
+def max_internal(d):
+    return max(t.internal_count() for t in enumerate_out_branchings(d))
+
+
+def _class_matching_recursive(b, members, hood):
+    """The recursive augmenting-path matching that
+    ``iob_kernel.class_matching`` replaced, kept as the reference."""
+    match_left, match_w = {}, {}
+
+    def augment(key, seen):
+        for w in sorted(b.left_adj[key] & members):
+            if w not in match_w:
+                match_left[key] = w
+                match_w[w] = key
+                return True
+        for w in sorted(b.left_adj[key] & members):
+            nxt = match_w[w]
+            if nxt not in seen:
+                seen.add(nxt)
+                if augment(nxt, seen):
+                    match_left[key] = w
+                    match_w[w] = key
+                    return True
+        return False
+
+    for key in sorted(hood):
+        augment(key, {key})
+    return match_left, match_w
 
 
 class TestLocalSearch:
@@ -39,7 +71,7 @@ class TestLocalSearch:
         res = vc_or_solution(IobInstance(d, 2))
         assert isinstance(res, set)
         assert 0 in res and len(res) <= 3
-        assert max_internal_exact(d).best_value == 1
+        assert max_internal(d) == 1
 
     def test_k0_always_yes(self):
         d = RootedDigraph(1, 0, [])
@@ -71,7 +103,7 @@ class TestLocalSearch:
             k = rng.randint(1, d.n)
             res = vc_or_solution(IobInstance(d, k))
             if isinstance(res, set):
-                assert max_internal_exact(d).best_value <= 2 * (k - 1) + 1
+                assert max_internal(d) <= 2 * (k - 1) + 1
 
 
 class TestAuxGraph:
@@ -153,6 +185,47 @@ class TestCrown:
                 break
         assert built >= 10
 
+    def test_matching_matches_recursive_reference_random(self, rng):
+        # dense random bipartite graphs force long augmenting paths and
+        # backtracking, which the kernel's twin classes rarely need
+        for _ in range(400):
+            lefts = [("u", i) for i in range(rng.randint(1, 8))]
+            ws = range(rng.randint(1, 14))
+            p = rng.uniform(0.1, 0.6)
+            left_adj = {key: {w for w in ws if rng.random() < p} for key in lefts}
+            w_adj = {w: {key for key in lefts if w in left_adj[key]} for w in ws}
+            b = AuxiliaryBipartite(frozenset(), frozenset(ws), left_adj, w_adj)
+            members = {w for w in ws if rng.random() < 0.8}
+            hood = set().union(*(w_adj[w] for w in members))
+            got = class_matching(b, members, hood)
+            ref = _class_matching_recursive(b, members, hood)
+            assert [list(m.items()) for m in got] == [list(m.items()) for m in ref]
+
+    def test_matching_matches_recursive_reference(self, rng, monkeypatch):
+        from sparse_outbranch import iob_kernel
+        real = iob_kernel.class_matching
+        calls = 0
+
+        def both(b, members, hood):
+            nonlocal calls
+            calls += 1
+            got = real(b, members, hood)
+            ref = _class_matching_recursive(b, members, hood)
+            assert [list(m.items()) for m in got] == [list(m.items()) for m in ref]
+            return got
+
+        monkeypatch.setattr(iob_kernel, "class_matching", both)
+        for i in range(100):
+            if i % 2:
+                g = gen_degenerate(rng.randint(20, 120), rng.randint(1, 3),
+                                   rng.randrange(1 << 30))
+                k = rng.randint(2, 12)
+            else:
+                k = rng.choice((8, 16, 32))
+                g = gen_iob_twins(k, 3, rng.randrange(1 << 30))
+            kernelize_iob(IobInstance(g, k))
+        assert calls > 300
+
     def test_apply_requires_nonempty_cu(self):
         d = self.star_graph(3)
         b = build_aux_graph(d, {0, 1})
@@ -172,8 +245,8 @@ class TestCrown:
         inst = IobInstance(d3, 2)
         nxt, _ = apply_crown_rule(inst, crown, b3)
         for k in (1, 2, 3):
-            before = max_internal_exact(d3).best_value >= k
-            after = max_internal_exact(nxt.graph).best_value >= k
+            before = max_internal(d3) >= k
+            after = max_internal(nxt.graph) >= k
             assert before == after
 
 
@@ -312,11 +385,11 @@ class TestKernelEquivalence:
             k = rng.randint(1, 6)
             inst = IobInstance(g, k)
             out, _ = kernelize_iob(inst)
-            truth = max_internal_exact(g).best_value >= k
+            truth = max_internal(g) >= k
             if isinstance(out, YesOutcome):
                 assert truth
             elif isinstance(out, ReducedOutcome):
-                after = max_internal_exact(out.instance.graph).best_value >= k
+                after = max_internal(out.instance.graph) >= k
                 assert truth == after
             checked += 1
         assert checked >= 100

@@ -386,6 +386,17 @@ class TestDriver:
         with pytest.raises(ValueError):
             replay_trace(LobInstance(d, 1), forged)
 
+    def test_wrong_mapping_rejected(self):
+        # a genuine rule-2 step whose recorded vertex mapping is forged
+        d = RootedDigraph(3, 0, [(0, 1), (1, 2)])
+        inst = LobInstance(d, 1)
+        app = find_rule(inst)
+        assert app == RuleApplication(2, (1,), Contract((0, 1)))
+        replay_trace(inst, ReductionTrace([TraceStep(app, [0, 0, 1])]))
+        forged = ReductionTrace([TraceStep(app, [7, 7, 7])])
+        with pytest.raises(ValueError, match="mapping"):
+            replay_trace(inst, forged)
+
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(small_digraphs(max_n=8), small_digraphs(max_n=8, connected=False)),
            st.booleans())

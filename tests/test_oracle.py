@@ -1,21 +1,103 @@
+import time
+
 import pytest
 
-from sparse_outbranch.digraph import RootedDigraph
+from sparse_outbranch.digraph import (
+    OutBranching,
+    RootedDigraph,
+    bfs_out_branching,
+    cut_structure,
+)
 from sparse_outbranch.lob_reducer import LobInstance, apply_rule_6, find_rule_6
-from sparse_outbranch.digraph import cut_structure
 from sparse_outbranch.oracle import (
     BudgetExceeded,
     EnumerationBudget,
     SolveMode,
+    SolveResult,
+    _Grower,
+    _tree_value,
     brute_force_out_branchings,
-    check_equivalence,
     enumerate_out_branchings,
-    max_internal_exact,
-    maxleaf_exact,
     solve_branch_and_bound,
 )
 
-from conftest import random_connected
+from conftest import random_connected, stack_headroom
+
+
+def _enumerate_recursive(d):
+    """The recursive enumeration that ``oracle._search`` replaced, kept as
+    the reference for its visit order."""
+    st = _Grower(d)
+
+    def grow():
+        if not st.feasible():
+            return
+        if st.unattached() == 0:
+            yield OutBranching(d.n, d.root, st.parent)
+            return
+        i = st.pivot()
+        if i is None:
+            return
+        u, v = st.arcs[i]
+        st.attach(u, v)
+        yield from grow()
+        st.detach(u, v)
+        st.banned[i] = True
+        yield from grow()
+        st.banned[i] = False
+
+    yield from grow()
+
+
+def _branch_and_bound_recursive(d, k, mode, timeout=60.0):
+    """The recursive branch and bound that ``oracle._search`` replaced,
+    kept as the reference for its values, exactness and witnesses."""
+    deadline = time.monotonic() + timeout
+    seed = bfs_out_branching(d)
+    best = _tree_value(seed, mode)
+    witness = seed
+    if k is not None and best >= k:
+        return SolveResult(best, witness, exact=False)
+    st = _Grower(d)
+    state = {"timed_out": False, "early": False}
+
+    def search():
+        nonlocal best, witness
+        if state["timed_out"] or state["early"]:
+            return
+        if time.monotonic() > deadline:
+            state["timed_out"] = True
+            return
+        if st.value_bound(mode) <= best:
+            return
+        if not st.feasible():
+            return
+        if st.unattached() == 0:
+            t = OutBranching(d.n, d.root, st.parent)
+            val = _tree_value(t, mode)
+            if val > best:
+                best, witness = val, t
+                if k is not None and best >= k:
+                    state["early"] = True
+            return
+        i = st.pivot()
+        if i is None:
+            return
+        u, v = st.arcs[i]
+        st.attach(u, v)
+        search()
+        st.detach(u, v)
+        st.banned[i] = True
+        search()
+        st.banned[i] = False
+
+    search()
+    return SolveResult(best, witness,
+                       exact=not (state["timed_out"] or state["early"]))
+
+
+def optimum(d, mode):
+    return max(_tree_value(t, mode) for t in enumerate_out_branchings(d))
 
 
 def count(it):
@@ -76,42 +158,39 @@ class TestEnumeration:
 class TestExactValues:
     def test_star_maxleaf(self):
         d = RootedDigraph(4, 0, [(0, 1), (0, 2), (0, 3)])
-        assert maxleaf_exact(d).best_value == 3
+        assert optimum(d, SolveMode.LEAF) == 3
 
     def test_path_maxleaf(self):
         d = RootedDigraph(4, 0, [(0, 1), (1, 2), (2, 3)])
-        assert maxleaf_exact(d).best_value == 1
+        assert optimum(d, SolveMode.LEAF) == 1
 
     def test_rule5_pattern(self):
         d = RootedDigraph(5, 0, [(0, 1), (0, 2), (1, 2), (2, 1), (1, 3), (2, 4)])
-        assert maxleaf_exact(d).best_value == 2
+        assert optimum(d, SolveMode.LEAF) == 2
 
     def test_path_internal(self):
         d = RootedDigraph(4, 0, [(0, 1), (1, 2), (2, 3)])
-        assert max_internal_exact(d).best_value == 3
+        assert optimum(d, SolveMode.INTERNAL) == 3
 
     def test_star_internal(self):
         d = RootedDigraph(4, 0, [(0, 1), (0, 2), (0, 3)])
-        assert max_internal_exact(d).best_value == 1
+        assert optimum(d, SolveMode.INTERNAL) == 1
 
     def test_internal_is_n_minus_minleaf(self, rng):
         for _ in range(60):
             d = random_connected(rng, rng.randint(1, 7), 0.35)
             trees = list(enumerate_out_branchings(d))
             minleaf = min(t.leaf_count() for t in trees)
-            assert max_internal_exact(d).best_value == d.n - minleaf
+            res = solve_branch_and_bound(d, None, SolveMode.INTERNAL)
+            assert res.exact and res.best_value == d.n - minleaf
 
     def test_single_vertex(self):
         d = RootedDigraph(1, 0, [])
-        assert maxleaf_exact(d).best_value == 1
-        assert max_internal_exact(d).best_value == 0
+        assert optimum(d, SolveMode.LEAF) == 1
+        assert optimum(d, SolveMode.INTERNAL) == 0
 
 
 class TestEquivalence:
-    def test_identity(self):
-        d = RootedDigraph(3, 0, [(0, 1), (1, 2)])
-        assert check_equivalence(d, d, 1, SolveMode.LEAF)
-
     def test_rule6_all_k(self, rng):
         seen = 0
         for _ in range(300):
@@ -124,29 +203,56 @@ class TestEquivalence:
                 continue
             seen += 1
             after = apply_rule_6(LobInstance(d, 0), app.locus).graph
+            before_res = solve_branch_and_bound(d, None, SolveMode.LEAF)
+            after_res = solve_branch_and_bound(after, None, SolveMode.LEAF)
+            assert before_res.exact and after_res.exact
             for k in range(0, d.n + 1):
-                assert check_equivalence(d, after, k, SolveMode.LEAF)
+                assert (before_res.best_value >= k) == (after_res.best_value >= k)
         assert seen >= 10
 
-    def test_mutation_detected(self, rng):
-        # a fake "rule" that deletes an arbitrary arc must break equivalence
-        found = False
-        for _ in range(1000):
-            d = random_connected(rng, rng.randint(2, 7), 0.3)
-            arcs = d.arcs()
-            victim = arcs[rng.randrange(len(arcs))]
-            mutated = d.with_arcs_removed([victim])
-            from sparse_outbranch.digraph import is_connected
-            if not is_connected(mutated):
-                found = True  # answer flips from maxleaf>=1 to "no branching"
-                break
-            for k in range(0, d.n + 1):
-                if not check_equivalence(d, mutated, k, SolveMode.LEAF):
-                    found = True
-                    break
-            if found:
-                break
-        assert found
+
+class TestIterativeSearchMatchesRecursive:
+    """``oracle._search`` against the recursive searches it replaced."""
+
+    @staticmethod
+    def graphs(rng, count):
+        for _ in range(count):
+            yield random_connected(rng, rng.randint(1, 8), rng.uniform(0, 0.5),
+                                   bidi=rng.choice((0.0, 0.5)))
+
+    def test_same_enumeration_order(self, rng):
+        total = 0
+        for d in self.graphs(rng, 320):
+            new = [list(t.parent.items()) for t in enumerate_out_branchings(d)]
+            old = [list(t.parent.items()) for t in _enumerate_recursive(d)]
+            assert new == old
+            total += len(new)
+        assert total > 1000
+
+    def test_same_branch_and_bound_results(self, rng):
+        early = 0
+        for d in self.graphs(rng, 300):
+            for mode in (SolveMode.LEAF, SolveMode.INTERNAL):
+                for k in (None, 1, d.n // 2, d.n - 1, d.n):
+                    new = solve_branch_and_bound(d, k, mode)
+                    old = _branch_and_bound_recursive(d, k, mode)
+                    assert (new.best_value, new.exact) == (old.best_value, old.exact)
+                    assert (list(new.witness.parent.items())
+                            == list(old.witness.parent.items()))
+                    early += k is not None and not new.exact
+        assert early > 100
+
+    def test_same_results_on_a_reduced_core(self):
+        from sparse_outbranch.generators import gen_planar
+        from sparse_outbranch.lob_reducer import reduce_to_fixpoint
+        g = gen_planar(60, seed=31, both_prob=0.1, keep_prob=0.25)
+        out, _ = reduce_to_fixpoint(LobInstance(g, 5))
+        red = out.instance.graph
+        for k in (None, 5):
+            new = solve_branch_and_bound(red, k, SolveMode.LEAF, timeout=30)
+            old = _branch_and_bound_recursive(red, k, SolveMode.LEAF, timeout=30)
+            assert (new.best_value, new.exact) == (old.best_value, old.exact)
+            assert new.witness.parent == old.witness.parent
 
 
 class TestBranchAndBound:
@@ -176,3 +282,13 @@ class TestBranchAndBound:
         assert red.n >= 20
         res = solve_branch_and_bound(red, None, SolveMode.LEAF, timeout=30)
         assert res.exact and res.best_value >= 5
+
+    def test_large_input_times_out_with_a_valid_witness(self):
+        # 1500 vertices: deeper than the interpreter's recursion limit
+        from sparse_outbranch.generators import gen_planar
+        g = gen_planar(1500, 3, both_prob=0.3, keep_prob=0.6)
+        with stack_headroom():
+            res = solve_branch_and_bound(g, None, SolveMode.LEAF, timeout=0.5)
+        assert not res.exact
+        assert res.witness.is_valid_for(g)
+        assert res.best_value == res.witness.leaf_count()
