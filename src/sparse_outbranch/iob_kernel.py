@@ -11,7 +11,8 @@ The pipeline per round:
    neighborhood in U, and any class more than twice the size of its
    bipartite neighborhood yields a crown decomposition whose unmatched
    side can be deleted without changing the answer for this k;
-4. repeat until no class is oversized.
+4. fire every oversized class, then search again, until a pass fires
+   nothing.
 
 The result is an induced subgraph of the input with the same k.
 """
@@ -62,6 +63,15 @@ def vc_or_solution(inst: IobInstance) -> Union[OutBranching, set[int]]:
     leaf internal, so at most n moves happen. On failure the internal
     vertices plus the blocked heads of remaining leaf-leaf arcs form the
     cover.
+
+    One forward pass over the sorted arcs makes the same moves as
+    rescanning from the first arc after every move, because an arc that
+    fails the test keeps failing. A move (u, v) only turns the leaf u
+    internal, and it takes a child from a parent that keeps at least one,
+    so no vertex ever becomes a leaf again. A vertex with fewer than two
+    children never gains one (only leaves do), and its only child cannot
+    move away, so its child count never reaches two. The arc just used
+    fails from then on, since u is no longer a leaf.
     """
     d = inst.graph
     if not is_connected(d):
@@ -74,30 +84,20 @@ def vc_or_solution(inst: IobInstance) -> Union[OutBranching, set[int]]:
     for p in parent.values():
         n_children[p] += 1
 
-    def find_move() -> Optional[tuple[int, int]]:
-        # the root always keeps children, so leaf checks exclude it
-        for u, v in d.arcs():
-            if n_children[u] == 0 and n_children[v] == 0 and n_children[parent[v]] >= 2:
-                return u, v
-        return None
-
-    for _ in range(d.n + 1):
-        move = find_move()
-        if move is None:
-            break
-        u, v = move
-        n_children[parent[v]] -= 1
-        parent[v] = u
-        n_children[u] += 1
-    else:
-        raise RuntimeError("local search failed to terminate")
+    arcs = d.arcs()
+    # the root always keeps children, so leaf checks exclude it
+    for u, v in arcs:
+        if n_children[u] == 0 and n_children[v] == 0 and n_children[parent[v]] >= 2:
+            n_children[parent[v]] -= 1
+            parent[v] = u
+            n_children[u] += 1
 
     tree = OutBranching(d.n, d.root, parent)
     if tree.internal_count() >= inst.k:
         return tree
     internal = tree.internal()
     blocked = set()
-    for u, v in d.arcs():
+    for u, v in arcs:
         if n_children[u] == 0 and n_children[v] == 0:
             blocked.add(v)
     cover = internal | blocked | {d.root}
@@ -216,6 +216,14 @@ def class_matching(b: AuxiliaryBipartite, members: set[int], hood: set[LeftKey]
     return match_left, match_w
 
 
+def class_hood(b: AuxiliaryBipartite, members: set[int]) -> set[LeftKey]:
+    """Auxiliary neighborhood of a set of W-vertices."""
+    hood: set[LeftKey] = set()
+    for w in members:
+        hood.update(b.w_adj[w])
+    return hood
+
+
 def crown_in_class(b: AuxiliaryBipartite, members: set[int]) -> CrownDecomposition:
     """Crown decomposition of the subgraph induced by a same-neighborhood
     class `members` and its bipartite neighborhood, extended to the whole
@@ -224,9 +232,7 @@ def crown_in_class(b: AuxiliaryBipartite, members: set[int]) -> CrownDecompositi
     hence a nonempty C_u."""
     if not members <= b.w_vertices:
         raise ValueError("class members must lie inside W")
-    hood: set[LeftKey] = set()
-    for w in members:
-        hood.update(b.w_adj[w])
+    hood = class_hood(b, members)
     if len(members) <= 2 * len(hood):
         raise ValueError(
             f"class of size {len(members)} does not exceed twice its "
@@ -295,24 +301,43 @@ def small_degree_classes(d: RootedDigraph, cover: set[int], threshold: int
     return classing.classes, classing.heavy
 
 
-def crown_round(inst: IobInstance, cover: set[int],
-                classes: dict[tuple[int, ...], list[int]]
-                ) -> Optional[tuple[IobInstance, CrownStep]]:
-    """One crown round: the first class, in key order, larger than twice
-    its auxiliary neighborhood loses its crown's C_u. Returns the smaller
-    instance and its trace step, or None when no class is oversized. The
-    crown is validated once, when it is built."""
-    b = build_aux_graph(inst.graph, cover)
+def crown_pass(d: RootedDigraph, cover: set[int],
+               classes: dict[tuple[int, ...], list[int]]
+               ) -> tuple[list[CrownStep], set[int]]:
+    """One crown pass over one cover: every class, in key order, larger
+    than twice its auxiliary neighborhood loses its crown's C_u. Returns
+    one trace step per crown and the union of the C_u, in the ids of `d`;
+    the caller removes them all at once.
+
+    W is independent and each C_u lies inside W, so a crown changes no
+    other class's members, auxiliary neighborhood or matching: the auxiliary
+    graph is built once, and the steps are those of a rebuild after every
+    crown. Removal keeps vertex order, so key order does not change, and
+    each step's key, removed ids and old->new mapping are ranks among the
+    vertices that the earlier steps left."""
+    b = build_aux_graph(d, cover)
+    alive = list(range(d.n))
+    steps: list[CrownStep] = []
+    dead: set[int] = set()
     for key in sorted(classes):
         members = set(classes[key])
-        hood: set[LeftKey] = set()
-        for w in members:
-            hood.update(b.w_adj[w])
-        if len(members) > 2 * len(hood):
-            crown = crown_in_class(b, members)
-            nxt, mapping = apply_crown_rule(inst, crown)
-            return nxt, CrownStep(key, tuple(sorted(crown.c_u)), mapping)
-    return None
+        if len(members) <= 2 * len(class_hood(b, members)):
+            continue
+        crown = crown_in_class(b, members)
+        # A class fires at most once per pass. C_u is exactly the members
+        # the maximum matching leaves free, so each member left has its own
+        # matched partner in the neighborhood of those left.
+        left = members - crown.c_u
+        if len(left) > len(class_hood(b, left)):
+            raise RuntimeError(f"class {key} keeps more members than neighbors after its crown")
+        old, alive = alive, [x for x in alive if x not in crown.c_u]
+        rank = {x: i for i, x in enumerate(old)}
+        new_id = {x: i for i, x in enumerate(alive)}
+        steps.append(CrownStep(tuple(rank[x] for x in key),
+                               tuple(rank[x] for x in sorted(crown.c_u)),
+                               [new_id.get(x) for x in old]))
+        dead |= crown.c_u
+    return steps, dead
 
 
 def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None
@@ -339,14 +364,14 @@ def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None
         if len(cover) > max(2 * current.k - 1, 1):
             raise RuntimeError(f"cover size {len(cover)} exceeds 2k-1")
         classes, _ = small_degree_classes(current.graph, cover, threshold)
-        fired = crown_round(current, cover, classes)
-        if fired is None:
+        steps, dead = crown_pass(current.graph, cover, classes)
+        if not steps:
             for key, group in classes.items():
                 if len(group) > 2 * (len(key) ** 2 + len(key)):
                     raise RuntimeError("retained class exceeds its structural bound")
             return ReducedOutcome(current, trace), trace
-        current, step = fired
-        trace.append(step)
+        trace.steps.extend(steps)
+        current = IobInstance(remove_vertices(current.graph, dead)[0], current.k)
     raise RuntimeError("kernelization failed to reach a fixpoint")
 
 

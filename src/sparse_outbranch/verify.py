@@ -19,12 +19,13 @@ from .digraph import (
     RootedDigraph,
     cut_structure,
     is_connected,
+    remove_vertices,
     underlying_adjacency,
 )
 from .generators import gen_iob_twins, gen_planar, gen_random
 from .iob_kernel import (
     IobInstance,
-    crown_round,
+    crown_pass,
     kernelize_iob,
     small_degree_classes,
     vc_or_solution,
@@ -385,7 +386,9 @@ def verify_local_search(trials: int = 1000, max_n: int = 9, seed: int = 0) -> Su
 
 def verify_crown(firings: int = 500, max_n: int = 9, seed: int = 0) -> SuiteResult:
     """Fixed-k equivalence of every crown removal, oracle-checked, plus
-    structural validity of each crown (checked once, when it is built)."""
+    structural validity of each crown (checked once, when it is built).
+    Each step of a crown pass is carried out on its own, and the mapping
+    of that removal must equal the step's recorded mapping."""
     rng = random.Random(seed)
     fired = 0
     violations = 0
@@ -404,18 +407,19 @@ def verify_crown(firings: int = 500, max_n: int = 9, seed: int = 0) -> SuiteResu
             if isinstance(found, OutBranching):
                 break
             classes, _ = small_degree_classes(current.graph, found, 4)
-            fired_round = crown_round(current, found, classes)
-            if fired_round is None:
+            steps, _ = crown_pass(current.graph, found, classes)
+            if not steps:
                 break
-            nxt, _ = fired_round
-            before = solve_branch_and_bound(current.graph, None, SolveMode.INTERNAL)
-            after = solve_branch_and_bound(nxt.graph, None, SolveMode.INTERNAL)
-            if not (before.exact and after.exact):
-                raise RuntimeError("oracle budget exceeded in crown check")
-            if (before.best_value >= k) != (after.best_value >= k):
-                violations += 1
-            fired += 1
-            current = nxt
+            for step in steps:
+                nxt, mapping = remove_vertices(current.graph, step.removed)
+                before = solve_branch_and_bound(current.graph, None, SolveMode.INTERNAL)
+                after = solve_branch_and_bound(nxt, None, SolveMode.INTERNAL)
+                if not (before.exact and after.exact):
+                    raise RuntimeError("oracle budget exceeded in crown check")
+                if mapping != step.mapping or (before.best_value >= k) != (after.best_value >= k):
+                    violations += 1
+                fired += 1
+                current = IobInstance(nxt, k)
     return SuiteResult("crown", violations == 0 and fired >= firings,
                        {"firings": fired, "violations": violations})
 

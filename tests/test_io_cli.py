@@ -333,6 +333,32 @@ class TestCliPipelines:
             outs.append(proc.stdout)
         assert outs[0] == outs[1] and outs[0].startswith("c family=planar")
 
+    def test_kernel_and_reduction_identical_across_hash_seeds(self, tmp_path):
+        # both pipelines gather vertices in sets; neither artifact nor
+        # report (timing aside) may follow the interpreter's hash order
+        from sparse_outbranch.generators import gen_iob_twins, gen_planar
+        cases = [("kernelize-iob", "iob", gen_iob_twins(16, 3, seed=3), 16),
+                 ("kernelize-iob", "iob", gen_iob_twins(24, 2, seed=8), 24),
+                 ("reduce-lob", "lob", gen_planar(120, 7, both_prob=0.1, keep_prob=0.25), 12),
+                 ("reduce-lob", "lob", gen_planar(160, 8, both_prob=0.1, keep_prob=0.3), 16)]
+        for i, (command, kind, g, k) in enumerate(cases):
+            path = tmp_path / f"in{i}.{kind}"
+            path.write_text(serialize_instance(kind, g, k))
+            runs = []
+            for hash_seed in ("1", "2"):
+                out, rep = tmp_path / f"out{i}", tmp_path / f"rep{i}.json"
+                argv = ["-m", "sparse_outbranch.cli", command, str(path),
+                        "--out", str(out), "--json", str(rep)]
+                if command == "reduce-lob":
+                    argv += ["--solve-max-n", "0"]
+                proc = _run_python(argv, PYTHONHASHSEED=hash_seed)
+                assert proc.returncode == 0, proc.stderr
+                report = json.loads(rep.read_text())
+                assert report["outcome"] == "reduced"
+                report.pop("timing")
+                runs.append((proc.stdout, out.read_bytes(), report))
+            assert runs[0] == runs[1], command
+
     def test_cli_imports_no_numeric_stack(self):
         proc = _run_python(["-c", "import sys, sparse_outbranch.cli; "
                             "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"])

@@ -1,9 +1,17 @@
+import random
+
 import pytest
 
-from sparse_outbranch.digraph import OutBranching, RootedDigraph, is_connected
+from sparse_outbranch.digraph import (
+    OutBranching,
+    RootedDigraph,
+    bfs_out_branching,
+    is_connected,
+)
 from sparse_outbranch.generators import gen_degenerate, gen_iob_twins
 from sparse_outbranch.iob_kernel import (
     AuxiliaryBipartite,
+    CrownStep,
     IobInstance,
     apply_crown_rule,
     build_aux_graph,
@@ -16,7 +24,13 @@ from sparse_outbranch.iob_kernel import (
     vc_or_solution,
 )
 from sparse_outbranch.oracle import enumerate_out_branchings
-from sparse_outbranch.outcomes import NoOutcome, ReducedOutcome, YesOutcome
+from sparse_outbranch.outcomes import (
+    NoOutcome,
+    ReducedOutcome,
+    ReductionTrace,
+    YesOutcome,
+)
+from sparse_outbranch.sparsity import degeneracy
 
 from conftest import random_connected
 
@@ -51,7 +65,110 @@ def _class_matching_recursive(b, members, hood):
     return match_left, match_w
 
 
+def _vc_or_solution_rescan(inst):
+    """The local search that rescanned the sorted arcs from the first one
+    after every move, kept as the reference for the forward pass of
+    ``iob_kernel.vc_or_solution``."""
+    d = inst.graph
+    if not is_connected(d):
+        raise ValueError("local search requires a connected instance")
+    tree = bfs_out_branching(d)
+    if tree.internal_count() >= inst.k:
+        return tree
+    parent = dict(tree.parent)
+    n_children = [0] * d.n
+    for p in parent.values():
+        n_children[p] += 1
+
+    def find_move():
+        for u, v in d.arcs():
+            if n_children[u] == 0 and n_children[v] == 0 and n_children[parent[v]] >= 2:
+                return u, v
+        return None
+
+    for _ in range(d.n + 1):
+        move = find_move()
+        if move is None:
+            break
+        u, v = move
+        n_children[parent[v]] -= 1
+        parent[v] = u
+        n_children[u] += 1
+    else:
+        raise RuntimeError("local search failed to terminate")
+
+    tree = OutBranching(d.n, d.root, parent)
+    if tree.internal_count() >= inst.k:
+        return tree
+    blocked = {v for u, v in d.arcs() if n_children[u] == 0 and n_children[v] == 0}
+    return tree.internal() | blocked | {d.root}
+
+
+def _crown_round_reference(inst, cover, classes):
+    """One crown per round: the first oversized class in key order loses
+    its C_u and the instance is rebuilt. Kept as the reference for
+    ``iob_kernel.crown_pass``."""
+    b = build_aux_graph(inst.graph, cover)
+    for key in sorted(classes):
+        members = set(classes[key])
+        hood = set()
+        for w in members:
+            hood.update(b.w_adj[w])
+        if len(members) > 2 * len(hood):
+            crown = crown_in_class(b, members)
+            nxt, mapping = apply_crown_rule(inst, crown)
+            return nxt, CrownStep(key, tuple(sorted(crown.c_u)), mapping)
+    return None
+
+
+def _kernelize_iob_per_crown(inst):
+    """The kernel loop that ran the rescanning local search, the classing
+    and a new auxiliary graph after every single crown."""
+    threshold = max(2, 2 * degeneracy(inst.graph).d)
+    trace = ReductionTrace()
+    current = inst
+    for _ in range(inst.graph.n + 1):
+        if not is_connected(current.graph):
+            return NoOutcome("vertex unreachable from root"), trace
+        found = _vc_or_solution_rescan(current)
+        if isinstance(found, OutBranching):
+            return YesOutcome(found), trace
+        classes, _ = small_degree_classes(current.graph, found, threshold)
+        fired = _crown_round_reference(current, found, classes)
+        if fired is None:
+            return ReducedOutcome(current, trace), trace
+        current, step = fired
+        trace.append(step)
+    raise RuntimeError("kernelization failed to reach a fixpoint")
+
+
 class TestLocalSearch:
+    def test_forward_pass_matches_rescan_reference(self):
+        rng = random.Random(4242)
+        differences = covers = trees = 0
+        for i in range(420):
+            if i % 3 == 0:
+                d = random_connected(rng, rng.randint(2, 40), rng.uniform(0.02, 0.2),
+                                     bidi=rng.uniform(0, 0.4))
+            elif i % 3 == 1:
+                d = gen_degenerate(rng.randint(5, 120), rng.randint(1, 3),
+                                   rng.randrange(1 << 30))
+            else:
+                d = gen_iob_twins(rng.randint(2, 12), rng.randint(1, 3),
+                                  rng.randrange(1 << 30), twin_factor=rng.randint(1, 4))
+            for k in (rng.randint(1, 4), d.n // 3 + 1, d.n):
+                got = vc_or_solution(IobInstance(d, k))
+                ref = _vc_or_solution_rescan(IobInstance(d, k))
+                if isinstance(ref, OutBranching):
+                    trees += 1
+                    same = isinstance(got, OutBranching) and got.parent == ref.parent
+                else:
+                    covers += 1
+                    same = got == ref
+                differences += not same
+        assert differences == 0
+        assert covers >= 300 and trees >= 300
+
     def test_path_k3_solution(self):
         d = RootedDigraph(4, 0, [(0, 1), (1, 2), (2, 3)])
         res = vc_or_solution(IobInstance(d, 3))
@@ -349,7 +466,6 @@ class TestKernelize:
     def test_heavy_side_degree_sum_accounting(self, rng):
         # at the fixpoint, W-vertices of degree above twice the degeneracy
         # have degrees summing to at most that threshold times |U|
-        from sparse_outbranch.sparsity import degeneracy
         checked = 0
         for _ in range(30):
             g = gen_iob_twins(rng.randint(6, 10), rng.randint(2, 3),
@@ -370,6 +486,71 @@ class TestKernelize:
             assert heavy_sum <= tau * len(cover)
             checked += 1
         assert checked >= 10
+
+
+class TestCrownPass:
+    """One crown pass per local search gives the trace, the mappings and
+    the kernel of one local search per crown."""
+
+    @staticmethod
+    def outcome_view(out, trace):
+        view = [out.status, trace.serialize(), [step.mapping for step in trace]]
+        if isinstance(out, ReducedOutcome):
+            g = out.instance.graph
+            view.append((g.n, g.root, g.arcs(), out.instance.k))
+        elif isinstance(out, YesOutcome):
+            view.append(sorted(out.certificate.parent.items()))
+        return view
+
+    def test_matches_per_crown_reference(self, monkeypatch):
+        from sparse_outbranch import iob_kernel
+        real = iob_kernel.crown_pass
+        pass_sizes = []
+
+        def recording(*args):
+            steps, dead = real(*args)
+            pass_sizes.append(len(steps))
+            return steps, dead
+
+        monkeypatch.setattr(iob_kernel, "crown_pass", recording)
+        rng = random.Random(6060)
+        statuses = {}
+        for i in range(130):
+            if i % 2:
+                k = rng.choice((4, 8, 16, 32))
+                g = gen_iob_twins(k, rng.randint(1, 3), rng.randrange(1 << 30),
+                                  twin_factor=3)
+            else:
+                g = gen_degenerate(rng.randint(30, 300), rng.randint(1, 3),
+                                   rng.randrange(1 << 30))
+                k = rng.randint(2, 40)
+            inst = IobInstance(g, k)
+            got = self.outcome_view(*kernelize_iob(inst))
+            assert got == self.outcome_view(*_kernelize_iob_per_crown(inst)), i
+            statuses[got[0]] = statuses.get(got[0], 0) + 1
+        # later crowns of a pass must relabel their key, removed ids and
+        # mapping by rank among the survivors of the earlier ones
+        assert sum(size >= 2 for size in pass_sizes) >= 40
+        assert statuses.get("reduced", 0) >= 40 and statuses.get("yes", 0) >= 20
+
+    def test_few_local_searches(self, monkeypatch):
+        # one local search per crown made about thirty here; a pass fires
+        # every oversized class, and the next search finds nothing to fire
+        from sparse_outbranch import iob_kernel
+        real = iob_kernel.vc_or_solution
+        calls = 0
+
+        def counting(inst):
+            nonlocal calls
+            calls += 1
+            return real(inst)
+
+        monkeypatch.setattr(iob_kernel, "vc_or_solution", counting)
+        g = gen_iob_twins(64, 3, seed=1)
+        out, trace = kernelize_iob(IobInstance(g, 64))
+        assert isinstance(out, ReducedOutcome)
+        assert len(trace) >= 20
+        assert calls <= 4
 
 
 class TestKernelEquivalence:
@@ -404,6 +585,22 @@ class TestContractChecks:
         d = RootedDigraph(5, 0, [(0, 1), (1, 2), (2, 3), (3, 4)])
         with pytest.raises(RuntimeError, match="exceeds 2k-1"):
             kernelize_iob(IobInstance(d, 2))
+
+    def test_class_left_oversized_raises(self, monkeypatch):
+        # a crown that removes only one free twin leaves the class larger
+        # than its neighborhood, which a maximum matching never does
+        from sparse_outbranch import iob_kernel
+        real = iob_kernel.crown_in_class
+
+        def one_removed(b, members):
+            crown = real(b, members)
+            return type(crown)(crown.c_m, frozenset([min(crown.c_u)]), crown.h,
+                               crown.r, crown.matching)
+
+        monkeypatch.setattr(iob_kernel, "crown_in_class", one_removed)
+        arcs = [(0, 1)] + [(1, i) for i in range(2, 6)]
+        with pytest.raises(RuntimeError, match="more members than neighbors"):
+            kernelize_iob(IobInstance(RootedDigraph(6, 0, arcs), 3))
 
     def test_retained_class_bound_raises(self, monkeypatch):
         # five W-vertices share the three cover units 1, 2, 3, so no crown
