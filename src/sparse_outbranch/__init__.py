@@ -7,16 +7,11 @@ from .digraph import (
     RootedDigraph,
     bfs_out_branching,
     contract_arc,
-    cut_edges,
     cut_structure,
-    cut_vertices,
     dominators,
     is_connected,
-    planarity_witness_check,
-    private_neighbors,
     reachable,
     remove_vertices,
-    shortcut_vertex,
     split_lonely_branching,
 )
 from .instance_io import (
@@ -61,7 +56,6 @@ from .lob_reducer import (
 )
 from .oracle import (
     BudgetExceeded,
-    EnumerationBudget,
     SolveMode,
     SolveResult,
     brute_force_out_branchings,

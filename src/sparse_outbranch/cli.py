@@ -19,15 +19,10 @@ import time
 from typing import Optional
 
 from . import verify as verify_mod
+from .digraph import is_connected
 from .generators import FAMILIES, generate
-from .instance_io import (
-    InstanceFile,
-    ParseError,
-    load_instance,
-    save_instance,
-    serialize_instance,
-)
-from .iob_kernel import IobInstance, iob_report, kernelize_iob, vc_or_solution
+from .instance_io import InstanceFile, load_instance, save_instance, serialize_instance
+from .iob_kernel import IobInstance, iob_report, kernelize_iob
 from .lob_analyzer import analyze
 from .lob_reducer import LobInstance, reduce_to_fixpoint
 from .oracle import SolveMode, solve_branch_and_bound
@@ -105,11 +100,7 @@ def _load(path: str, expect_kind: str) -> InstanceFile:
 
 
 def cmd_reduce_lob(args) -> int:
-    try:
-        f = _load(args.file, "lob")
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    f = _load(args.file, "lob")
     inst = LobInstance(f.graph, f.k)
     report: dict = {
         "command": "reduce-lob",
@@ -176,11 +167,7 @@ def cmd_reduce_lob(args) -> int:
 
 
 def cmd_kernelize_iob(args) -> int:
-    try:
-        f = _load(args.file, "iob")
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    f = _load(args.file, "iob")
     inst = IobInstance(f.graph, f.k)
     report: dict = {
         "command": "kernelize-iob",
@@ -210,7 +197,7 @@ def cmd_kernelize_iob(args) -> int:
     for step in trace:
         mapping = [step.mapping[x] if x is not None else None for x in mapping]
     report["outcome"] = "reduced"
-    report["kernel"] = iob_report(reduced, threshold=args.threshold)
+    report["kernel"] = iob_report(reduced, outcome.cover, threshold=args.threshold)
     report["vertex_map"] = {str(i): m for i, m in enumerate(mapping)}
     out_path = args.out or (args.file + ".kernel")
     comments = [f"kernel of {os.path.basename(args.file)}"]
@@ -223,18 +210,13 @@ def cmd_kernelize_iob(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        inst = load_instance(args.file)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    inst = load_instance(args.file)
     for w in inst.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.mode == "auto":
         mode = SolveMode.LEAF if inst.kind == "lob" else SolveMode.INTERNAL
     else:
         mode = SolveMode(args.mode)
-    from .digraph import is_connected
     if not is_connected(inst.graph):
         _write_json(args.json, {"command": "solve", "outcome": "no",
                                 "reason": "vertex unreachable from root"})
@@ -341,11 +323,9 @@ def cmd_bench(args) -> int:
                 outcome, _ = kernelize_iob(IobInstance(g, k))
                 row["elapsed_s"] = round(time.monotonic() - t0, 3)
                 if isinstance(outcome, ReducedOutcome):
-                    red = outcome.instance
-                    cover = vc_or_solution(red)
-                    csize = len(cover) if isinstance(cover, set) else ""
-                    row.update({"outcome": "reduced", "n_out": red.graph.n,
-                                "m_out": red.graph.m, "cover_size": csize})
+                    red = outcome.instance.graph
+                    row.update({"outcome": "reduced", "n_out": red.n,
+                                "m_out": red.m, "cover_size": len(outcome.cover)})
                 else:
                     row.update({"outcome": outcome.status, "n_out": "",
                                 "m_out": "", "cover_size": ""})

@@ -61,35 +61,17 @@ class RootedDigraph:
     def m(self) -> int:
         return len(self._arcset)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def arcs(self) -> list[Arc]:
         return sorted(self._arcset)
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self._arcset
 
-    def out_neighbors(self, v: int) -> list[int]:
-        return self.out_adj[v]
-
-    def in_neighbors(self, v: int) -> list[int]:
-        return self.in_adj[v]
-
     def out_degree(self, v: int) -> int:
         return len(self.out_adj[v])
 
     def in_degree(self, v: int) -> int:
         return len(self.in_adj[v])
-
-    def undirected_degree(self, v: int) -> int:
-        return len(set(self.out_adj[v]) | set(self.in_adj[v]))
-
-    def undirected_neighbors(self, v: int) -> set[int]:
-        return set(self.out_adj[v]) | set(self.in_adj[v])
-
-    def undirected_edges(self) -> set[frozenset[int]]:
-        return {frozenset(a) for a in self._arcset}
 
     def with_arcs_removed(self, removed: Iterable[Arc]) -> "RootedDigraph":
         dead = set(removed)
@@ -139,9 +121,6 @@ class OutBranching:
         self.parent = dict(parent)
         self.children = children
 
-    def leaves(self) -> set[int]:
-        return {v for v in range(self.n) if not self.children[v]}
-
     def internal(self) -> set[int]:
         return {v for v in range(self.n) if self.children[v]}
 
@@ -150,9 +129,6 @@ class OutBranching:
 
     def internal_count(self) -> int:
         return self.n - self.leaf_count()
-
-    def tree_arcs(self) -> set[Arc]:
-        return {(p, v) for v, p in self.parent.items()}
 
     def is_valid_for(self, d: RootedDigraph) -> bool:
         return (self.n == d.n and self.root == d.root
@@ -320,16 +296,6 @@ def cut_structure(d: RootedDigraph) -> tuple[frozenset[int], frozenset[Arc]]:
     return dom.cut_vertices, dom.cut_edges
 
 
-def cut_vertices(d: RootedDigraph) -> frozenset[int]:
-    """Vertices (other than the root) whose removal disconnects the graph."""
-    return cut_structure(d)[0]
-
-
-def cut_edges(d: RootedDigraph) -> frozenset[Arc]:
-    """Arcs whose single removal makes some vertex unreachable from the root."""
-    return cut_structure(d)[1]
-
-
 def split_lonely_branching(cut_e: set[Arc]) -> tuple[set[Arc], set[Arc]]:
     """Partition cut-edges into lonely (tail emits no other cut-edge) and
     branching (tail shared with another cut-edge)."""
@@ -338,15 +304,6 @@ def split_lonely_branching(cut_e: set[Arc]) -> tuple[set[Arc], set[Arc]]:
         by_tail.setdefault(a[0], []).append(a)
     lonely = {a for a in cut_e if len(by_tail[a[0]]) == 1}
     return lonely, cut_e - lonely
-
-
-def private_neighbors(d: RootedDigraph, u: int) -> set[int]:
-    """Out-neighbors of u that are unreachable from the root once u is
-    removed. For u = root this is all of its out-neighbors."""
-    if not 0 <= u < d.n:
-        raise ValueError(f"vertex {u} out of range")
-    dom = dominators(d)
-    return {w for w in d.out_adj[u] if dom.dominates(u, w)}
 
 
 def contract_arc(d: RootedDigraph, arc: Arc) -> tuple[RootedDigraph, list[int]]:
@@ -372,32 +329,6 @@ def contract_arc(d: RootedDigraph, arc: Arc) -> tuple[RootedDigraph, list[int]]:
     return g, mapping
 
 
-def shortcut_vertex(d: RootedDigraph, v: int) -> tuple[RootedDigraph, list[Optional[int]]]:
-    """Remove v and add an arc (x, y) for every directed path (x, v, y)
-    with x != y. Returns the new graph and the old->new mapping, with
-    None for the removed vertex."""
-    if v == d.root:
-        raise ValueError("cannot shortcut the root")
-    if not 0 <= v < d.n:
-        raise ValueError(f"vertex {v} out of range")
-    mapping: list[Optional[int]] = [None] * d.n
-    nxt = 0
-    for x in range(d.n):
-        if x != v:
-            mapping[x] = nxt
-            nxt += 1
-    new_arcs = set()
-    for a, b in d._arcset:
-        if v not in (a, b):
-            new_arcs.add((mapping[a], mapping[b]))
-    for x in d.in_adj[v]:
-        for y in d.out_adj[v]:
-            if x != y:
-                new_arcs.add((mapping[x], mapping[y]))
-    g = RootedDigraph(d.n - 1, mapping[d.root], new_arcs)
-    return g, mapping
-
-
 def remove_vertices(d: RootedDigraph, drop: Iterable[int]) -> tuple[RootedDigraph, list[Optional[int]]]:
     """Induced subgraph on the complement of ``drop``, with old->new mapping
     (None for removed vertices)."""
@@ -414,15 +345,6 @@ def remove_vertices(d: RootedDigraph, drop: Iterable[int]) -> tuple[RootedDigrap
                 if a not in dead and b not in dead}
     g = RootedDigraph(d.n - len(dead), mapping[d.root], new_arcs)
     return g, mapping
-
-
-def planarity_witness_check(d: RootedDigraph) -> bool:
-    """Necessary-condition planarity check on the underlying simple
-    undirected graph: false when the Euler bound m <= 3n - 6 fails
-    (n >= 3), true otherwise."""
-    if d.n < 3:
-        return True
-    return len(d.undirected_edges()) <= 3 * d.n - 6
 
 
 def underlying_adjacency(d: RootedDigraph) -> list[set[int]]:

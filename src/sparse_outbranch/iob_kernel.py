@@ -369,21 +369,19 @@ def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None
             for key, group in classes.items():
                 if len(group) > 2 * (len(key) ** 2 + len(key)):
                     raise RuntimeError("retained class exceeds its structural bound")
-            return ReducedOutcome(current, trace), trace
+            return ReducedOutcome(current, trace, frozenset(cover)), trace
         trace.steps.extend(steps)
         current = IobInstance(remove_vertices(current.graph, dead)[0], current.k)
     raise RuntimeError("kernelization failed to reach a fixpoint")
 
 
-def iob_report(inst: IobInstance, threshold: Optional[int] = None) -> dict:
-    """Size accounting of a (typically kernelized) instance: cover size,
-    small/heavy split of W, and the class-size histogram."""
+def iob_report(inst: IobInstance, cover: set[int],
+               threshold: Optional[int] = None) -> dict:
+    """Size accounting of a kernelized instance and the vertex cover its
+    last crown pass used: cover size, small/heavy split of W, and the
+    class-size histogram."""
     if threshold is None:
         threshold = max(2, 2 * degeneracy(inst.graph).d)
-    found = vc_or_solution(inst)
-    if isinstance(found, OutBranching):
-        return {"resolved": "yes", "internal": found.internal_count()}
-    cover = found
     classes, heavy = small_degree_classes(inst.graph, cover, threshold)
     hist: dict[int, int] = {}
     for group in classes.values():

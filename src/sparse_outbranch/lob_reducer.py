@@ -97,10 +97,11 @@ class TraceStep:
 
 
 def find_rule_1(d: RootedDigraph) -> Optional[RuleApplication]:
-    seen = reachable(d, d.root)
-    if len(seen) == d.n:
+    # the dominator tree is the one rules 2-6 read their cut structure from
+    dom = dominators(d)
+    if dom.reached == d.n:
         return None
-    bad = min(v for v in range(d.n) if v not in seen)
+    bad = next(v for v in range(d.n) if not dom.reaches(v))
     return RuleApplication(1, (bad,), ResolveNo(f"vertex {bad} unreachable from root"))
 
 

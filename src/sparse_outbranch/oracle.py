@@ -29,10 +29,8 @@ class BudgetExceeded(Exception):
     """Raised when an exact computation would exceed its budget."""
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    max_n: int = 12
-    max_count: Optional[int] = None
+# enumeration is exponential; larger graphs go to branch and bound
+ENUMERATION_MAX_N = 12
 
 
 class SolveMode(Enum):
@@ -147,22 +145,16 @@ def _search(st: _Grower, prune: Callable[[], bool]) -> Iterator[None]:
         stack[-1] = (i, True)
 
 
-def enumerate_out_branchings(d: RootedDigraph,
-                             budget: Optional[EnumerationBudget] = None
-                             ) -> Iterator[OutBranching]:
+def enumerate_out_branchings(d: RootedDigraph) -> Iterator[OutBranching]:
     """Yield every spanning out-branching of ``d`` rooted at its root,
-    each exactly once. Raises BudgetExceeded when the budget runs out;
-    anything yielded before that must not be treated as a complete list."""
-    if budget is None:
-        budget = EnumerationBudget()
+    each exactly once. Raises BudgetExceeded when ``d`` has more than
+    ENUMERATION_MAX_N vertices."""
     if not is_connected(d):
         raise ValueError("enumeration requires a connected digraph")
-    if d.n > budget.max_n:
-        raise BudgetExceeded(f"n={d.n} exceeds enumeration cap {budget.max_n}")
+    if d.n > ENUMERATION_MAX_N:
+        raise BudgetExceeded(f"n={d.n} exceeds enumeration cap {ENUMERATION_MAX_N}")
     st = _Grower(d)
-    for count, _ in enumerate(_search(st, lambda: False), 1):
-        if budget.max_count is not None and count > budget.max_count:
-            raise BudgetExceeded(f"more than {budget.max_count} branchings")
+    for _ in _search(st, lambda: False):
         yield OutBranching(d.n, d.root, st.parent)
 
 

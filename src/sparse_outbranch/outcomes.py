@@ -9,7 +9,7 @@ replayable trace of what was done.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Union
+from typing import Any, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,7 @@ class NoOutcome:
 class ReducedOutcome:
     instance: Any
     trace: "ReductionTrace"
+    cover: Optional[frozenset[int]] = None  # the iob kernel's last vertex cover
 
     status = "reduced"
 

@@ -23,13 +23,7 @@ from .digraph import (
     underlying_adjacency,
 )
 from .generators import gen_iob_twins, gen_planar, gen_random
-from .iob_kernel import (
-    IobInstance,
-    crown_pass,
-    kernelize_iob,
-    small_degree_classes,
-    vc_or_solution,
-)
+from .iob_kernel import IobInstance, kernelize_iob, vc_or_solution
 from .lob_analyzer import analyze, decompose_bipaths, special_vertices
 from .lob_reducer import (
     LobInstance,
@@ -387,39 +381,32 @@ def verify_local_search(trials: int = 1000, max_n: int = 9, seed: int = 0) -> Su
 def verify_crown(firings: int = 500, max_n: int = 9, seed: int = 0) -> SuiteResult:
     """Fixed-k equivalence of every crown removal, oracle-checked, plus
     structural validity of each crown (checked once, when it is built).
-    Each step of a crown pass is carried out on its own, and the mapping
-    of that removal must equal the step's recorded mapping."""
+    The kernel's trace is replayed step by step: each removal is carried
+    out on its own, and its mapping must equal the step's recorded one."""
     rng = random.Random(seed)
     fired = 0
     violations = 0
     trials = 0
     while fired < firings and trials < 400 * firings:
         trials += 1
-        core = rng.randint(2, 4)
+        rng.randint(2, 4)  # unused draw, kept so the seeded corpus stays the same
         g = gen_iob_twins(rng.randint(2, 4), rng.randint(1, 3),
                           rng.randrange(1 << 30), twin_factor=2)
         if g.n > max_n:
             continue
         k = rng.randint(1, 5)
-        current = IobInstance(g, k)
-        for _ in range(g.n):
-            found = vc_or_solution(current)
-            if isinstance(found, OutBranching):
-                break
-            classes, _ = small_degree_classes(current.graph, found, 4)
-            steps, _ = crown_pass(current.graph, found, classes)
-            if not steps:
-                break
-            for step in steps:
-                nxt, mapping = remove_vertices(current.graph, step.removed)
-                before = solve_branch_and_bound(current.graph, None, SolveMode.INTERNAL)
-                after = solve_branch_and_bound(nxt, None, SolveMode.INTERNAL)
-                if not (before.exact and after.exact):
-                    raise RuntimeError("oracle budget exceeded in crown check")
-                if mapping != step.mapping or (before.best_value >= k) != (after.best_value >= k):
-                    violations += 1
-                fired += 1
-                current = IobInstance(nxt, k)
+        _, trace = kernelize_iob(IobInstance(g, k), threshold=4)
+        current = g
+        for step in trace:
+            nxt, mapping = remove_vertices(current, step.removed)
+            before = solve_branch_and_bound(current, None, SolveMode.INTERNAL)
+            after = solve_branch_and_bound(nxt, None, SolveMode.INTERNAL)
+            if not (before.exact and after.exact):
+                raise RuntimeError("oracle budget exceeded in crown check")
+            if mapping != step.mapping or (before.best_value >= k) != (after.best_value >= k):
+                violations += 1
+            fired += 1
+            current = nxt
     return SuiteResult("crown", violations == 0 and fired >= firings,
                        {"firings": fired, "violations": violations})
 
@@ -445,12 +432,10 @@ def verify_iob_kernel_size(ks=(4, 6, 8, 10, 12, 14, 16), degeneracies=(2, 3),
                 if not isinstance(out, ReducedOutcome):
                     violations += 1
                     continue
-                red = out.instance
-                cover = vc_or_solution(red)
-                if isinstance(cover, set) and len(cover) > max(2 * k - 1, 1):
+                if len(out.cover) > max(2 * k - 1, 1):
                     violations += 1
                 xs.append(float(k))
-                ys.append(float(red.graph.n))
+                ys.append(float(out.instance.graph.n))
         slope, _, r2 = linear_fit(xs, ys)
         detail[f"slope_d{d}"] = round(slope, 2)
         detail[f"r2_d{d}"] = round(r2, 3)

@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
-from sparse_outbranch.digraph import RootedDigraph, is_connected
+from sparse_outbranch.digraph import RootedDigraph, is_connected, underlying_adjacency
 
 
 @st.composite
@@ -45,6 +45,13 @@ def random_connected(rng: random.Random, n: int, density: float = 0.3,
     d = RootedDigraph(n, 0, arcs)
     assert is_connected(d)
     return d
+
+
+def euler_bound_holds(d: RootedDigraph) -> bool:
+    """Euler's bound m <= 3n - 6 (n >= 3) on the underlying simple
+    undirected graph: a necessary condition for planarity."""
+    edges = sum(len(nbrs) for nbrs in underlying_adjacency(d)) // 2
+    return d.n < 3 or edges <= 3 * d.n - 6
 
 
 @pytest.fixture

@@ -9,23 +9,18 @@ from sparse_outbranch.digraph import (
     RootedDigraph,
     bfs_out_branching,
     contract_arc,
-    cut_edges,
     cut_structure,
-    cut_vertices,
     dominators,
     is_connected,
-    planarity_witness_check,
-    private_neighbors,
     reachable,
     remove_vertices,
-    shortcut_vertex,
     split_lonely_branching,
 )
 from sparse_outbranch.oracle import solve_branch_and_bound, SolveMode
 
 from sparse_outbranch.generators import gen_bipath_chain, gen_planar
 
-from conftest import random_connected, small_digraphs
+from conftest import euler_bound_holds, random_connected, small_digraphs
 
 
 def path3():
@@ -118,37 +113,36 @@ class TestConnectivity:
 
 class TestCutStructure:
     def test_path_cut_vertex(self):
-        assert cut_vertices(path3()) == {1}
+        assert cut_structure(path3())[0] == {1}
 
     def test_two_routes(self):
         d = RootedDigraph(3, 0, [(0, 1), (0, 2), (1, 2)])
-        assert cut_vertices(d) == set()
-        assert cut_edges(d) == {(0, 1)}
+        assert cut_structure(d) == (set(), {(0, 1)})
 
     def test_star_no_cuts(self):
         d = RootedDigraph(4, 0, [(0, 1), (0, 2), (0, 3)])
-        assert cut_vertices(d) == set()
+        assert cut_structure(d)[0] == set()
 
     def test_path_cut_edges_lonely(self):
-        ce = cut_edges(path3())
+        ce = cut_structure(path3())[1]
         assert ce == {(0, 1), (1, 2)}
         lonely, branching = split_lonely_branching(ce)
         assert lonely == ce and not branching
 
     def test_branching_split(self):
         d = RootedDigraph(4, 0, [(0, 1), (1, 2), (1, 3)])
-        lonely, branching = split_lonely_branching(cut_edges(d))
+        lonely, branching = split_lonely_branching(cut_structure(d)[1])
         assert lonely == {(0, 1)}
         assert branching == {(1, 2), (1, 3)}
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
-            cut_vertices(RootedDigraph(3, 0, [(0, 1)]))
+            cut_structure(RootedDigraph(3, 0, [(0, 1)]))
 
     @settings(max_examples=80, deadline=None)
     @given(small_digraphs())
     def test_cut_edge_definitional_roundtrip(self, d):
-        ce = cut_edges(d)
+        _, ce = cut_structure(d)
         for arc in d.arcs():
             unreached = len(reachable(d, 0, removed_arcs={arc})) != d.n
             assert (arc in ce) == unreached
@@ -156,7 +150,7 @@ class TestCutStructure:
     @settings(max_examples=80, deadline=None)
     @given(small_digraphs())
     def test_cut_vertex_definitional_roundtrip(self, d):
-        cv = cut_vertices(d)
+        cv, _ = cut_structure(d)
         for v in range(1, d.n):
             rest = reachable(d, 0, removed_vertices={v})
             assert (v in cv) == (len(rest) != d.n - 1)
@@ -166,7 +160,7 @@ class TestCutStructure:
         # uses that arc: deleting it must kill reachability of the head
         for _ in range(80):
             d = random_connected(rng, rng.randint(2, 8), 0.25)
-            for u, v in cut_edges(d):
+            for u, v in cut_structure(d)[1]:
                 if d.in_degree(v) == 1:
                     assert v not in reachable(d, 0, removed_arcs={(u, v)})
 
@@ -215,7 +209,7 @@ class TestDominators:
     def test_dominates_matches_vertex_removal(self):
         # includes graphs the root does not fully reach: an unreached
         # vertex is dominated by every vertex, and dominates only itself
-        # and other unreached vertices; private neighbors follow suit
+        # and other unreached vertices
         rng = random.Random(77)
         for _ in range(300):
             n = rng.randint(1, 10)
@@ -230,8 +224,6 @@ class TestDominators:
                     expected = a == b or seen is None or not seen[b]
                     assert dom.dominates(a, b) == expected, (d.arcs(), a, b)
                 assert dom.reaches(a) == (a in reached)
-                private = {w for w in d.out_adj[a] if seen is None or not seen[w]}
-                assert private_neighbors(d, a) == private
 
     def test_computed_once_per_graph(self):
         d = path3()
@@ -240,17 +232,22 @@ class TestDominators:
         assert dominators(g) is not dominators(d)
 
 
+def _private_neighbors(d, u):
+    """Out-neighbors of u that the root reaches only through u."""
+    return {w for w in d.out_adj[u] if dominators(d).dominates(u, w)}
+
+
 class TestPrivateNeighbors:
     def test_path_middle(self):
-        assert private_neighbors(path3(), 1) == {2}
+        assert _private_neighbors(path3(), 1) == {2}
 
     def test_root_case(self):
         d = RootedDigraph(3, 0, [(0, 1), (0, 2)])
-        assert private_neighbors(d, 0) == {1, 2}
+        assert _private_neighbors(d, 0) == {1, 2}
 
     def test_non_cut_vertex_empty(self):
         d = RootedDigraph(4, 0, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        assert private_neighbors(d, 1) == set()
+        assert _private_neighbors(d, 1) == set()
 
 
 class TestContractArc:
@@ -278,7 +275,7 @@ class TestContractArc:
         for _ in range(60):
             d = random_connected(rng, rng.randint(2, 8), 0.25, bidi=0.3)
             before = solve_branch_and_bound(d, None, SolveMode.LEAF).best_value
-            for u, v in cut_edges(d):
+            for u, v in cut_structure(d)[1]:
                 if u == d.root and d.in_degree(v) > 1:
                     continue  # merging would hand the root an in-arc
                 g, _ = contract_arc(d, (u, v))
@@ -286,46 +283,17 @@ class TestContractArc:
                 assert before >= after
 
 
-class TestShortcutVertex:
-    def test_path_shortcut(self):
-        g, _ = shortcut_vertex(path3(), 1)
-        assert g.arcs() == [(0, 1)]
-
-    def test_fanout(self):
-        d = RootedDigraph(4, 0, [(0, 1), (1, 2), (1, 3)])
-        g, _ = shortcut_vertex(d, 1)
-        assert g.arcs() == [(0, 1), (0, 2)]
-
-    def test_loop_dropped(self):
-        d = RootedDigraph(3, 0, [(0, 1), (2, 1), (1, 2)])
-        g, _ = shortcut_vertex(d, 1)
-        assert g.arcs() == [(0, 1)]
-
-    def test_root_rejected(self):
-        with pytest.raises(ValueError):
-            shortcut_vertex(path3(), 0)
-
-    def test_maxleaf_invariant_on_cut_vertices(self, rng):
-        # shortcutting a cut-vertex preserves the optimum exactly
-        for _ in range(60):
-            d = random_connected(rng, rng.randint(3, 8), 0.25)
-            before = solve_branch_and_bound(d, None, SolveMode.LEAF).best_value
-            for v in cut_vertices(d):
-                g, _ = shortcut_vertex(d, v)
-                if not is_connected(g):
-                    continue
-                after = solve_branch_and_bound(g, None, SolveMode.LEAF).best_value
-                assert before == after, (d.arcs(), v)
-
-
 class TestPlanarityWitness:
+    """The Euler bound that the planar tests assert, on the underlying
+    simple undirected graph."""
+
     def test_k5_rejected(self):
         k5 = RootedDigraph(5, 0, [(u, v) for u in range(5) for v in range(5)
                                   if u != v and v != 0])
-        assert not planarity_witness_check(k5)
+        assert not euler_bound_holds(k5)
 
     def test_tree_accepted(self):
-        assert planarity_witness_check(path3())
+        assert euler_bound_holds(path3())
 
     def test_grid_accepted(self):
         arcs = set()
@@ -340,7 +308,8 @@ class TestPlanarityWitness:
                     arcs.add((v, v + 3))
                     arcs.add((v + 3, v))
         arcs = {(u, v) for u, v in arcs if v != 0}
-        assert planarity_witness_check(RootedDigraph(9, 0, arcs))
+        # 22 arcs, but anti-parallel pairs are one edge: 12 <= 3 * 9 - 6
+        assert euler_bound_holds(RootedDigraph(9, 0, arcs))
 
 
 class TestRemoveVertices:

@@ -250,6 +250,22 @@ class TestCliPipelines:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "SPARSE_OUTBRANCH_SEED" in err
 
+    @pytest.mark.parametrize("command", ["reduce-lob", "kernelize-iob", "solve"])
+    def test_malformed_file_is_one_error_line(self, tmp_path, capsys, command):
+        inst = tmp_path / "bad.txt"
+        inst.write_text("p lob 3 2 0 1\na 0 1\na 1 x\n")
+        assert self.run(command, str(inst)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 3: ")
+        assert captured.err.count("\n") == 1
+
+    def test_kernelize_rejects_a_lob_file(self, tmp_path, capsys):
+        inst = tmp_path / "p.lob"
+        inst.write_text("p lob 2 1 0 1\na 0 1\n")
+        assert self.run("kernelize-iob", str(inst)) == 1
+        assert capsys.readouterr().err == "error: expected a iob instance, got lob\n"
+
     def _reduce_with(self, tmp_path, monkeypatch, name, exc):
         from sparse_outbranch import cli
 

@@ -7,6 +7,7 @@ from sparse_outbranch.digraph import (
     RootedDigraph,
     bfs_out_branching,
     is_connected,
+    underlying_adjacency,
 )
 from sparse_outbranch.generators import gen_degenerate, gen_iob_twins
 from sparse_outbranch.iob_kernel import (
@@ -429,12 +430,22 @@ class TestKernelize:
         g = gen_iob_twins(6, 3, seed=11)
         out, _ = kernelize_iob(IobInstance(g, 6))
         assert isinstance(out, ReducedOutcome)
-        rep = iob_report(out.instance)
+        rep = iob_report(out.instance, out.cover)
         assert rep["resolved"] == "reduced"
         assert rep["cover_size"] <= 11
         assert set(rep) >= {"n", "m", "k", "threshold", "cover_size",
                             "w_small", "w_big", "class_count",
                             "class_size_histogram"}
+
+    def test_reduced_outcome_carries_the_last_cover(self, rng):
+        # the cover the last crown pass used is the one a fresh local
+        # search finds on the kernel, so reports need not search again
+        for _ in range(20):
+            g = gen_iob_twins(rng.randint(4, 10), rng.randint(2, 3),
+                              rng.randrange(1 << 30))
+            out, _ = kernelize_iob(IobInstance(g, rng.randint(4, 10)))
+            if isinstance(out, ReducedOutcome):
+                assert out.cover == vc_or_solution(out.instance)
 
     def test_planar_class_count_bound(self, rng):
         # distinct small neighborhoods among W are at most (4^p + 2p)|U|
@@ -479,10 +490,9 @@ class TestKernelize:
             if not isinstance(cover, set):
                 continue
             tau = max(2, 2 * degeneracy(red.graph).d)
-            heavy_sum = sum(red.graph.undirected_degree(w)
-                            for w in range(red.graph.n)
-                            if w not in cover
-                            and red.graph.undirected_degree(w) > tau)
+            degree = [len(nbrs) for nbrs in underlying_adjacency(red.graph)]
+            heavy_sum = sum(degree[w] for w in range(red.graph.n)
+                            if w not in cover and degree[w] > tau)
             assert heavy_sum <= tau * len(cover)
             checked += 1
         assert checked >= 10

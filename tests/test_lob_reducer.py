@@ -9,8 +9,8 @@ from sparse_outbranch import lob_reducer
 from sparse_outbranch.digraph import (
     RootedDigraph,
     cut_structure,
+    dominators,
     is_connected,
-    planarity_witness_check,
     reachable,
 )
 from sparse_outbranch.generators import gen_bipath_chain, gen_planar
@@ -39,7 +39,7 @@ from sparse_outbranch.lob_reducer import (
 from sparse_outbranch.oracle import SolveMode, solve_branch_and_bound
 from sparse_outbranch.outcomes import NoOutcome, ReducedOutcome, ReductionTrace
 
-from conftest import random_connected, small_digraphs
+from conftest import euler_bound_holds, random_connected, small_digraphs
 from test_digraph import _cut_structure_bfs, _relabelled
 
 
@@ -47,6 +47,15 @@ def maxleaf(d):
     res = solve_branch_and_bound(d, None, SolveMode.LEAF)
     assert res.exact
     return res.best_value
+
+
+def _find_rule_1_bfs(d):
+    """Reference rule-1 finder: one reachability run from the root."""
+    seen = reachable(d, d.root)
+    if len(seen) == d.n:
+        return None
+    bad = min(v for v in range(d.n) if v not in seen)
+    return RuleApplication(1, (bad,), ResolveNo(f"vertex {bad} unreachable from root"))
 
 
 def _find_rule_4_bfs(d):
@@ -448,7 +457,7 @@ class TestDriver:
                 if app is None or app.rule_id == 1:
                     break
                 inst, _ = apply(inst, app)
-                assert planarity_witness_check(inst.graph)
+                assert euler_bound_holds(inst.graph)
 
     def test_bipath_chain_uses_rule_3(self):
         out, trace = reduce_to_fixpoint(LobInstance(gen_bipath_chain(20), 2))
@@ -478,6 +487,27 @@ class TestReferenceEquivalence:
         slow = [reduce_to_fixpoint(LobInstance(d, 3))[1].serialize() for d in graphs]
         assert fast == slow
         assert sum(1 for t in fast if "RULE 4" in t) >= 20
+
+    def test_rule_1_traces_byte_identical(self, monkeypatch):
+        # rule 1 reads the dominator tree; the reference runs its own BFS.
+        # Graphs with and without a spanning overlay, so many end in NO.
+        rng = random.Random(1507)
+        graphs = []
+        for _ in range(1500):
+            n = rng.randint(1, 20)
+            arcs = set()
+            if rng.random() < 0.6:
+                arcs.update((rng.randrange(v), v) for v in range(1, n))
+            for _ in range(rng.randint(0, 3 * n)):
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v and v != 0:
+                    arcs.add((u, v))
+            graphs.append(_relabelled(rng, RootedDigraph(n, 0, arcs)))
+        fast = [reduce_to_fixpoint(LobInstance(d, 2))[1].serialize() for d in graphs]
+        monkeypatch.setattr(lob_reducer, "find_rule_1", _find_rule_1_bfs)
+        slow = [reduce_to_fixpoint(LobInstance(d, 2))[1].serialize() for d in graphs]
+        assert fast == slow
+        assert sum(1 for t in fast if "RULE 1" in t) >= 300
 
 
 class TestPipelineEquivalence:
@@ -515,11 +545,14 @@ class TestPostFixpointLemmas:
         return corpus
 
     def test_private_neighbors_have_indegree_one(self, rng):
-        from sparse_outbranch.digraph import cut_vertices, private_neighbors
+        # a private neighbor of u is an out-neighbor that u dominates
         for g in self.reduced_corpus(rng):
-            for u in cut_vertices(g) | {g.root}:
-                for v in private_neighbors(g, u):
-                    assert g.in_degree(v) == 1
+            cut_v, _ = cut_structure(g)
+            dom = dominators(g)
+            for u in cut_v | {g.root}:
+                for v in g.out_adj[u]:
+                    if dom.dominates(u, v):
+                        assert g.in_degree(v) == 1
 
     def test_cut_edge_tails_not_heads(self, rng):
         for g in self.reduced_corpus(rng):

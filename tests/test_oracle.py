@@ -10,8 +10,8 @@ from sparse_outbranch.digraph import (
 )
 from sparse_outbranch.lob_reducer import LobInstance, apply_rule_6, find_rule_6
 from sparse_outbranch.oracle import (
+    ENUMERATION_MAX_N,
     BudgetExceeded,
-    EnumerationBudget,
     SolveMode,
     SolveResult,
     _Grower,
@@ -126,14 +126,14 @@ class TestEnumeration:
             list(enumerate_out_branchings(RootedDigraph(3, 0, [(0, 1)])))
 
     def test_max_n_budget(self):
-        d = RootedDigraph(4, 0, [(0, 1), (1, 2), (2, 3)])
-        with pytest.raises(BudgetExceeded):
-            list(enumerate_out_branchings(d, EnumerationBudget(max_n=3)))
+        assert ENUMERATION_MAX_N == 12
+        def path(n):
+            return RootedDigraph(n, 0, [(i, i + 1) for i in range(n - 1)])
 
-    def test_max_count_budget(self):
-        d = RootedDigraph(3, 0, [(0, 1), (0, 2), (1, 2), (2, 1)])
         with pytest.raises(BudgetExceeded):
-            list(enumerate_out_branchings(d, EnumerationBudget(max_count=2)))
+            list(enumerate_out_branchings(path(13)))
+        # at the cap itself enumeration runs: a path has one branching
+        assert len(list(enumerate_out_branchings(path(12)))) == 1
 
     def test_completeness_vs_brute_force(self, rng):
         for _ in range(120):
