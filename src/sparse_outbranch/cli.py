@@ -231,6 +231,7 @@ def cmd_solve(args) -> int:
         "input": {"n": inst.graph.n, "m": inst.graph.m, "k": inst.k},
         "best_value": res.best_value,
         "exact": res.exact,
+        "stats": {"nodes": res.nodes},
         "timing": {"solve_s": round(elapsed, 3)},
     }
     _write_json(args.json, report)

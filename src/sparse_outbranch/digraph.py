@@ -184,16 +184,18 @@ class Dominators:
 
     __slots__ = ("reached", "cut_vertices", "cut_edges", "_pre", "_size")
 
-    def __init__(self, d: RootedDigraph):
+    def __init__(self, n: int, root: int, out_adj: list[list[int]],
+                 in_adj: list[list[int]]):
+        # Takes adjacency lists rather than a graph, so a caller can pass a
+        # view with some arcs masked out without building a RootedDigraph.
         # Semidominators by Lengauer-Tarjan's link-eval with iterative path
         # compression, then immediate dominators by nearest common ancestor
         # (SEMI-NCA). Work is in DFS preorder numbers.
-        n, out_adj, in_adj = d.n, d.out_adj, d.in_adj
         num = [-1] * n
-        num[d.root] = 0
-        order = [d.root]
+        num[root] = 0
+        order = [root]
         parent = [0]
-        stack = [(0, iter(out_adj[d.root]))]
+        stack = [(0, iter(out_adj[root]))]
         while stack:
             i, it = stack[-1]
             for w in it:
@@ -258,7 +260,7 @@ class Dominators:
         # A non-root vertex is a cut-vertex when it is some vertex's
         # immediate dominator; (u, v) is a cut-edge when u is the only
         # in-neighbor of v that v does not dominate.
-        self.cut_vertices = frozenset(order[idom[i]] for i in range(1, count)) - {d.root}
+        self.cut_vertices = frozenset(order[idom[i]] for i in range(1, count)) - {root}
         cut_e = []
         for v in order[1:]:
             alive = [u for u in in_adj[v] if not self.dominates(v, u)]
@@ -283,7 +285,7 @@ def dominators(d: RootedDigraph) -> Dominators:
     (immutable) graph."""
     dom = d._dom
     if dom is None:
-        dom = d._dom = Dominators(d)
+        dom = d._dom = Dominators(d.n, d.root, d.out_adj, d.in_adj)
     return dom
 
 

@@ -4,13 +4,18 @@ Enumerates every spanning out-branching (arc extension with a
 bridging-arc feasibility test, so dead subtrees are never entered and each
 branching is produced exactly once), plus an independent parent-vector
 brute force used to cross-check the enumeration, and a branch-and-bound
-solver for kernelized instances that are too big to enumerate. Enumeration
-and branch and bound share one iterative search, so their depth is not
-limited by the interpreter's recursion limit.
+solver for kernelized instances that are too big to enumerate.
+Enumeration and the INTERNAL-mode branch and bound share one iterative
+arc-branching search. The LEAF-mode branch and bound branches on vertex
+states (leaf, internal, undecided) instead, with dominator forcing, a
+packing bound and a greedy incumbent at each node (``_max_leaf_search``).
+Both searches run on explicit stacks, so their depth is not limited by the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass
@@ -18,6 +23,7 @@ from enum import Enum
 from typing import Callable, Iterator, Optional
 
 from .digraph import (
+    Dominators,
     OutBranching,
     RootedDigraph,
     bfs_out_branching,
@@ -43,6 +49,7 @@ class SolveResult:
     best_value: int
     witness: Optional[OutBranching]
     exact: bool
+    nodes: int = 0  # search nodes visited; 0 when the seed tree decided
 
 
 def _tree_value(t: OutBranching, mode: SolveMode) -> int:
@@ -57,7 +64,10 @@ class _Grower:
     def __init__(self, d: RootedDigraph):
         self.d = d
         self.arcs = d.arcs()
-        self.arc_index = {a: i for i, a in enumerate(self.arcs)}
+        # out-arcs of each vertex as (head, arc id), in out_adj order
+        self.out_arcs: list[list[tuple[int, int]]] = [[] for _ in range(d.n)]
+        for i, (u, w) in enumerate(self.arcs):
+            self.out_arcs[u].append((w, i))
         self.banned = [False] * len(self.arcs)
         self.attached = [False] * d.n
         self.attached[d.root] = True
@@ -74,13 +84,12 @@ class _Grower:
         todo = self.unattached()
         if todo == 0:
             return True
-        out_adj = self.d.out_adj
+        out_arcs = self.out_arcs
         banned = self.banned
-        index = self.arc_index
         while stack:
             u = stack.pop()
-            for w in out_adj[u]:
-                if not seen[w] and not banned[index[(u, w)]]:
+            for w, i in out_arcs[u]:
+                if not seen[w] and not banned[i]:
                     seen[w] = True
                     todo -= 1
                     if todo == 0:
@@ -108,14 +117,6 @@ class _Grower:
             self.internal -= 1
         del self.parent[v]
         self.attached[v] = False
-
-    def value_bound(self, mode: SolveMode) -> int:
-        # optimistic: every unattached vertex counts toward the objective,
-        # attached leaves may still flip to internal (and vice versa never)
-        if mode is SolveMode.INTERNAL:
-            return self.internal + self.unattached()
-        attached_now = len(self.parent) + 1
-        return (attached_now - self.internal) + self.unattached()
 
 
 def _search(st: _Grower, prune: Callable[[], bool]) -> Iterator[None]:
@@ -183,17 +184,146 @@ def brute_force_out_branchings(d: RootedDigraph) -> Iterator[OutBranching]:
             yield OutBranching(d.n, d.root, parent)
 
 
+def _leafy_branching(n: int, root: int,
+                     out_adj: list[list[int]]) -> dict[int, int]:
+    """Greedy out-branching with many leaves: starting from the root,
+    repeatedly expand the tree vertex with the most out-neighbours not yet
+    in the tree, making all of them its children. Gains only fall as the
+    tree grows, so a popped gain is rechecked and pushed back when stale.
+    Requires every vertex to be reachable through ``out_adj``; returns the
+    parent map."""
+    parent: dict[int, int] = {}
+    in_tree = [False] * n
+    in_tree[root] = True
+    heap = [(-len(out_adj[root]), root)]
+    while heap:
+        claimed, u = heapq.heappop(heap)
+        new = [w for w in out_adj[u] if not in_tree[w]]
+        if not new:
+            continue
+        if len(new) < -claimed:
+            heapq.heappush(heap, (-len(new), u))
+            continue
+        for w in new:
+            in_tree[w] = True
+            parent[w] = u
+            heapq.heappush(heap, (-len(out_adj[w]), w))
+    return parent
+
+
+_UNDECIDED, _LEAF, _INTERNAL = 0, 1, 2
+
+
+def _max_leaf_search(d: RootedDigraph, best: int, witness: OutBranching,
+                     k: Optional[int], deadline: float) -> SolveResult:
+    """LEAF-mode branch and bound over vertex states (leaf, internal,
+    undecided), on an explicit stack with a trail of state changes.
+
+    For n >= 2, maxleaf(D) is the largest L, root excluded, for which
+    D - out(L) still reaches every vertex from the root. At each node, on
+    D' = D - out(L) held as masked adjacency lists:
+
+    - one dominator pass; if D' misses a vertex the node is infeasible.
+      Deleting arcs only adds dominance, so every cut vertex of D' is
+      internal in every descendant: it and the root are forced internal;
+    - an undecided vertex with no out-arcs joins L for free;
+    - a greedy leafy out-branching of D' raises the incumbent;
+    - every non-root vertex needs an internal parent. A vertex that no
+      internal vertex feeds takes it from its in-neighbours outside L, all
+      undecided, so p such vertices with pairwise disjoint in-neighbourhoods
+      force p more internal vertices. The node is pruned when
+      n - |internal| - p <= best;
+    - otherwise branch on the undecided vertex of largest out-degree: leaf
+      first, then internal. The internal branch leaves D' as it was, so it
+      skips the dominator pass and the greedy.
+    """
+    n, root, out_adj, in_adj = d.n, d.root, d.out_adj, d.in_adj
+    state = [_UNDECIDED] * n
+    state[root] = _INTERNAL
+    trail: list[int] = []
+    # one frame per open decision: (trail length before it, vertex, in the
+    # internal branch)
+    stack: list[tuple[int, int, bool]] = []
+    nodes = 0
+    arcs_changed = True
+
+    def decide(v: int, s: int) -> None:
+        state[v] = s
+        trail.append(v)
+
+    while True:
+        nodes += 1
+        if time.monotonic() > deadline:
+            return SolveResult(best, witness, False, nodes)
+        alive = True
+        masked_out = [[] if s == _LEAF else out_adj[v]
+                      for v, s in enumerate(state)]
+        masked_in = [[u for u in ins if state[u] != _LEAF] for ins in in_adj]
+        if arcs_changed:
+            dom = Dominators(n, root, masked_out, masked_in)
+            alive = dom.reached == n
+            if alive:
+                for v in dom.cut_vertices:
+                    if state[v] == _UNDECIDED:
+                        decide(v, _INTERNAL)
+                for v in range(n):
+                    if state[v] == _UNDECIDED and not out_adj[v]:
+                        decide(v, _LEAF)
+                parent = _leafy_branching(n, root, masked_out)
+                value = n - len(set(parent.values()))
+                if value > best:
+                    best, witness = value, OutBranching(n, root, parent)
+                    if k is not None and best >= k:
+                        return SolveResult(best, witness, False, nodes)
+        if alive:
+            fed = [False] * n
+            for u in range(n):
+                if state[u] == _INTERNAL:
+                    for w in out_adj[u]:
+                        fed[w] = True
+            needs = sorted((ins for w, ins in enumerate(masked_in)
+                            if w != root and not fed[w]), key=len)
+            taken = [False] * n
+            packed = 0
+            for ins in needs:
+                if not any(taken[u] for u in ins):
+                    for u in ins:
+                        taken[u] = True
+                    packed += 1
+            alive = n - state.count(_INTERNAL) - packed > best
+        if alive:
+            # the bound exceeds best, so some vertex is still undecided
+            v = max((u for u in range(n) if state[u] == _UNDECIDED),
+                    key=lambda u: len(out_adj[u]))
+            stack.append((len(trail), v, False))
+            decide(v, _LEAF)
+            arcs_changed = True
+            continue
+        while stack and stack[-1][2]:
+            stack.pop()
+        if not stack:
+            return SolveResult(best, witness, True, nodes)
+        undo_to, v, _ = stack[-1]
+        while len(trail) > undo_to:
+            state[trail.pop()] = _UNDECIDED
+        stack[-1] = (undo_to, v, True)
+        decide(v, _INTERNAL)
+        arcs_changed = False
+
+
 def solve_branch_and_bound(d: RootedDigraph, k: Optional[int],
                            mode: SolveMode,
                            timeout: float = 60.0) -> SolveResult:
-    """Exact optimum by branch and bound over partial out-branchings.
+    """Exact optimum by branch and bound.
 
-    The optimistic bound counts every unattached vertex as a leaf (LEAF
-    mode) or as internal (INTERNAL mode). When ``k`` is given the search
-    exits as soon as a branching of value >= k is found (the result is then
-    a decision witness, not a proven optimum, so exact=False). A search
-    still running after ``timeout`` seconds returns its incumbent with
-    exact=False.
+    LEAF mode branches on vertex states (``_max_leaf_search``). INTERNAL
+    mode branches on arcs of a partial out-branching, with the optimistic
+    bound that counts every unattached vertex as internal. Both start from
+    a breadth-first seed tree. When ``k`` is given the search exits as soon
+    as a branching of value >= k is found (the result is then a decision
+    witness, not a proven optimum, so exact=False). A search still running
+    after ``timeout`` seconds returns its incumbent with exact=False.
+    ``nodes`` counts the search nodes visited.
     """
     if not is_connected(d):
         raise ValueError("branch and bound requires a connected digraph")
@@ -204,13 +334,20 @@ def solve_branch_and_bound(d: RootedDigraph, k: Optional[int],
     witness: Optional[OutBranching] = seed
     if k is not None and best >= k:
         return SolveResult(best, witness, exact=False)
+    if mode is SolveMode.LEAF:
+        if d.n == 1:
+            return SolveResult(best, witness, exact=True)
+        return _max_leaf_search(d, best, seed, k, deadline)
 
     st = _Grower(d)
+    nodes = 0
 
     def prune() -> bool:
+        nonlocal nodes
+        nodes += 1
         if time.monotonic() > deadline:
             raise BudgetExceeded("branch and bound timeout")
-        return st.value_bound(mode) <= best
+        return st.internal + st.unattached() <= best
 
     try:
         for _ in _search(st, prune):
@@ -219,7 +356,7 @@ def solve_branch_and_bound(d: RootedDigraph, k: Optional[int],
             if val > best:
                 best, witness = val, t
                 if k is not None and best >= k:
-                    return SolveResult(best, witness, exact=False)
+                    return SolveResult(best, witness, False, nodes)
     except BudgetExceeded:
-        return SolveResult(best, witness, exact=False)
-    return SolveResult(best, witness, exact=True)
+        return SolveResult(best, witness, False, nodes)
+    return SolveResult(best, witness, True, nodes)

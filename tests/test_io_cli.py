@@ -154,6 +154,7 @@ class TestCliPipelines:
                         "--json", str(rep)) == 10
         report = json.loads(rep.read_text())
         assert report["best_value"] == 3 and report["exact"]
+        assert report["stats"]["nodes"] >= 1
 
     def test_solve_path_internal(self, tmp_path):
         inst = tmp_path / "pi.iob"

@@ -15,6 +15,7 @@ from sparse_outbranch.oracle import (
     SolveMode,
     SolveResult,
     _Grower,
+    _search,
     _tree_value,
     brute_force_out_branchings,
     enumerate_out_branchings,
@@ -68,7 +69,7 @@ def _branch_and_bound_recursive(d, k, mode, timeout=60.0):
         if time.monotonic() > deadline:
             state["timed_out"] = True
             return
-        if st.value_bound(mode) <= best:
+        if _value_bound(st, mode) <= best:
             return
         if not st.feasible():
             return
@@ -94,6 +95,49 @@ def _branch_and_bound_recursive(d, k, mode, timeout=60.0):
     search()
     return SolveResult(best, witness,
                        exact=not (state["timed_out"] or state["early"]))
+
+
+def _value_bound(st, mode):
+    """The optimistic bound of the arc-branching search: every unattached
+    vertex counts toward the objective, and attached leaves may still flip
+    to internal (never the other way)."""
+    if mode is SolveMode.INTERNAL:
+        return st.internal + st.unattached()
+    attached_now = len(st.parent) + 1
+    return (attached_now - st.internal) + st.unattached()
+
+
+def _arc_branch_and_bound(d, k, mode, max_nodes=None):
+    """The iterative arc-branching branch and bound that the vertex-state
+    search replaced in LEAF mode, kept as the reference for its values.
+    Past ``max_nodes`` search nodes it returns its incumbent with
+    exact=False."""
+    seed = bfs_out_branching(d)
+    best = _tree_value(seed, mode)
+    witness = seed
+    if k is not None and best >= k:
+        return SolveResult(best, witness, exact=False)
+    st = _Grower(d)
+    nodes = 0
+
+    def prune():
+        nonlocal nodes
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise BudgetExceeded("node budget")
+        return _value_bound(st, mode) <= best
+
+    try:
+        for _ in _search(st, prune):
+            t = OutBranching(d.n, d.root, st.parent)
+            val = _tree_value(t, mode)
+            if val > best:
+                best, witness = val, t
+                if k is not None and best >= k:
+                    return SolveResult(best, witness, exact=False)
+    except BudgetExceeded:
+        return SolveResult(best, witness, exact=False)
+    return SolveResult(best, witness, exact=True)
 
 
 def optimum(d, mode):
@@ -230,11 +274,16 @@ class TestIterativeSearchMatchesRecursive:
         assert total > 1000
 
     def test_same_branch_and_bound_results(self, rng):
+        # LEAF mode no longer runs the arc search, so its iterative form is
+        # the reference copy kept in this file
         early = 0
         for d in self.graphs(rng, 300):
             for mode in (SolveMode.LEAF, SolveMode.INTERNAL):
                 for k in (None, 1, d.n // 2, d.n - 1, d.n):
-                    new = solve_branch_and_bound(d, k, mode)
+                    if mode is SolveMode.LEAF:
+                        new = _arc_branch_and_bound(d, k, mode)
+                    else:
+                        new = solve_branch_and_bound(d, k, mode)
                     old = _branch_and_bound_recursive(d, k, mode)
                     assert (new.best_value, new.exact) == (old.best_value, old.exact)
                     assert (list(new.witness.parent.items())
@@ -249,7 +298,7 @@ class TestIterativeSearchMatchesRecursive:
         out, _ = reduce_to_fixpoint(LobInstance(g, 5))
         red = out.instance.graph
         for k in (None, 5):
-            new = solve_branch_and_bound(red, k, SolveMode.LEAF, timeout=30)
+            new = _arc_branch_and_bound(red, k, SolveMode.LEAF)
             old = _branch_and_bound_recursive(red, k, SolveMode.LEAF, timeout=30)
             assert (new.best_value, new.exact) == (old.best_value, old.exact)
             assert new.witness.parent == old.witness.parent
@@ -292,3 +341,101 @@ class TestBranchAndBound:
         assert not res.exact
         assert res.witness.is_valid_for(g)
         assert res.best_value == res.witness.leaf_count()
+
+    def test_seed_tree_decides_without_search(self):
+        d = RootedDigraph(4, 0, [(0, 1), (0, 2), (0, 3)])
+        for mode in (SolveMode.LEAF, SolveMode.INTERNAL):
+            res = solve_branch_and_bound(d, 1, mode)
+            assert res.nodes == 0 and not res.exact
+
+
+def _relabelled(rng, d):
+    """``d`` with its vertex ids shuffled, so the root is anywhere and
+    id order carries no structure."""
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    return RootedDigraph(d.n, perm[d.root], [(perm[u], perm[v]) for u, v in d.arcs()])
+
+
+def _reduced_planar_cores(rng, count, lo, hi):
+    """Leaf-reduced cores of small sparse planar digraphs, with lo..hi
+    vertices."""
+    from sparse_outbranch.generators import gen_planar
+    from sparse_outbranch.lob_reducer import reduce_to_fixpoint
+    from sparse_outbranch.outcomes import ReducedOutcome
+    cores = []
+    while len(cores) < count:
+        g = gen_planar(rng.randint(lo + 2, hi + 15), rng.randrange(1 << 30),
+                       both_prob=0.1, keep_prob=rng.choice((0.2, 0.25, 0.3)))
+        out, _ = reduce_to_fixpoint(LobInstance(g, 3))
+        if isinstance(out, ReducedOutcome) and lo <= out.instance.graph.n <= hi:
+            cores.append(out.instance.graph)
+    return cores
+
+
+class TestVertexStateSearch:
+    """The LEAF-mode search over vertex states against enumeration and
+    against the arc-branching search it replaced."""
+
+    def test_matches_enumeration_on_relabelled_graphs(self, rng):
+        for _ in range(1100):
+            d = _relabelled(rng, random_connected(
+                rng, rng.randint(1, 9), rng.uniform(0, 0.35),
+                bidi=rng.choice((0.0, 0.5))))
+            best = max(t.leaf_count() for t in enumerate_out_branchings(d))
+            res = solve_branch_and_bound(d, None, SolveMode.LEAF)
+            assert res.exact and res.best_value == best
+            assert res.witness.is_valid_for(d)
+            assert res.witness.leaf_count() == best
+
+    def test_matches_arc_branching_on_mid_sized_graphs(self, rng):
+        graphs = [_relabelled(rng, random_connected(
+                      rng, n, rng.uniform(0.2, 0.6) / n, bidi=rng.choice((0.0, 0.3))))
+                  for n in (rng.randint(12, 30) for _ in range(150))]
+        graphs += _reduced_planar_cores(rng, 100, 12, 30)
+        compared = 0
+        for d in graphs:
+            ref = _arc_branch_and_bound(d, None, SolveMode.LEAF, max_nodes=5000)
+            if not ref.exact:
+                continue
+            res = solve_branch_and_bound(d, None, SolveMode.LEAF)
+            assert res.exact and res.best_value == ref.best_value
+            assert res.witness.is_valid_for(d)
+            assert res.witness.leaf_count() == ref.best_value
+            compared += 1
+        assert compared >= 200
+
+    def test_decision_matches_enumeration_for_every_k(self, rng):
+        for _ in range(150):
+            d = _relabelled(rng, random_connected(rng, rng.randint(2, 8), 0.3,
+                                                  bidi=0.5))
+            best = max(t.leaf_count() for t in enumerate_out_branchings(d))
+            for k in range(1, d.n + 1):
+                res = solve_branch_and_bound(d, k, SolveMode.LEAF)
+                assert (res.best_value >= k) == (best >= k)
+                assert res.exact == (best < k)
+                assert res.witness.leaf_count() == res.best_value
+
+
+class TestNodeCeilings:
+    """The search tree on a fixed input stays small. Pruning on ``<``
+    instead of ``<=`` gives the same values but several times the nodes."""
+
+    def test_leaf_mode(self):
+        from sparse_outbranch.generators import gen_planar
+        from sparse_outbranch.lob_reducer import reduce_to_fixpoint
+        g = gen_planar(60, seed=33, both_prob=0.1, keep_prob=0.25)
+        out, _ = reduce_to_fixpoint(LobInstance(g, 5))
+        core = out.instance.graph
+        assert (core.n, core.m) == (41, 56)
+        res = solve_branch_and_bound(core, None, SolveMode.LEAF)
+        assert res.exact and res.best_value == 31
+        assert 1 <= res.nodes <= 40
+
+    def test_internal_mode(self):
+        from sparse_outbranch.generators import gen_planar
+        g = gen_planar(20, seed=2, both_prob=0.3, keep_prob=0.5)
+        assert (g.n, g.m) == (20, 35)
+        res = solve_branch_and_bound(g, None, SolveMode.INTERNAL)
+        assert res.exact and res.best_value == 16
+        assert 1 <= res.nodes <= 2000
