@@ -7,14 +7,23 @@ every vertex is reachable from the root, a cut-vertex (cut-edge) is a
 vertex (arc) whose removal breaks that property. Both come from the
 graph's dominator tree.
 
-Graphs are immutable after construction; every surgery returns a new graph
-together with an old-id -> new-id mapping so that reduction traces can be
-replayed against original vertex names. Immutability is what lets a graph
-cache its dominator tree.
+A ``RootedDigraph`` is immutable after construction; every surgery returns
+a new graph together with an old-id -> new-id mapping so that reduction
+traces can be replayed against original vertex names. Immutability is what
+lets a graph cache its dominator tree.
+
+A ``LabelledDigraph`` is the mutable counterpart the leaf reducer works on:
+one adjacency on the labels of the graph it was copied from, edited in
+place. Contraction keeps the smaller label, which is the order-preserving
+renumbering ``contract_arc`` makes, so the current id of a label is its
+rank among the surviving labels. It carries a dominator tree across its
+edits only as far as its callers vouch for (see ``delete`` and
+``contract``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Iterable, Optional
 
@@ -180,9 +189,12 @@ class Dominators:
     Each reached vertex owns the interval of dominator-tree preorder numbers
     of its subtree, so ``dominates`` is an O(1) test. ``reached`` counts the
     vertices the root reaches; the cut sets cover that part of the graph.
+    ``cut_vertices`` is kept up to date by ``merge``; ``cut_edges`` is built
+    on first access from the in-adjacency the tree was computed on.
     """
 
-    __slots__ = ("reached", "cut_vertices", "cut_edges", "_pre", "_size")
+    __slots__ = ("reached", "cut_vertices", "_root", "_in_adj", "_pre",
+                 "_size", "_kids", "_cut_e")
 
     def __init__(self, n: int, root: int, out_adj: list[list[int]],
                  in_adj: list[list[int]]):
@@ -239,11 +251,13 @@ class Dominators:
             while a > semi[i]:
                 a = idom[a]
             idom[i] = a
-        # idom[i] < i, so sizes accumulate bottom-up and preorder slots
-        # can be handed out top-down without walking the tree
+        # idom[i] < i, so sizes and child counts accumulate bottom-up and
+        # preorder slots can be handed out top-down without walking the tree
         size = [1] * count
+        kids = [0] * count
         for i in range(count - 1, 0, -1):
             size[idom[i]] += size[i]
+            kids[idom[i]] += 1
         pre = [0] * count
         free = [1] * count
         for i in range(1, count):
@@ -252,21 +266,33 @@ class Dominators:
             free[p] += size[i]
             free[i] = pre[i] + 1
         self.reached = count
+        self._root = root
+        self._in_adj = in_adj
         self._pre = [-1] * n
         self._size = [0] * n
+        self._kids = [0] * n
         for i, v in enumerate(order):
             self._pre[v] = pre[i]
             self._size[v] = size[i]
-        # A non-root vertex is a cut-vertex when it is some vertex's
-        # immediate dominator; (u, v) is a cut-edge when u is the only
-        # in-neighbor of v that v does not dominate.
-        self.cut_vertices = frozenset(order[idom[i]] for i in range(1, count)) - {root}
-        cut_e = []
-        for v in order[1:]:
-            alive = [u for u in in_adj[v] if not self.dominates(v, u)]
-            if len(alive) == 1:
-                cut_e.append((alive[0], v))
-        self.cut_edges = frozenset(cut_e)
+            self._kids[v] = kids[i]
+        # a non-root vertex is a cut-vertex when it is some vertex's
+        # immediate dominator
+        self.cut_vertices = {order[i] for i in range(1, count) if kids[i]}
+        self._cut_e: Optional[frozenset[Arc]] = None
+
+    @property
+    def cut_edges(self) -> frozenset[Arc]:
+        """(u, v) is a cut-edge when u is the only in-neighbor of v that v
+        does not dominate."""
+        if self._cut_e is None:
+            cut_e = []
+            for v, p in enumerate(self._pre):
+                if p > 0:  # reached, and not the root
+                    alive = [u for u in self._in_adj[v] if not self.dominates(v, u)]
+                    if len(alive) == 1:
+                        cut_e.append((alive[0], v))
+            self._cut_e = frozenset(cut_e)
+        return self._cut_e
 
     def reaches(self, v: int) -> bool:
         """True when v is reachable from the root."""
@@ -279,23 +305,136 @@ class Dominators:
         pa, pb = self._pre[a], self._pre[b]
         return pb < 0 or pa <= pb < pa + self._size[a]
 
+    def merge(self, a: int, b: int) -> None:
+        """Update the tree in place for contracting the arc (a, b) into one
+        vertex labelled min(a, b), when that contraction merges two tree
+        nodes: one endpoint is the other's immediate dominator, or both are
+        leaves under one immediate dominator. The merged vertex takes the
+        upper node's place and inherits the lower node's children. Whether a
+        contraction is of this kind is the caller's to prove; the leaf case
+        is checked. Cut-edges are rebuilt on next access."""
+        pre, size, kids = self._pre, self._size, self._kids
+        keep, gone = min(a, b), max(a, b)
+        if self.dominates(b, a):
+            a, b = b, a
+        if self.dominates(a, b):
+            kids[a] += kids[b] - 1
+            upper = a
+        else:
+            # two leaves: their parent is the deepest vertex above both
+            above = [max((v for v in self.cut_vertices | {self._root}
+                          if pre[v] < pre[x] < pre[v] + size[v]),
+                         key=pre.__getitem__) for x in (a, b)]
+            if kids[a] or kids[b] or above[0] != above[1]:
+                raise ValueError(f"contracting ({a},{b}) does not merge two tree nodes")
+            kids[above[0]] -= 1  # it keeps the merged leaf, so stays a cut-vertex
+            upper = keep
+        pre[keep], size[keep], kids[keep] = pre[upper], size[upper], kids[upper]
+        pre[gone], size[gone], kids[gone] = -1, 0, 0
+        if self._root == gone:
+            self._root = keep
+        self.cut_vertices.discard(gone)
+        if kids[keep] and keep != self._root:
+            self.cut_vertices.add(keep)
+        else:
+            self.cut_vertices.discard(keep)
+        self.reached -= 1
+        self._cut_e = None
+
 
 def dominators(d: RootedDigraph) -> Dominators:
     """The dominator tree of ``d``, computed on first use and cached on the
-    (immutable) graph."""
+    graph (which a ``LabelledDigraph`` then carries across its edits)."""
     dom = d._dom
     if dom is None:
         dom = d._dom = Dominators(d.n, d.root, d.out_adj, d.in_adj)
     return dom
 
 
-def cut_structure(d: RootedDigraph) -> tuple[frozenset[int], frozenset[Arc]]:
+def cut_structure(d: RootedDigraph) -> tuple[set[int], frozenset[Arc]]:
     """Cut-vertices and cut-edges of a connected rooted digraph, read off
     its dominator tree."""
     dom = dominators(d)
     if dom.reached != d.n:
         raise ValueError("cut structure requires a connected digraph")
     return dom.cut_vertices, dom.cut_edges
+
+
+class LabelledDigraph(RootedDigraph):
+    """A copy of a rooted digraph that is edited in place on the labels of
+    the original. ``n`` is the size of the label space and ``labels`` lists
+    the surviving labels in order; a label's current id, the id its vertex
+    has in the graph that immutable surgery would have built, is its rank
+    there. Removed labels keep empty adjacency lists."""
+
+    __slots__ = ("labels",)
+
+    def __init__(self, d: RootedDigraph):
+        self.n = d.n
+        self.root = d.root
+        self.out_adj = [list(adj) for adj in d.out_adj]
+        self.in_adj = [list(adj) for adj in d.in_adj]
+        self._arcset = set(d._arcset)
+        self._dom = None
+        self.labels = list(range(d.n))
+
+    def rank(self, v: int) -> int:
+        """The current id of label v."""
+        return bisect_left(self.labels, v)
+
+    def delete(self, arc: Arc) -> None:
+        """Delete ``arc`` and keep the dominator tree: the caller vouches
+        that, for every vertex set C, the root reaches the same vertices
+        while avoiding C before and after, as for the deletions of rules 4
+        and 6. Cut-edges are rebuilt on next access."""
+        u, v = arc
+        self._arcset.remove(arc)
+        self.out_adj[u].remove(v)
+        self.in_adj[v].remove(u)
+        if self._dom is not None:
+            self._dom._cut_e = None
+
+    def contract(self, arc: Arc, merge_tree: bool) -> int:
+        """Identify the endpoints of ``arc`` into the smaller label, dropping
+        loops and parallel arcs, and return that label. With ``merge_tree``
+        the dominator tree is updated by ``Dominators.merge``; otherwise it
+        is recomputed on next use."""
+        a, b = arc
+        self._arcset.remove(arc)
+        self.out_adj[a].remove(b)
+        self.in_adj[b].remove(a)
+        keep, gone = min(a, b), max(a, b)
+        for w in self.out_adj[gone]:
+            self.in_adj[w].remove(gone)
+            self._arcset.remove((gone, w))
+            self._add(keep, w)
+        for w in self.in_adj[gone]:
+            self.out_adj[w].remove(gone)
+            self._arcset.remove((w, gone))
+            self._add(w, keep)
+        self.out_adj[gone] = []
+        self.in_adj[gone] = []
+        del self.labels[self.rank(gone)]
+        if self.root == gone:
+            self.root = keep
+        if self._dom is not None:
+            if merge_tree:
+                self._dom.merge(a, b)
+            else:
+                self._dom = None
+        return keep
+
+    def _add(self, u: int, v: int) -> None:
+        if u != v and (u, v) not in self._arcset:
+            self._arcset.add((u, v))
+            insort(self.out_adj[u], v)
+            insort(self.in_adj[v], u)
+
+    def snapshot(self) -> RootedDigraph:
+        """The graph on current ids."""
+        rank = {v: i for i, v in enumerate(self.labels)}
+        return RootedDigraph(len(self.labels), rank[self.root],
+                             ((rank[u], rank[v]) for u, v in self._arcset))
 
 
 def split_lonely_branching(cut_e: set[Arc]) -> tuple[set[Arc], set[Arc]]:

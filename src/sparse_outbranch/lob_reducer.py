@@ -19,20 +19,44 @@ lexicographically smallest locus under the current vertex numbering, which
 makes traces replayable byte for byte.
 
 Each rule's condition lives only in its finder ``find_rule_i``, which
-returns the whole application (rule, locus, action); the driver carries
-out the action it matched without checking again. ``replay_trace`` and
-``apply_rule_i`` validate a step by running the rule's finder limited to
-the recorded locus and requiring the same application back.
+returns the whole application (rule, locus, action). ``find_rule``,
+``apply``, ``apply_rule_i`` and ``replay_trace`` work on immutable graphs,
+rebuilding after every step; ``replay_trace`` and ``apply_rule_i``
+validate a step by running the rule's finder limited to the recorded locus
+and requiring the same application back. They are the independent check
+of the driver.
+
+The driver ``reduce_to_fixpoint`` checks rule 1 once, on the input: rules
+2-6 keep every vertex reachable. It then reduces one ``LabelledDigraph``
+in place and asks each finder only about the vertices a step may have
+changed (``_Reduction``). It carries the dominator tree across steps:
+
+- a rule-4 deletion (y, x) leaves the dominance relation unchanged, because
+  every root path to y meets some z in N^-(x) - {y}, so a path through
+  (y, x) shortens to one through (z, x) on a subset of its vertices; for
+  every vertex set C the root reaches the same vertices avoiding C. A
+  rule-6 deletion (v, u) is on no simple root path, since u dominates v;
+- a rule-2 contraction (a, b) has a = idom(b): b merges into a;
+- a rule-3 contraction (u2, u3) keeps, for x outside the pair,
+  u2 dom x <=> u3 dom x, so one is the other's only child or both are
+  leaves under one immediate dominator: the two nodes merge;
+- a rule-5 contraction recomputes the tree.
+
+Cut-edges are built from the tree only when rules 2-4 all miss. Loci are
+kept on labels and translated to current ids (ranks among the surviving
+labels) when a trace step is written.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .digraph import (
     Arc,
     Dominators,
+    LabelledDigraph,
     RootedDigraph,
     contract_arc,
     cut_structure,
@@ -277,22 +301,116 @@ def apply(inst: LobInstance, app: RuleApplication
     return LobInstance(g, inst.k), mapping
 
 
+class _Reduction:
+    """Rules 2-6 on a ``LabelledDigraph``, with what each finder already
+    knows carried across steps. Applications are on labels.
+
+    - Rule 2 re-asks the vertices whose degrees a step changed: the
+      endpoints of a deleted arc, a contraction's merged vertex and its
+      neighbours. No other vertex can become a cut-vertex: a deletion keeps
+      the tree, and a contraction maps every root path that avoids a
+      vertex c outside the contracted arc to one that still avoids c, so c
+      can only stop dominating.
+    - Rule 3 re-asks every middle vertex within two proper-internal hops of
+      a vertex whose adjacency changed, and keeps the matches of the rest.
+    - Rule 4 re-asks, besides the vertices never answered, the head of a
+      deletion (every other answer depends only on which vertices the root
+      reaches avoiding a set, which the deletion keeps) and a
+      contraction's merged vertex and its out-neighbours. For any other x,
+      N^-(x) is unchanged and misses both endpoints, and a contraction
+      maps every root path avoiding N^-(x) to one that still avoids it, so
+      a miss stays a miss.
+
+    None of this depends on the rule that contracted, so a rule-5 step,
+    whose tree is recomputed, re-asks the same vertices.
+    """
+
+    def __init__(self, d: RootedDigraph):
+        self.g = LabelledDigraph(d)
+        self.ask2 = set(range(d.n))
+        self.ask3 = set(range(d.n))
+        self.ask4 = set(range(d.n))
+        self.rule_3: dict[int, RuleApplication] = {}  # middle vertex -> its match
+
+    def find(self) -> Optional[RuleApplication]:
+        """What ``find_rule`` would return on the current graph, rule 1
+        aside."""
+        g = self.g
+        dom = dominators(g)
+        asked = sorted(self.ask2 & dom.cut_vertices)
+        app = find_rule_2(g, asked)
+        # the cut-vertices before the match, and all the others, miss
+        self.ask2 = set(asked[bisect_left(asked, app.locus[0]):]) if app else set()
+        if app is not None:
+            return app
+        for u2 in self.ask3:
+            app = find_rule_3(g, (u2,))
+            if app is None:
+                self.rule_3.pop(u2, None)
+            else:
+                self.rule_3[u2] = app
+        self.ask3.clear()
+        if self.rule_3:
+            return min(self.rule_3.values(), key=lambda a: a.locus)
+        app = self.ask_rule_4()
+        if app is not None:
+            return app
+        return find_rule_5(g, dom.cut_edges) or find_rule_6(g, dom.cut_edges)
+
+    def ask_rule_4(self) -> Optional[RuleApplication]:
+        """``find_rule_4`` on the current graph, asking only the heads not
+        yet known to miss."""
+        asked = sorted(self.ask4)
+        app = find_rule_4(self.g, asked)
+        self.ask4 = set(asked[bisect_left(asked, app.locus[0]):]) if app else set()
+        return app
+
+    def apply(self, app: RuleApplication) -> TraceStep:
+        """Carry out ``app`` and return its trace step on current ids."""
+        g = self.g
+        action = app.action
+        u, v = action.arc
+        on_ids = RuleApplication(app.rule_id, tuple(map(g.rank, app.locus)),
+                                 type(action)((g.rank(u), g.rank(v))))
+        mapping = None
+        if isinstance(action, DeleteArc):
+            g.delete(action.arc)
+            changed = {u, v}
+            self.ask4.add(v)
+        else:
+            keep_id, gone_id = sorted(on_ids.action.arc)
+            mapping = (list(range(gone_id)) + [keep_id]
+                       + list(range(gone_id, len(g.labels) - 1)))
+            keep = g.contract(action.arc, merge_tree=app.rule_id != 5)
+            changed = {u, v, *g.in_adj[keep], *g.out_adj[keep]}
+            self.ask4 |= {keep, *g.out_adj[keep]}
+        self.ask2 |= changed
+        self.ask3 |= changed
+        for _ in range(2):
+            changed = {w for x in changed for w in g.in_adj[x] + g.out_adj[x]
+                       if _proper_internal(g, w) is not None}
+            self.ask3 |= changed
+        return TraceStep(on_ids, mapping)
+
+
 def reduce_to_fixpoint(inst: LobInstance) -> tuple[KernelOutcome, ReductionTrace]:
     """Exhaustively apply rules 1-6. Returns No when rule 1 fires, else a
     Reduced outcome whose instance admits none of the rules; k never
     changes."""
     trace = ReductionTrace()
-    current = inst
-    limit = inst.graph.n + inst.graph.m + 1
-    for _ in range(limit):
-        app = find_rule(current)
+    red = _Reduction(inst.graph)
+    # labels are ids before the first step; rules 2-6 keep every vertex
+    # reachable, so rule 1 is asked only here
+    app = find_rule_1(red.g)
+    if app is not None:
+        trace.append(TraceStep(app, None))
+        return apply(inst, app)[0], trace
+    for _ in range(inst.graph.n + inst.graph.m + 1):
+        app = red.find()
         if app is None:
-            return ReducedOutcome(current, trace), trace
-        result, mapping = apply(current, app)
-        trace.append(TraceStep(app, mapping))
-        if not isinstance(result, LobInstance):
-            return result, trace
-        current = result
+            reduced = LobInstance(red.g.snapshot(), inst.k) if trace else inst
+            return ReducedOutcome(reduced, trace), trace
+        trace.append(red.apply(app))
     raise RuntimeError("reduction did not reach a fixpoint within n+m steps")
 
 

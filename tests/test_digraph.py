@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparse_outbranch.digraph import (
+    Dominators,
+    LabelledDigraph,
     RootedDigraph,
     bfs_out_branching,
     contract_arc,
@@ -230,6 +232,68 @@ class TestDominators:
         assert dominators(d) is dominators(d)
         g, _ = contract_arc(d, (0, 1))
         assert dominators(g) is not dominators(d)
+
+
+    @settings(max_examples=120, deadline=None)
+    @given(small_digraphs(max_n=9))
+    def test_lazy_cut_edges_match_bfs(self, d):
+        # cut-edges are built on first access, from the in-adjacency the
+        # tree was computed on
+        dom = Dominators(d.n, d.root, d.out_adj, d.in_adj)
+        cut_v, cut_e = _cut_structure_bfs(d)
+        assert dom.cut_vertices == cut_v
+        assert dom.cut_edges == cut_e
+        assert dom.cut_edges is dom.cut_edges
+
+    def test_merge_rejects_a_pair_that_is_no_tree_edge(self):
+        # 1 and 2 are siblings under the root, and 1 is not a leaf
+        d = RootedDigraph(4, 0, [(0, 1), (0, 2), (1, 2), (1, 3)])
+        with pytest.raises(ValueError, match="tree nodes"):
+            dominators(d).merge(1, 2)
+
+
+class TestLabelledDigraph:
+    def test_edits_match_immutable_surgery(self):
+        # random contractions and deletions in place, against contract_arc
+        # and with_arcs_removed on current ids
+        rng = random.Random(31)
+        for _ in range(150):
+            d = _relabelled(rng, random_connected(rng, rng.randint(2, 15), 0.2, bidi=0.4))
+            g = LabelledDigraph(d)
+            while g.m:
+                u, v = rng.choice(sorted(g._arcset))
+                ids = (g.rank(u), g.rank(v))
+                if rng.random() < 0.5 or (u == g.root and g.in_degree(v) > 1):
+                    g.delete((u, v))
+                    d = d.with_arcs_removed([ids])
+                else:
+                    keep = g.contract((u, v), merge_tree=False)
+                    d, mapping = contract_arc(d, ids)
+                    assert g.rank(keep) == mapping[ids[0]] == mapping[ids[1]]
+                assert g.snapshot() == d
+                assert g.labels == sorted(g.labels) and len(g.labels) == d.n
+
+    def test_merged_leaves_leave_their_parent_one_child(self):
+        # P (3) has two children, the leaves 4 and 5 joined both ways.
+        # Merging them leaves P one child; merging that into P leaves P
+        # none, so P is no cut-vertex any more
+        d = RootedDigraph(6, 0, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5),
+                                 (4, 5), (5, 4)])
+        g = LabelledDigraph(d)
+        assert dominators(g).cut_vertices == {3}
+        keep = g.contract((4, 5), merge_tree=True)
+        assert dominators(g).cut_vertices == {3}
+        g.contract((3, keep), merge_tree=True)
+        fresh = Dominators(g.n, g.root, g.out_adj, g.in_adj)
+        assert dominators(g).cut_vertices == fresh.cut_vertices == set()
+        assert dominators(g).reached == fresh.reached == 4
+
+    def test_absent_arc_rejected(self):
+        g = LabelledDigraph(path3())
+        with pytest.raises(KeyError):
+            g.contract((0, 2), merge_tree=False)
+        with pytest.raises(KeyError):
+            g.delete((2, 1))
 
 
 def _private_neighbors(d, u):

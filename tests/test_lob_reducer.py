@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from sparse_outbranch import lob_reducer
 from sparse_outbranch.digraph import (
+    Dominators,
     RootedDigraph,
     cut_structure,
     dominators,
@@ -21,6 +23,7 @@ from sparse_outbranch.lob_reducer import (
     ResolveNo,
     RuleApplication,
     TraceStep,
+    _Reduction,
     apply,
     apply_rule_2,
     apply_rule_3,
@@ -74,6 +77,24 @@ def _find_rule_4_bfs(d):
             if not any(w in alive for w in d.in_adj[y]):
                 return RuleApplication(4, (x, y), DeleteArc((y, x)))
     return None
+
+
+def _reduce_rebuilding(inst):
+    """The rebuild-per-step driver that ``reduce_to_fixpoint`` replaced,
+    kept as its reference: ``find_rule`` and ``apply`` on an immutable
+    graph rebuilt after every step."""
+    trace = ReductionTrace()
+    current = inst
+    for _ in range(inst.graph.n + inst.graph.m + 1):
+        app = lob_reducer.find_rule(current)
+        if app is None:
+            return ReducedOutcome(current, trace), trace
+        result, mapping = apply(current, app)
+        trace.append(TraceStep(app, mapping))
+        if not isinstance(result, LobInstance):
+            return result, trace
+        current = result
+    raise RuntimeError("reduction did not reach a fixpoint within n+m steps")
 
 
 def bipath_arcs(chain):
@@ -484,7 +505,7 @@ class TestReferenceEquivalence:
         fast = [reduce_to_fixpoint(LobInstance(d, 3))[1].serialize() for d in graphs]
         monkeypatch.setattr(lob_reducer, "cut_structure", _cut_structure_bfs)
         monkeypatch.setattr(lob_reducer, "find_rule_4", _find_rule_4_bfs)
-        slow = [reduce_to_fixpoint(LobInstance(d, 3))[1].serialize() for d in graphs]
+        slow = [_reduce_rebuilding(LobInstance(d, 3))[1].serialize() for d in graphs]
         assert fast == slow
         assert sum(1 for t in fast if "RULE 4" in t) >= 20
 
@@ -505,9 +526,181 @@ class TestReferenceEquivalence:
             graphs.append(_relabelled(rng, RootedDigraph(n, 0, arcs)))
         fast = [reduce_to_fixpoint(LobInstance(d, 2))[1].serialize() for d in graphs]
         monkeypatch.setattr(lob_reducer, "find_rule_1", _find_rule_1_bfs)
-        slow = [reduce_to_fixpoint(LobInstance(d, 2))[1].serialize() for d in graphs]
+        slow = [_reduce_rebuilding(LobInstance(d, 2))[1].serialize() for d in graphs]
         assert fast == slow
         assert sum(1 for t in fast if "RULE 1" in t) >= 300
+
+
+def _pinned_corpus():
+    """1500 seeded rooted digraphs, 1 to 40 vertices, relabelled so that
+    the root is anywhere. Each is a random tree grown mostly as a path,
+    with most tree arcs also reversed (long proper bipaths, so rule 3 fires,
+    and tails joined both ways, so rule 5 does), a few vertices left
+    unreached (rule 1), plus 0 to n random arcs."""
+    rng = random.Random(20261018)
+    graphs = []
+    for _ in range(1500):
+        n = rng.randint(1, 40)
+        arcs = set()
+        for v in range(1, n):
+            if rng.random() < 0.97:
+                p = v - 1 if rng.random() < 0.7 else rng.randrange(v)
+                arcs.add((p, v))
+                if rng.random() < 0.6:
+                    arcs.add((v, p))
+        for _ in range(int(rng.choice([0.0, 0.0, 0.1, 0.4, 1.0]) * n)):
+            arcs.add((rng.randrange(n), rng.randrange(n)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs.append(RootedDigraph(n, perm[0], {(perm[u], perm[v]) for u, v in arcs
+                                                 if u != v and v != 0}))
+    return graphs
+
+
+def _on_ids(g, app):
+    """A rule application on the labels of ``g``, on current ids."""
+    if app is None:
+        return None
+    return RuleApplication(app.rule_id, tuple(map(g.rank, app.locus)),
+                           type(app.action)(tuple(map(g.rank, app.action.arc))))
+
+
+def _assert_tree_is_fresh(g):
+    """The dominator tree ``g`` carries equals a fresh pass over it."""
+    carried = dominators(g)
+    fresh = Dominators(g.n, g.root, g.out_adj, g.in_adj)
+    assert carried.reached == fresh.reached == len(g.labels)
+    assert carried.cut_vertices == fresh.cut_vertices
+    assert carried.cut_edges == fresh.cut_edges
+    for a in g.labels:
+        for b in g.labels:
+            assert carried.dominates(a, b) == fresh.dominates(a, b), (a, b)
+
+
+class TestIncrementalDriver:
+    """``reduce_to_fixpoint`` reduces one graph in place and carries its
+    dominator tree and the finders' answers across steps; the
+    rebuild-per-step driver is the reference."""
+
+    def test_pinned_trace_digest(self):
+        # the SHA-256 of the corpus's traces, every step's mapping and the
+        # reduced graphs, as the rebuild-per-step driver produced them
+        h = hashlib.sha256()
+        for d in _pinned_corpus():
+            out, trace = reduce_to_fixpoint(LobInstance(d, 2))
+            h.update(trace.serialize().encode())
+            for step in trace:
+                h.update(repr(step.mapping).encode())
+            if isinstance(out, ReducedOutcome):
+                g = out.instance.graph
+                h.update(repr((g.n, g.root, g.arcs())).encode())
+            else:
+                h.update(out.reason.encode())
+        assert h.hexdigest() == (
+            "7f86edf4add4dc0a2c39486f35f97f0f28126f17a2170419421b1b37ea853c0f")
+
+    def test_matches_rebuilding_driver(self):
+        graphs = _pinned_corpus() + [
+            gen_planar(150, seed=s, both_prob=0.1, keep_prob=0.25) for s in range(3)]
+        fired = {i: 0 for i in range(1, 7)}
+        for d in graphs:
+            inst = LobInstance(d, 2)
+            out, trace = reduce_to_fixpoint(inst)
+            ref, ref_trace = _reduce_rebuilding(inst)
+            assert trace.serialize() == ref_trace.serialize()
+            assert [s.mapping for s in trace] == [s.mapping for s in ref_trace]
+            assert out == ref
+            if isinstance(out, ReducedOutcome):
+                assert out.instance.graph.arcs() == ref.instance.graph.arcs()
+            for step in trace:
+                fired[step.application.rule_id] += 1
+        assert fired[1] >= 300 and fired[3] >= 50 and fired[5] >= 30
+
+    def test_carried_state_matches_fresh_every_step(self):
+        # after every step the carried tree is what a fresh pass computes,
+        # and at every step the rule-4 answer from the heads not known to
+        # miss is find_rule_4's on the whole graph
+        fired = {i: 0 for i in range(2, 7)}
+        for d in _pinned_corpus()[:600] + [gen_bipath_chain(30)]:
+            inst = LobInstance(d, 2)
+            if find_rule_1(d) is not None:
+                continue
+            red = _Reduction(d)
+            while True:
+                ask4 = set(red.ask4)
+                assert _on_ids(red.g, red.ask_rule_4()) == find_rule_4(inst.graph)
+                red.ask4 = ask4
+                app = red.find()
+                assert _on_ids(red.g, app) == find_rule(inst)
+                if app is None:
+                    break
+                fired[app.rule_id] += 1
+                step = red.apply(app)
+                inst, mapping = apply(inst, step.application)
+                assert step.mapping == mapping
+                assert red.g.snapshot() == inst.graph
+                _assert_tree_is_fresh(red.g)
+        assert fired[3] >= 20 and fired[5] >= 10
+
+    def test_direct_rule_6_deletions_keep_the_tree(self, rng):
+        # rule 4 preempts rule 6 in the driver, so fire rule 6 directly
+        checked = 0
+        for _ in range(400):
+            d = random_connected(rng, rng.randint(3, 12), 0.15, bidi=0.6)
+            app = find_rule_6(d, cut_structure(d)[1])
+            if app is None:
+                continue
+            red = _Reduction(d)
+            dominators(red.g).cut_edges  # fill the cache the deletion must clear
+            red.apply(app)
+            assert red.g.snapshot() == d.with_arcs_removed([app.action.arc])
+            _assert_tree_is_fresh(red.g)
+            checked += 1
+        assert checked >= 50
+
+    def test_work_guard_on_planar_400(self, monkeypatch):
+        # deterministic work: the rebuild-per-step driver makes 258
+        # dominator passes and 1185 rule-4 reachability searches here; one
+        # pass serves rule 1 and the carried tree
+        passes = searches = 0
+        init = Dominators.__init__
+
+        def counting_init(self, *args):
+            nonlocal passes
+            passes += 1
+            init(self, *args)
+
+        def counting_reachable(*args, **kwargs):
+            nonlocal searches
+            searches += 1
+            return reachable(*args, **kwargs)
+
+        monkeypatch.setattr(Dominators, "__init__", counting_init)
+        monkeypatch.setattr(lob_reducer, "reachable", counting_reachable)
+        g = gen_planar(400, seed=7, both_prob=0.1, keep_prob=0.25)
+        _, trace = reduce_to_fixpoint(LobInstance(g, 3))
+        rule_5 = sum(1 for s in trace if s.application.rule_id == 5)
+        assert passes <= 1 + rule_5
+        assert searches <= 100
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_digraphs(max_n=9))
+    def test_rules_2_to_6_keep_every_vertex_reachable(self, d):
+        # why rule 1 is checked once, before the loop: after any rule-2..6
+        # step, fired in priority order or directly, the root still spans
+        inst = LobInstance(d, 2)
+        while True:
+            direct = [app for app in (find_rule_5(inst.graph, cut_structure(inst.graph)[1]),
+                                      find_rule_6(inst.graph, cut_structure(inst.graph)[1]))
+                      if app is not None]
+            for app in direct:
+                assert is_connected(apply(inst, app)[0].graph)
+            app = find_rule(inst)
+            if app is None:
+                break
+            assert app.rule_id != 1
+            inst = apply(inst, app)[0]
+            assert is_connected(inst.graph)
 
 
 class TestPipelineEquivalence:
