@@ -197,7 +197,7 @@ def cmd_kernelize_iob(args) -> int:
     for step in trace:
         mapping = [step.mapping[x] if x is not None else None for x in mapping]
     report["outcome"] = "reduced"
-    report["kernel"] = iob_report(reduced, outcome.cover, threshold=args.threshold)
+    report["kernel"] = iob_report(reduced, outcome.classing)
     report["vertex_map"] = {str(i): m for i, m in enumerate(mapping)}
     out_path = args.out or (args.file + ".kernel")
     comments = [f"kernel of {os.path.basename(args.file)}"]
@@ -326,7 +326,8 @@ def cmd_bench(args) -> int:
                 if isinstance(outcome, ReducedOutcome):
                     red = outcome.instance.graph
                     row.update({"outcome": "reduced", "n_out": red.n,
-                                "m_out": red.m, "cover_size": len(outcome.cover)})
+                                "m_out": red.m,
+                                "cover_size": len(outcome.classing.modulator)})
                 else:
                     row.update({"outcome": outcome.status, "n_out": "",
                                 "m_out": "", "cover_size": ""})

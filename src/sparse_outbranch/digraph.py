@@ -24,7 +24,6 @@ edits only as far as its callers vouch for (see ``delete`` and
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import deque
 from typing import Iterable, Optional
 
 Arc = tuple[int, int]
@@ -158,24 +157,14 @@ def reachable(d: RootedDigraph, start: int,
     seen = [False] * d.n
     seen[start] = True
     for v in dead_v:
-        seen[v] = True  # mark removed so BFS never enters them
-    queue = deque([start])
-    out_adj = d.out_adj
-    if dead_a:
-        while queue:
-            u = queue.popleft()
-            for w in out_adj[u]:
-                if not seen[w] and (u, w) not in dead_a:
-                    seen[w] = True
-                    queue.append(w)
-    else:
-        while queue:
-            u = queue.popleft()
-            for w in out_adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    return {v for v in range(d.n) if seen[v] and v not in dead_v}
+        seen[v] = True  # mark removed so the search never enters them
+    found = [start]
+    for u in found:  # also visits what is appended meanwhile
+        for w in d.out_adj[u]:
+            if not seen[w] and not (dead_a and (u, w) in dead_a):
+                seen[w] = True
+                found.append(w)
+    return set(found)
 
 
 def is_connected(d: RootedDigraph) -> bool:
@@ -437,13 +426,19 @@ class LabelledDigraph(RootedDigraph):
                              ((rank[u], rank[v]) for u, v in self._arcset))
 
 
+def heads_by_tail(arcs: Iterable[Arc]) -> dict[int, list[int]]:
+    """The heads of ``arcs``, grouped by their tails."""
+    heads: dict[int, list[int]] = {}
+    for u, v in arcs:
+        heads.setdefault(u, []).append(v)
+    return heads
+
+
 def split_lonely_branching(cut_e: set[Arc]) -> tuple[set[Arc], set[Arc]]:
     """Partition cut-edges into lonely (tail emits no other cut-edge) and
     branching (tail shared with another cut-edge)."""
-    by_tail: dict[int, list[Arc]] = {}
-    for a in cut_e:
-        by_tail.setdefault(a[0], []).append(a)
-    lonely = {a for a in cut_e if len(by_tail[a[0]]) == 1}
+    heads = heads_by_tail(cut_e)
+    lonely = {a for a in cut_e if len(heads[a[0]]) == 1}
     return lonely, cut_e - lonely
 
 
@@ -502,14 +497,13 @@ def bfs_out_branching(d: RootedDigraph) -> OutBranching:
     parent: dict[int, int] = {}
     seen = [False] * d.n
     seen[d.root] = True
-    queue = deque([d.root])
-    while queue:
-        u = queue.popleft()
+    found = [d.root]
+    for u in found:
         for w in d.out_adj[u]:
             if not seen[w]:
                 seen[w] = True
                 parent[w] = u
-                queue.append(w)
+                found.append(w)
     if len(parent) != d.n - 1:
         raise ValueError("graph is not connected from the root")
     return OutBranching(d.n, d.root, parent)

@@ -36,7 +36,7 @@ from .outcomes import (
     ReductionTrace,
     YesOutcome,
 )
-from .sparsity import classify_by_modulator, degeneracy
+from .sparsity import NeighborhoodClassing, classify_by_modulator, degeneracy
 
 # left-side vertices of the auxiliary graph: ("u", x) for units,
 # ("p", x, y) for ordered pairs over the cover
@@ -56,7 +56,8 @@ class IobInstance:
 def vc_or_solution(inst: IobInstance) -> Union[OutBranching, set[int]]:
     """Local search: returns an out-branching with >= k internal vertices,
     or a vertex cover of the underlying undirected graph of size at most
-    2k-1 that contains the root.
+    2k-1 that contains the root. Raises ValueError when the root does not
+    reach every vertex.
 
     Starting from a BFS tree, while some arc (u, v) joins two leaves whose
     target still has siblings, re-hang v under u; every move turns one
@@ -74,8 +75,6 @@ def vc_or_solution(inst: IobInstance) -> Union[OutBranching, set[int]]:
     fails from then on, since u is no longer a leaf.
     """
     d = inst.graph
-    if not is_connected(d):
-        raise ValueError("local search requires a connected instance")
     tree = bfs_out_branching(d)
     if tree.internal_count() >= inst.k:
         return tree
@@ -142,7 +141,6 @@ class CrownDecomposition:
     c_m: frozenset[int]
     c_u: frozenset[int]
     h: frozenset[LeftKey]
-    r: frozenset
     matching: dict[LeftKey, int]  # h -> its matched partner in c_m
 
     @property
@@ -226,8 +224,8 @@ def class_hood(b: AuxiliaryBipartite, members: set[int]) -> set[LeftKey]:
 
 def crown_in_class(b: AuxiliaryBipartite, members: set[int]) -> CrownDecomposition:
     """Crown decomposition of the subgraph induced by a same-neighborhood
-    class `members` and its bipartite neighborhood, extended to the whole
-    auxiliary graph by absorbing everything else into R. Requires
+    class `members` and its bipartite neighborhood; everything else in the
+    auxiliary graph is its rest R, which is never built. Requires
     |members| > 2 |N_B(members)|, which forces an unmatched vertex and
     hence a nonempty C_u."""
     if not members <= b.w_vertices:
@@ -257,8 +255,7 @@ def crown_in_class(b: AuxiliaryBipartite, members: set[int]) -> CrownDecompositi
                 queue.append(partner)
     c_m = frozenset(match_left[key] for key in h)
     c_u = frozenset(c) - c_m
-    r = (set(b.left_adj) | set(b.w_vertices)) - c - h
-    crown = CrownDecomposition(c_m, c_u, frozenset(h), frozenset(r),
+    crown = CrownDecomposition(c_m, c_u, frozenset(h),
                                {key: match_left[key] for key in h})
     validate_crown(b, crown)
     if not crown.c_u:
@@ -292,22 +289,20 @@ def apply_crown_rule(inst: IobInstance, crown: CrownDecomposition,
 
 
 def small_degree_classes(d: RootedDigraph, cover: set[int], threshold: int
-                         ) -> tuple[dict[tuple[int, ...], list[int]], list[int]]:
+                         ) -> NeighborhoodClassing:
     """Bucket W-vertices of undirected degree below the threshold by their
     exact undirected neighborhood; the rest are the heavy side W_b. W is
     independent, so every neighborhood lies inside the cover and equals
-    its trace there."""
-    classing = classify_by_modulator(d, cover, threshold)
-    return classing.classes, classing.heavy
+    its trace there. The cover is the classing's modulator."""
+    return classify_by_modulator(d, cover, threshold)
 
 
-def crown_pass(d: RootedDigraph, cover: set[int],
-               classes: dict[tuple[int, ...], list[int]]
+def crown_pass(d: RootedDigraph, classing: NeighborhoodClassing
                ) -> tuple[list[CrownStep], set[int]]:
-    """One crown pass over one cover: every class, in key order, larger
-    than twice its auxiliary neighborhood loses its crown's C_u. Returns
-    one trace step per crown and the union of the C_u, in the ids of `d`;
-    the caller removes them all at once.
+    """One crown pass over one cover, the classing's modulator: every
+    class, in key order, larger than twice its auxiliary neighborhood
+    loses its crown's C_u. Returns one trace step per crown and the union
+    of the C_u, in the ids of `d`; the caller removes them all at once.
 
     W is independent and each C_u lies inside W, so a crown changes no
     other class's members, auxiliary neighborhood or matching: the auxiliary
@@ -315,12 +310,12 @@ def crown_pass(d: RootedDigraph, cover: set[int],
     crown. Removal keeps vertex order, so key order does not change, and
     each step's key, removed ids and old->new mapping are ranks among the
     vertices that the earlier steps left."""
-    b = build_aux_graph(d, cover)
+    b = build_aux_graph(d, classing.modulator)
     alive = list(range(d.n))
     steps: list[CrownStep] = []
     dead: set[int] = set()
-    for key in sorted(classes):
-        members = set(classes[key])
+    for key in sorted(classing.classes):
+        members = set(classing.classes[key])
         if len(members) <= 2 * len(class_hood(b, members)):
             continue
         crown = crown_in_class(b, members)
@@ -347,7 +342,8 @@ def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None
     YES as soon as the local search finds a branching with k internal
     vertices; NO when some vertex is unreachable from the root; otherwise
     an induced-subgraph instance in which no small-degree neighborhood
-    class exceeds twice its auxiliary neighborhood. The default degree
+    class exceeds twice its auxiliary neighborhood, with the classing of
+    that last pass (whose modulator is its cover). The default degree
     threshold is twice the degeneracy of the input's underlying graph.
     """
     if threshold is None:
@@ -363,38 +359,35 @@ def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None
         cover = found
         if len(cover) > max(2 * current.k - 1, 1):
             raise RuntimeError(f"cover size {len(cover)} exceeds 2k-1")
-        classes, _ = small_degree_classes(current.graph, cover, threshold)
-        steps, dead = crown_pass(current.graph, cover, classes)
+        classing = small_degree_classes(current.graph, cover, threshold)
+        steps, dead = crown_pass(current.graph, classing)
         if not steps:
-            for key, group in classes.items():
+            for key, group in classing.classes.items():
                 if len(group) > 2 * (len(key) ** 2 + len(key)):
                     raise RuntimeError("retained class exceeds its structural bound")
-            return ReducedOutcome(current, trace, frozenset(cover)), trace
+            return ReducedOutcome(current, trace, classing), trace
         trace.steps.extend(steps)
         current = IobInstance(remove_vertices(current.graph, dead)[0], current.k)
     raise RuntimeError("kernelization failed to reach a fixpoint")
 
 
-def iob_report(inst: IobInstance, cover: set[int],
-               threshold: Optional[int] = None) -> dict:
-    """Size accounting of a kernelized instance and the vertex cover its
-    last crown pass used: cover size, small/heavy split of W, and the
-    class-size histogram."""
-    if threshold is None:
-        threshold = max(2, 2 * degeneracy(inst.graph).d)
-    classes, heavy = small_degree_classes(inst.graph, cover, threshold)
+def iob_report(inst: IobInstance, classing: NeighborhoodClassing) -> dict:
+    """Size accounting of a kernelized instance from the classing its last
+    crown pass used (``ReducedOutcome.classing``): the degree threshold,
+    the cover size, the small/heavy split of W, and the class-size
+    histogram."""
     hist: dict[int, int] = {}
-    for group in classes.values():
+    for group in classing.classes.values():
         hist[len(group)] = hist.get(len(group), 0) + 1
     return {
         "resolved": "reduced",
         "n": inst.graph.n,
         "m": inst.graph.m,
         "k": inst.k,
-        "threshold": threshold,
-        "cover_size": len(cover),
-        "w_small": sum(len(g) for g in classes.values()),
-        "w_big": len(heavy),
-        "class_count": len(classes),
+        "threshold": classing.threshold,
+        "cover_size": len(classing.modulator),
+        "w_small": sum(len(g) for g in classing.classes.values()),
+        "w_big": len(classing.heavy),
+        "class_count": len(classing.classes),
         "class_size_histogram": {str(s): c for s, c in sorted(hist.items())},
     }

@@ -1,6 +1,6 @@
 """Reduction rules for rooted maximum-leaf out-branching instances.
 
-Six rules are applied in strict priority order until none fires:
+The driver applies five rules in strict priority order until none fires:
 
 1. some vertex unreachable from the root        -> trivial no-instance
 2. cut-vertex with a single in-arc (or out-arc) -> contract that arc
@@ -8,7 +8,13 @@ Six rules are applied in strict priority order until none fires:
 4. in-neighbor y of x whose co-in-neighbors
    N^-(x) - {y} separate y from the root        -> delete (y, x)
 5. tails of two cut-edges joined both ways      -> contract the joining arc
-6. cut-edge whose reverse arc is present        -> delete the reverse
+
+Rule 6, a cut-edge (u, v) with (v, u) present -> delete (v, u), is a
+lemma: wherever it applies, rule 4 fires at x = u. If the root feeds u,
+rule 4 deletes a non-root in-arc of u. Otherwise every simple root path
+to v enters it from u, so it reaches u first, from N^-(u) - {v}, and that
+set separates v from the root. ``find_rule_6`` and ``apply_rule_6`` fire
+it only on request.
 
 None of the rules touches k, every rule only deletes or contracts (so the
 underlying undirected graph only loses minors), and each application
@@ -20,8 +26,8 @@ makes traces replayable byte for byte.
 
 Each rule's condition lives only in its finder ``find_rule_i``, which
 returns the whole application (rule, locus, action). ``find_rule``,
-``apply``, ``apply_rule_i`` and ``replay_trace`` work on immutable graphs,
-rebuilding after every step; ``replay_trace`` and ``apply_rule_i``
+``apply``, ``apply_rule_i`` and ``replay_steps`` work on immutable graphs,
+rebuilding after every step; ``replay_steps`` and ``apply_rule_i``
 validate a step by running the rule's finder limited to the recorded locus
 and requiring the same application back. They are the independent check
 of the driver.
@@ -51,7 +57,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .digraph import (
     Arc,
@@ -61,6 +67,7 @@ from .digraph import (
     contract_arc,
     cut_structure,
     dominators,
+    heads_by_tail,
     reachable,
 )
 from .outcomes import KernelOutcome, NoOutcome, ReducedOutcome, ReductionTrace
@@ -209,14 +216,12 @@ def find_rule_4(d: RootedDigraph, heads: Optional[Iterable[int]] = None
 
 
 def find_rule_5(d: RootedDigraph, cut_e: set[Arc]) -> Optional[RuleApplication]:
-    by_tail: dict[int, list[int]] = {}
-    for u, v in cut_e:
-        by_tail.setdefault(u, []).append(v)
-    tails = sorted(by_tail)
+    heads = heads_by_tail(cut_e)
+    tails = sorted(heads)
     for x1 in tails:
         for x2 in tails:
             if x1 != x2 and d.has_arc(x1, x2) and d.has_arc(x2, x1):
-                locus = (x1, min(by_tail[x1]), x2, min(by_tail[x2]))
+                locus = (x1, min(heads[x1]), x2, min(heads[x2]))
                 return RuleApplication(5, locus, Contract((x1, x2)))
     return None
 
@@ -230,14 +235,14 @@ def find_rule_6(d: RootedDigraph, cut_e: set[Arc]) -> Optional[RuleApplication]:
 
 def find_rule(inst: LobInstance) -> Optional[RuleApplication]:
     """The lowest-numbered applicable rule at its smallest locus, or None
-    when rules 1-6 are all inapplicable."""
+    when rules 1-5 are all inapplicable (and hence rule 6 too)."""
     d = inst.graph
     app = find_rule_1(d)
     if app is not None:
         return app
     cut_v, cut_e = cut_structure(d)
     return (find_rule_2(d, cut_v) or find_rule_3(d) or find_rule_4(d)
-            or find_rule_5(d, cut_e) or find_rule_6(d, cut_e))
+            or find_rule_5(d, cut_e))
 
 
 def _match_at(d: RootedDigraph, rule_id: int, locus: tuple[int, ...]
@@ -302,7 +307,7 @@ def apply(inst: LobInstance, app: RuleApplication
 
 
 class _Reduction:
-    """Rules 2-6 on a ``LabelledDigraph``, with what each finder already
+    """Rules 2-5 on a ``LabelledDigraph``, with what each finder already
     knows carried across steps. Applications are on labels.
 
     - Rule 2 re-asks the vertices whose degrees a step changed: the
@@ -355,7 +360,7 @@ class _Reduction:
         app = self.ask_rule_4()
         if app is not None:
             return app
-        return find_rule_5(g, dom.cut_edges) or find_rule_6(g, dom.cut_edges)
+        return find_rule_5(g, dom.cut_edges)
 
     def ask_rule_4(self) -> Optional[RuleApplication]:
         """``find_rule_4`` on the current graph, asking only the heads not
@@ -394,8 +399,8 @@ class _Reduction:
 
 
 def reduce_to_fixpoint(inst: LobInstance) -> tuple[KernelOutcome, ReductionTrace]:
-    """Exhaustively apply rules 1-6. Returns No when rule 1 fires, else a
-    Reduced outcome whose instance admits none of the rules; k never
+    """Exhaustively apply rules 1-5. Returns No when rule 1 fires, else a
+    Reduced outcome whose instance admits none of the six rules; k never
     changes."""
     trace = ReductionTrace()
     red = _Reduction(inst.graph)
@@ -414,12 +419,12 @@ def reduce_to_fixpoint(inst: LobInstance) -> tuple[KernelOutcome, ReductionTrace
     raise RuntimeError("reduction did not reach a fixpoint within n+m steps")
 
 
-def replay_trace(inst: LobInstance, trace: ReductionTrace) -> KernelOutcome | LobInstance:
-    """Re-run the recorded steps against the original instance. Each step
-    must equal (in rule, locus and action) what its rule's finder matches
-    when limited to the recorded locus, and its recorded vertex mapping
-    must equal the one the action produces, so a forged trace fails
-    loudly."""
+def replay_steps(inst: LobInstance, trace: ReductionTrace) -> Iterator[tuple]:
+    """Re-run the recorded steps against the original instance, yielding
+    each step's instance, its application and the result. Each step must
+    equal (in rule, locus and action) what its rule's finder matches when
+    limited to the recorded locus, and its recorded vertex mapping must
+    equal the one the action produces, so a forged trace fails loudly."""
     current = inst
     for step in trace:
         app = step.application
@@ -428,7 +433,13 @@ def replay_trace(inst: LobInstance, trace: ReductionTrace) -> KernelOutcome | Lo
         result, mapping = apply(current, app)
         if mapping != step.mapping:
             raise ValueError(f"trace step records a wrong vertex mapping: {app.line()}")
+        yield current, app, result
         if not isinstance(result, LobInstance):
-            return result
+            return
         current = result
-    return current
+
+
+def replay_trace(inst: LobInstance, trace: ReductionTrace) -> KernelOutcome | LobInstance:
+    """Where ``replay_steps`` ends: the reduced instance or the No outcome."""
+    steps = list(replay_steps(inst, trace))
+    return steps[-1][2] if steps else inst

@@ -325,11 +325,8 @@ def solve_branch_and_bound(d: RootedDigraph, k: Optional[int],
     after ``timeout`` seconds returns its incumbent with exact=False.
     ``nodes`` counts the search nodes visited.
     """
-    if not is_connected(d):
-        raise ValueError("branch and bound requires a connected digraph")
     deadline = time.monotonic() + timeout
-
-    seed = bfs_out_branching(d)
+    seed = bfs_out_branching(d)  # raises unless the root spans
     best = _tree_value(seed, mode)
     witness: Optional[OutBranching] = seed
     if k is not None and best >= k:

@@ -9,7 +9,7 @@ replayable trace of what was done.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,13 @@ class NoOutcome:
 
 @dataclass(frozen=True)
 class ReducedOutcome:
+    """A reduced instance and its trace. The iob kernel adds the
+    ``NeighborhoodClassing`` of its last crown pass, which fired nothing;
+    its modulator is that pass's vertex cover, and the report reads it."""
+
     instance: Any
     trace: "ReductionTrace"
-    cover: Optional[frozenset[int]] = None  # the iob kernel's last vertex cover
+    classing: Any = None
 
     status = "reduced"
 

@@ -20,6 +20,7 @@ from .digraph import (
     cut_structure,
     is_connected,
     remove_vertices,
+    split_lonely_branching,
     underlying_adjacency,
 )
 from .generators import gen_iob_twins, gen_planar, gen_random
@@ -28,10 +29,10 @@ from .lob_analyzer import analyze, decompose_bipaths, special_vertices
 from .lob_reducer import (
     LobInstance,
     apply,
-    find_rule,
     find_rule_5,
     find_rule_6,
     reduce_to_fixpoint,
+    replay_steps,
 )
 from .oracle import (
     SolveMode,
@@ -106,8 +107,9 @@ def _small_mixed_digraph(rng: random.Random, max_n: int) -> RootedDigraph:
 
 def verify_rules(trials: int = 1000, max_n: int = 9, seed: int = 0) -> SuiteResult:
     """Every rule firing preserves the exact oracle maxleaf. The driver's
-    strict priority is exercised as-is; rules 5 and 6 additionally fire
-    at their own matches, since rule 4 usually preempts them."""
+    own trace is replayed step by step on immutable graphs; rules 5 and 6
+    additionally fire at their own matches, since rule 4 usually preempts
+    rule 5 and always preempts rule 6."""
     rng = random.Random(seed)
     fired = {i: 0 for i in range(1, 7)}
     violations = []
@@ -115,19 +117,16 @@ def verify_rules(trials: int = 1000, max_n: int = 9, seed: int = 0) -> SuiteResu
     for trial in range(trials):
         d = _small_mixed_digraph(rng, max_n)
         inst = LobInstance(d, 1)
-        while True:
-            app = find_rule(inst)
-            if app is None:
-                break
+        _, trace = reduce_to_fixpoint(inst)
+        value = None  # maxleaf where the next step starts, once known
+        for current, app, result in replay_steps(inst, trace):
             fired[app.rule_id] += 1
             if app.rule_id == 1:
                 break
-            before = _exact_maxleaf(inst.graph)
-            nxt, _ = apply(inst, app)
-            after = _exact_maxleaf(nxt.graph)
-            if before != after:
-                violations.append((trial, app.rule_id, before, after))
-            inst = nxt
+            before = _exact_maxleaf(current.graph) if value is None else value
+            value = _exact_maxleaf(result.graph)
+            if before != value:
+                violations.append((trial, app.rule_id, before, value))
         # direct firings at their own matches for the low-priority rules
         if is_connected(d):
             _, ce = cut_structure(d)
@@ -149,28 +148,30 @@ def verify_rules(trials: int = 1000, max_n: int = 9, seed: int = 0) -> SuiteResu
 
 def verify_oracle(trials: int = 300, seed: int = 0) -> SuiteResult:
     """Enumeration agrees with the parent-vector brute force (n <= 7) and
-    branch and bound agrees with the enumeration optimum (n <= 9)."""
+    branch and bound agrees with the enumeration optimum (n <= 9). Each
+    graph is enumerated once; a branching has n - leaf_count internal
+    vertices."""
     rng = random.Random(seed)
     violations = 0
     checked_enum = checked_bb = 0
     for trial in range(trials):
         d = _small_mixed_digraph(rng, 7)
-        trees = {tuple(sorted(t.parent.items())) for t in enumerate_out_branchings(d)}
+        trees = list(enumerate_out_branchings(d))
         brute = {tuple(sorted(t.parent.items())) for t in brute_force_out_branchings(d)}
-        if trees != brute:
+        if {tuple(sorted(t.parent.items())) for t in trees} != brute:
             violations += 1
         checked_enum += 1
-        for t in enumerate_out_branchings(d):
+        for t in trees:
             if t.leaf_count() != 1 + sum(max(len(t.children[v]) - 1, 0)
                                          for v in range(d.n)):
                 violations += 1
     for trial in range(trials):
         d = _small_mixed_digraph(rng, 9)
-        vals_leaf = [t.leaf_count() for t in enumerate_out_branchings(d)]
-        vals_int = [t.internal_count() for t in enumerate_out_branchings(d)]
-        for mode, vals in ((SolveMode.LEAF, vals_leaf), (SolveMode.INTERNAL, vals_int)):
+        leaves = [t.leaf_count() for t in enumerate_out_branchings(d)]
+        optima = ((SolveMode.LEAF, max(leaves)), (SolveMode.INTERNAL, d.n - min(leaves)))
+        for mode, optimum in optima:
             res = solve_branch_and_bound(d, None, mode)
-            if not res.exact or res.best_value != max(vals):
+            if not res.exact or res.best_value != optimum:
                 violations += 1
             if res.witness is None or not res.witness.is_valid_for(d):
                 violations += 1
@@ -263,10 +264,8 @@ def verify_bounds(instances: int = 300, max_core: int = 12, seed: int = 0) -> Su
         if ml < ml_dc:
             violations += 1
         cv_dc, ce_dc = cut_structure(ana.contracted.graph)
-        by_tail: dict[int, int] = {}
-        for u, v in ce_dc:
-            by_tail[u] = by_tail.get(u, 0) + 1
-        if all(cnt >= 2 for cnt in by_tail.values()):
+        # every tail of a cut-edge emits at least two
+        if not split_lonely_branching(ce_dc)[0]:
             if ml_dc < len(cv_dc) + 1:
                 violations += 1
         # certificate soundness for the instance's k
@@ -432,7 +431,7 @@ def verify_iob_kernel_size(ks=(4, 6, 8, 10, 12, 14, 16), degeneracies=(2, 3),
                 if not isinstance(out, ReducedOutcome):
                     violations += 1
                     continue
-                if len(out.cover) > max(2 * k - 1, 1):
+                if len(out.classing.modulator) > max(2 * k - 1, 1):
                     violations += 1
                 xs.append(float(k))
                 ys.append(float(out.instance.graph.n))

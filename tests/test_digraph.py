@@ -29,6 +29,24 @@ def path3():
     return RootedDigraph(3, 0, [(0, 1), (1, 2)])
 
 
+def _reachable_scan(d, start, removed_vertices=(), removed_arcs=()):
+    """The breadth-first search that read its result off a scan of all n
+    labels, kept as the reference for ``reachable``."""
+    dead_v, dead_a = set(removed_vertices), set(removed_arcs)
+    seen = [False] * d.n
+    seen[start] = True
+    for v in dead_v:
+        seen[v] = True
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for w in d.out_adj[u]:
+            if not seen[w] and (u, w) not in dead_a:
+                seen[w] = True
+                queue.append(w)
+    return {v for v in range(d.n) if seen[v] and v not in dead_v}
+
+
 def _reach_avoiding(d, avoid):
     """Reachability table from the root with one vertex deleted."""
     seen = [False] * d.n
@@ -100,6 +118,16 @@ class TestReachable:
         rm_a = {(u, v) for u in more_a for v in more_a if u != v and u < d.n and v < d.n}
         shrunk = reachable(d, 0, removed_vertices=rm_v, removed_arcs=rm_a)
         assert shrunk <= base
+
+    def test_matches_label_scan(self, rng):
+        for _ in range(300):
+            d = random_connected(rng, rng.randint(2, 30), rng.uniform(0.05, 0.3))
+            start = rng.randrange(d.n)
+            rm_v = set(rng.sample(range(d.n), rng.randint(0, d.n // 3))) - {start}
+            arcs = d.arcs()
+            rm_a = set(rng.sample(arcs, rng.randint(0, len(arcs) // 3)))
+            for args in ((), (rm_v,), (rm_v, rm_a), ((), rm_a)):
+                assert reachable(d, start, *args) == _reachable_scan(d, start, *args)
 
 
 class TestConnectivity:

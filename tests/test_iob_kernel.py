@@ -31,7 +31,7 @@ from sparse_outbranch.outcomes import (
     ReductionTrace,
     YesOutcome,
 )
-from sparse_outbranch.sparsity import degeneracy
+from sparse_outbranch.sparsity import NeighborhoodClassing, classify_by_modulator, degeneracy
 
 from conftest import random_connected
 
@@ -134,7 +134,7 @@ def _kernelize_iob_per_crown(inst):
         found = _vc_or_solution_rescan(current)
         if isinstance(found, OutBranching):
             return YesOutcome(found), trace
-        classes, _ = small_degree_classes(current.graph, found, threshold)
+        classes = small_degree_classes(current.graph, found, threshold).classes
         fired = _crown_round_reference(current, found, classes)
         if fired is None:
             return ReducedOutcome(current, trace), trace
@@ -286,7 +286,7 @@ class TestCrown:
             if isinstance(found, OutBranching):
                 continue
             b = build_aux_graph(g, found)
-            classes, _ = small_degree_classes(g, found, 6)
+            classes = small_degree_classes(g, found, 6).classes
             for key in sorted(classes):
                 members = set(classes[key])
                 hood = set()
@@ -348,7 +348,7 @@ class TestCrown:
         d = self.star_graph(3)
         b = build_aux_graph(d, {0, 1})
         crown = crown_in_class(b, {2, 3, 4})
-        empty = type(crown)(crown.c_m, frozenset(), crown.h, crown.r, crown.matching)
+        empty = type(crown)(crown.c_m, frozenset(), crown.h, crown.matching)
         with pytest.raises(ValueError):
             apply_crown_rule(IobInstance(d, 2), empty, b)
 
@@ -430,7 +430,7 @@ class TestKernelize:
         g = gen_iob_twins(6, 3, seed=11)
         out, _ = kernelize_iob(IobInstance(g, 6))
         assert isinstance(out, ReducedOutcome)
-        rep = iob_report(out.instance, out.cover)
+        rep = iob_report(out.instance, out.classing)
         assert rep["resolved"] == "reduced"
         assert rep["cover_size"] <= 11
         assert set(rep) >= {"n", "m", "k", "threshold", "cover_size",
@@ -439,13 +439,18 @@ class TestKernelize:
 
     def test_reduced_outcome_carries_the_last_cover(self, rng):
         # the cover the last crown pass used is the one a fresh local
-        # search finds on the kernel, so reports need not search again
+        # search finds on the kernel, and its classing is the one a fresh
+        # classing at the input's threshold finds, so reports need not
+        # search or classify again
         for _ in range(20):
             g = gen_iob_twins(rng.randint(4, 10), rng.randint(2, 3),
                               rng.randrange(1 << 30))
             out, _ = kernelize_iob(IobInstance(g, rng.randint(4, 10)))
             if isinstance(out, ReducedOutcome):
-                assert out.cover == vc_or_solution(out.instance)
+                cover = vc_or_solution(out.instance)
+                threshold = max(2, 2 * degeneracy(g).d)
+                assert out.classing == classify_by_modulator(out.instance.graph, cover,
+                                                             threshold)
 
     def test_planar_class_count_bound(self, rng):
         # distinct small neighborhoods among W are at most (4^p + 2p)|U|
@@ -458,7 +463,7 @@ class TestKernelize:
             found = vc_or_solution(IobInstance(g, 3))
             if isinstance(found, OutBranching):
                 continue
-            classes, _ = small_degree_classes(g, found, 6)
+            classes = small_degree_classes(g, found, 6).classes
             assert len(classes) <= (4 ** 3 + 6) * len(found)
             checked += 1
         # planar instances this small usually resolve YES at k=3; force a
@@ -469,7 +474,7 @@ class TestKernelize:
             found = vc_or_solution(IobInstance(g, g.n))
             if isinstance(found, OutBranching):
                 continue
-            classes, _ = small_degree_classes(g, found, 6)
+            classes = small_degree_classes(g, found, 6).classes
             assert len(classes) <= (4 ** 3 + 6) * len(found)
             checked += 1
         assert checked >= 10
@@ -605,7 +610,7 @@ class TestContractChecks:
         def one_removed(b, members):
             crown = real(b, members)
             return type(crown)(crown.c_m, frozenset([min(crown.c_u)]), crown.h,
-                               crown.r, crown.matching)
+                               crown.matching)
 
         monkeypatch.setattr(iob_kernel, "crown_in_class", one_removed)
         arcs = [(0, 1)] + [(1, i) for i in range(2, 6)]
@@ -621,6 +626,7 @@ class TestContractChecks:
         d = RootedDigraph(9, 0, arcs)
         monkeypatch.setattr(iob_kernel, "vc_or_solution", lambda inst: {0, 1, 2, 3})
         monkeypatch.setattr(iob_kernel, "small_degree_classes",
-                            lambda g, cover, threshold: ({(1,): [4, 5, 6, 7, 8]}, []))
+                            lambda g, cover, threshold: NeighborhoodClassing(
+                                frozenset(cover), threshold, {(1,): [4, 5, 6, 7, 8]}, []))
         with pytest.raises(RuntimeError, match="structural bound"):
             kernelize_iob(IobInstance(d, 6))

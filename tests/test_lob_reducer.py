@@ -337,15 +337,19 @@ class TestRule6:
         assert checked >= 30
 
     def test_rule_4_preempts_rule_6(self, rng):
-        # whenever the rule-6 guard matches, some earlier rule (in practice
-        # rule 4 at the same arc) already applies under strict priority
+        # the lemma that keeps rule 6 out of the driver: wherever rule 6
+        # matches (u, v), rule 4 fires at x = u
+        matched = 0
         for _ in range(300):
             d = random_connected(rng, rng.randint(3, 7), 0.3, bidi=0.5)
             _, ce = cut_structure(d)
-            if find_rule_6(d, ce) is None:
+            app = find_rule_6(d, ce)
+            if app is None:
                 continue
-            app = find_rule(LobInstance(d, 1))
-            assert app is not None and app.rule_id < 6
+            u, _ = app.locus
+            assert find_rule_4(d, [u]) is not None
+            matched += 1
+        assert matched >= 50
 
 
 class TestDriver:
