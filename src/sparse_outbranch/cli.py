@@ -193,15 +193,17 @@ def cmd_kernelize_iob(args) -> int:
         print(f"NO: {outcome.reason}")
         return EXIT_NO
     reduced = outcome.instance
-    mapping = list(range(f.graph.n))
+    alive = list(range(f.graph.n))  # original ids of the kernel's vertices
     for step in trace:
-        mapping = [step.mapping[x] if x is not None else None for x in mapping]
+        for r in reversed(step.removed):
+            del alive[r]
+    new_id = {x: i for i, x in enumerate(alive)}
     report["outcome"] = "reduced"
     report["kernel"] = iob_report(reduced, outcome.classing)
-    report["vertex_map"] = {str(i): m for i, m in enumerate(mapping)}
+    report["vertex_map"] = {str(x): new_id.get(x) for x in range(f.graph.n)}
     out_path = args.out or (args.file + ".kernel")
     comments = [f"kernel of {os.path.basename(args.file)}"]
-    comments += [f"map {i} {m}" for i, m in enumerate(mapping) if m is not None]
+    comments += [f"map {x} {i}" for i, x in enumerate(alive)]
     save_instance(out_path, "iob", reduced.graph, reduced.k, comments=comments)
     report["output_file"] = out_path
     _write_json(args.json, report)

@@ -104,7 +104,8 @@ class OutBranching:
     the root, stored as a parent map over non-root vertices.
 
     A vertex is a leaf when it has out-degree 0 in the tree, internal
-    otherwise.
+    otherwise. Every non-root vertex has one parent, so one walk down
+    ``children`` from the root meets all n vertices iff none is on a cycle.
     """
 
     __slots__ = ("n", "root", "parent", "children")
@@ -114,16 +115,14 @@ class OutBranching:
             raise ValueError("parent map must cover exactly the non-root vertices")
         children: list[list[int]] = [[] for _ in range(n)]
         for v, p in parent.items():
+            if not 0 <= p < n:
+                raise ValueError(f"parent {p} of {v} out of range")
             children[p].append(v)
-        # acyclicity + rootedness: walk up from every vertex
-        for v in range(n):
-            seen = 0
-            u = v
-            while u != root:
-                u = parent[u]
-                seen += 1
-                if seen > n:
-                    raise ValueError("parent map contains a cycle")
+        found = [root]
+        for u in found:  # also visits what is appended meanwhile
+            found.extend(children[u])
+        if len(found) != n:
+            raise ValueError("parent map contains a cycle")
         self.n = n
         self.root = root
         self.parent = dict(parent)

@@ -19,6 +19,7 @@ The result is an induced subgraph of the input with the same k.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -118,9 +119,9 @@ def build_aux_graph(d: RootedDigraph, cover: set[int]) -> AuxiliaryBipartite:
     neighbor at all are not materialized (they can never enter a crown's
     separator)."""
     w_set = frozenset(range(d.n)) - frozenset(cover)
-    for u, v in d.arcs():
-        if u in w_set and v in w_set:
-            raise ValueError(f"not a vertex cover: arc ({u},{v}) uncovered")
+    uncovered = [(u, v) for u in w_set for v in d.out_adj[u] if v in w_set]
+    if uncovered:
+        raise ValueError("not a vertex cover: arc ({},{}) uncovered".format(*min(uncovered)))
     left_adj: dict[LeftKey, set[int]] = {}
     w_adj: dict[int, set[LeftKey]] = {w: set() for w in w_set}
     for w in w_set:
@@ -222,15 +223,15 @@ def class_hood(b: AuxiliaryBipartite, members: set[int]) -> set[LeftKey]:
     return hood
 
 
-def crown_in_class(b: AuxiliaryBipartite, members: set[int]) -> CrownDecomposition:
+def crown_in_class(b: AuxiliaryBipartite, members: set[int], hood: set[LeftKey]
+                   ) -> CrownDecomposition:
     """Crown decomposition of the subgraph induced by a same-neighborhood
-    class `members` and its bipartite neighborhood; everything else in the
-    auxiliary graph is its rest R, which is never built. Requires
-    |members| > 2 |N_B(members)|, which forces an unmatched vertex and
-    hence a nonempty C_u."""
+    class `members` and its bipartite neighborhood `hood` (``class_hood``);
+    everything else in the auxiliary graph is its rest R, which is never
+    built. Requires |members| > 2 |hood|, which forces an unmatched vertex
+    and hence a nonempty C_u."""
     if not members <= b.w_vertices:
         raise ValueError("class members must lie inside W")
-    hood = class_hood(b, members)
     if len(members) <= 2 * len(hood):
         raise ValueError(
             f"class of size {len(members)} does not exceed twice its "
@@ -265,9 +266,21 @@ def crown_in_class(b: AuxiliaryBipartite, members: set[int]) -> CrownDecompositi
 
 @dataclass(frozen=True)
 class CrownStep:
+    """A crown's class key and sorted C_u in the ids of the graph before
+    it, and that graph's vertex count n."""
+
     class_key: tuple[int, ...]
     removed: tuple[int, ...]
-    mapping: Optional[list]  # old id -> new id (None entries for removed)
+    n: int
+
+    @property
+    def mapping(self) -> list[Optional[int]]:
+        """Old id -> new id, None for a removed id. Removal keeps vertex
+        order, so `removed` and `n` determine it; the pipeline never
+        builds it."""
+        gone = set(self.removed)
+        kept = iter(range(self.n - len(gone)))
+        return [None if x in gone else next(kept) for x in range(self.n)]
 
     def line(self) -> str:
         key = ",".join(str(x) for x in self.class_key)
@@ -298,41 +311,40 @@ def small_degree_classes(d: RootedDigraph, cover: set[int], threshold: int
 
 
 def crown_pass(d: RootedDigraph, classing: NeighborhoodClassing
-               ) -> tuple[list[CrownStep], set[int]]:
+               ) -> tuple[list[CrownStep], list[int]]:
     """One crown pass over one cover, the classing's modulator: every
     class, in key order, larger than twice its auxiliary neighborhood
-    loses its crown's C_u. Returns one trace step per crown and the union
-    of the C_u, in the ids of `d`; the caller removes them all at once.
+    loses its crown's C_u. Returns one trace step per crown and the sorted
+    union of the C_u, in the ids of `d`, which the caller removes at once.
 
     W is independent and each C_u lies inside W, so a crown changes no
     other class's members, auxiliary neighborhood or matching: the auxiliary
     graph is built once, and the steps are those of a rebuild after every
     crown. Removal keeps vertex order, so key order does not change, and
-    each step's key, removed ids and old->new mapping are ranks among the
-    vertices that the earlier steps left."""
+    each step's key and removed ids are ranks among the vertices that the
+    earlier steps left: x less the ids in `gone` below it, by bisection,
+    so relabelling costs O((|key| + |C_u|) log n) per crown, not O(n)."""
     b = build_aux_graph(d, classing.modulator)
-    alive = list(range(d.n))
     steps: list[CrownStep] = []
-    dead: set[int] = set()
+    gone: list[int] = []
     for key in sorted(classing.classes):
         members = set(classing.classes[key])
-        if len(members) <= 2 * len(class_hood(b, members)):
+        hood = class_hood(b, members)
+        if len(members) <= 2 * len(hood):
             continue
-        crown = crown_in_class(b, members)
+        crown = crown_in_class(b, members, hood)
         # A class fires at most once per pass. C_u is exactly the members
         # the maximum matching leaves free, so each member left has its own
         # matched partner in the neighborhood of those left.
         left = members - crown.c_u
         if len(left) > len(class_hood(b, left)):
             raise RuntimeError(f"class {key} keeps more members than neighbors after its crown")
-        old, alive = alive, [x for x in alive if x not in crown.c_u]
-        rank = {x: i for i, x in enumerate(old)}
-        new_id = {x: i for i, x in enumerate(alive)}
-        steps.append(CrownStep(tuple(rank[x] for x in key),
-                               tuple(rank[x] for x in sorted(crown.c_u)),
-                               [new_id.get(x) for x in old]))
-        dead |= crown.c_u
-    return steps, dead
+        steps.append(CrownStep(tuple(x - bisect_left(gone, x) for x in key),
+                               tuple(x - bisect_left(gone, x) for x in sorted(crown.c_u)),
+                               d.n - len(gone)))
+        for x in crown.c_u:
+            insort(gone, x)
+    return steps, gone
 
 
 def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sparse_outbranch.digraph import (
     Dominators,
     LabelledDigraph,
+    OutBranching,
     RootedDigraph,
     bfs_out_branching,
     contract_arc,
@@ -427,3 +428,75 @@ class TestBfsBranching:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             bfs_out_branching(RootedDigraph(3, 0, [(0, 1)]))
+
+
+def _walk_up_acyclic(n, root, parent):
+    """The acyclicity check that ``OutBranching`` made by walking up from
+    every vertex, O(n * depth), kept as the reference for its one walk
+    down from the root."""
+    for v in range(n):
+        seen = 0
+        u = v
+        while u != root:
+            u = parent[u]
+            seen += 1
+            if seen > n:
+                raise ValueError("parent map contains a cycle")
+
+
+class TestOutBranching:
+    @staticmethod
+    def tree_map(rng, n, root):
+        """Parent map of a random tree: each vertex hangs below one placed
+        earlier in a random order that starts at the root."""
+        order = [root] + rng.sample([v for v in range(n) if v != root], n - 1)
+        return {v: order[rng.randrange(i)] for i, v in enumerate(order) if i}
+
+    def test_matches_walk_up_reference(self):
+        rng = random.Random(515)
+        verdicts = {True: 0, False: 0}
+        for _ in range(3000):
+            n = rng.randint(1, 12)
+            root = rng.randrange(n)
+            if rng.random() < 0.5:
+                parent = self.tree_map(rng, n, root)
+            else:
+                parent = {v: rng.randrange(n) for v in range(n) if v != root}
+            try:
+                _walk_up_acyclic(n, root, parent)
+                expected = True
+            except ValueError:
+                expected = False
+            try:
+                t = OutBranching(n, root, parent)
+                got = True
+            except ValueError:
+                got = False
+            assert got == expected, (n, root, parent)
+            if got:
+                assert sorted(v for c in t.children for v in c) == sorted(parent)
+                assert all(parent[v] == p for p in range(n) for v in t.children[p])
+            verdicts[got] += 1
+        assert min(verdicts.values()) >= 500
+
+    def test_forged_cycles_raise(self):
+        # re-hang a vertex below itself or one of its descendants: the
+        # vertices on the cycle are cut off from the root
+        rng = random.Random(516)
+        for _ in range(1000):
+            n = rng.randint(2, 12)
+            root = rng.randrange(n)
+            parent = self.tree_map(rng, n, root)
+            v = rng.choice(sorted(parent))
+            below = [v]
+            for u in below:
+                below += [w for w, p in parent.items() if p == u]
+            parent[v] = rng.choice(below)
+            with pytest.raises(ValueError, match="cycle"):
+                _walk_up_acyclic(n, root, parent)
+            with pytest.raises(ValueError, match="cycle"):
+                OutBranching(n, root, parent)
+
+    def test_parent_out_of_range_raises(self):
+        with pytest.raises(ValueError, match="out of range"):
+            OutBranching(3, 0, {1: 0, 2: -1})

@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+
+from sparse_outbranch.cli import main
 
 from sparse_outbranch.digraph import (
     OutBranching,
@@ -10,12 +13,14 @@ from sparse_outbranch.digraph import (
     underlying_adjacency,
 )
 from sparse_outbranch.generators import gen_degenerate, gen_iob_twins
+from sparse_outbranch.instance_io import save_instance
 from sparse_outbranch.iob_kernel import (
     AuxiliaryBipartite,
     CrownStep,
     IobInstance,
     apply_crown_rule,
     build_aux_graph,
+    class_hood,
     class_matching,
     crown_in_class,
     iob_report,
@@ -116,10 +121,21 @@ def _crown_round_reference(inst, cover, classes):
         for w in members:
             hood.update(b.w_adj[w])
         if len(members) > 2 * len(hood):
-            crown = crown_in_class(b, members)
+            crown = crown_in_class(b, members, hood)
             nxt, mapping = apply_crown_rule(inst, crown)
-            return nxt, CrownStep(key, tuple(sorted(crown.c_u)), mapping)
+            step = CrownStep(key, tuple(sorted(crown.c_u)), inst.graph.n)
+            assert step.mapping == mapping
+            return nxt, step
     return None
+
+
+def _vertex_map_per_step(n, trace):
+    """The original -> kernel id map that ``cli.cmd_kernelize_iob`` built
+    by composing every step's full mapping, kept as the reference."""
+    mapping = list(range(n))
+    for step in trace:
+        mapping = [step.mapping[x] if x is not None else None for x in mapping]
+    return mapping
 
 
 def _kernelize_iob_per_crown(inst):
@@ -241,6 +257,10 @@ class TestAuxGraph:
         d = RootedDigraph(3, 0, [(0, 1), (1, 2)])
         with pytest.raises(ValueError):
             build_aux_graph(d, {0})
+        # the error names the smallest uncovered arc
+        d = RootedDigraph(7, 0, [(0, 5), (5, 6), (6, 2), (5, 4), (0, 1), (3, 1), (4, 3)])
+        with pytest.raises(ValueError, match=r"arc \(3,1\) uncovered"):
+            build_aux_graph(d, {0})
 
     def test_w_with_no_unit_edges(self):
         # w whose only adjacency is an out-arc into the cover has no unit
@@ -264,7 +284,7 @@ class TestCrown:
     def test_star_crown(self):
         d = self.star_graph(3)
         b = build_aux_graph(d, {0, 1})
-        crown = crown_in_class(b, {2, 3, 4})
+        crown = crown_in_class(b, {2, 3, 4}, class_hood(b, {2, 3, 4}))
         assert crown.h == frozenset([("u", 1)])
         assert len(crown.c_m) == 1
         assert len(crown.c_u) == 2
@@ -274,7 +294,7 @@ class TestCrown:
         d = self.star_graph(2)
         b = build_aux_graph(d, {0, 1})
         with pytest.raises(ValueError):
-            crown_in_class(b, {2, 3})
+            crown_in_class(b, {2, 3}, class_hood(b, {2, 3}))
 
     def test_crown_validity_random(self, rng):
         built = 0
@@ -293,7 +313,7 @@ class TestCrown:
                 for w in members:
                     hood.update(b.w_adj[w])
                 if len(members) > 2 * len(hood):
-                    crown = crown_in_class(b, members)
+                    crown = crown_in_class(b, members, hood)
                     validate_crown(b, crown)
                     assert crown.c_u
                     assert crown.c <= members
@@ -347,7 +367,7 @@ class TestCrown:
     def test_apply_requires_nonempty_cu(self):
         d = self.star_graph(3)
         b = build_aux_graph(d, {0, 1})
-        crown = crown_in_class(b, {2, 3, 4})
+        crown = crown_in_class(b, {2, 3, 4}, class_hood(b, {2, 3, 4}))
         empty = type(crown)(crown.c_m, frozenset(), crown.h, crown.matching)
         with pytest.raises(ValueError):
             apply_crown_rule(IobInstance(d, 2), empty, b)
@@ -359,7 +379,7 @@ class TestCrown:
         # class of size 2 does not fire; add one more twin so it does
         d3 = self.star_graph(3)
         b3 = build_aux_graph(d3, {0, 1})
-        crown = crown_in_class(b3, {2, 3, 4})
+        crown = crown_in_class(b3, {2, 3, 4}, class_hood(b3, {2, 3, 4}))
         inst = IobInstance(d3, 2)
         nxt, _ = apply_crown_rule(inst, crown, b3)
         for k in (1, 2, 3):
@@ -389,10 +409,7 @@ class TestKernelize:
             out, trace = kernelize_iob(inst)
             if not isinstance(out, ReducedOutcome):
                 continue
-            mapping = list(range(g.n))
-            for step in trace:
-                mapping = [step.mapping[x] if x is not None else None
-                           for x in mapping]
+            mapping = _vertex_map_per_step(g.n, trace)
             kept = [v for v in range(g.n) if mapping[v] is not None]
             red = out.instance.graph
             assert red.n == len(kept)
@@ -548,6 +565,48 @@ class TestCrownPass:
         assert sum(size >= 2 for size in pass_sizes) >= 40
         assert statuses.get("reduced", 0) >= 40 and statuses.get("yes", 0) >= 20
 
+    def test_matches_per_crown_reference_relabelled(self):
+        # the generators put the cover below the twins; shuffled ids put
+        # removed twins below later keys, whose ranks must then shift
+        rng = random.Random(6161)
+        shifted = 0
+        for i in range(40):
+            k = rng.choice((8, 16, 32))
+            g = gen_iob_twins(k, rng.randint(1, 3), rng.randrange(1 << 30),
+                              twin_factor=3)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = RootedDigraph(g.n, perm[g.root], [(perm[u], perm[v]) for u, v in g.arcs()])
+            inst = IobInstance(g, k)
+            out, trace = kernelize_iob(inst)
+            assert self.outcome_view(out, trace) == self.outcome_view(
+                *_kernelize_iob_per_crown(inst)), i
+            shifted += any(max(step.class_key) > min(step.removed) for step in trace)
+        assert shifted >= 20
+
+    def test_cli_vertex_map_matches_per_step_composition(self, tmp_path):
+        # the CLI deletes each step's removed ranks from one list of
+        # original ids; composing the steps' full mappings gives the same
+        rng = random.Random(1111)
+        composed = 0
+        for i in range(20):
+            k = rng.choice((8, 16, 32))
+            g = gen_iob_twins(k, rng.randint(1, 3), rng.randrange(1 << 30),
+                              twin_factor=3)
+            src, rep = tmp_path / f"{i}.iob", tmp_path / f"{i}.json"
+            save_instance(str(src), "iob", g, k)
+            code = main(["kernelize-iob", str(src), "--json", str(rep),
+                         "--out", str(tmp_path / f"{i}.kernel")])
+            out, trace = kernelize_iob(IobInstance(g, k))
+            if not isinstance(out, ReducedOutcome):
+                assert code != 0
+                continue
+            mapping = _vertex_map_per_step(g.n, trace)
+            assert json.loads(rep.read_text())["vertex_map"] == {
+                str(v): m for v, m in enumerate(mapping)}
+            composed += len(trace) >= 2
+        assert composed >= 10
+
     def test_few_local_searches(self, monkeypatch):
         # one local search per crown made about thirty here; a pass fires
         # every oversized class, and the next search finds nothing to fire
@@ -607,8 +666,8 @@ class TestContractChecks:
         from sparse_outbranch import iob_kernel
         real = iob_kernel.crown_in_class
 
-        def one_removed(b, members):
-            crown = real(b, members)
+        def one_removed(b, members, hood):
+            crown = real(b, members, hood)
             return type(crown)(crown.c_m, frozenset([min(crown.c_u)]), crown.h,
                                crown.matching)
 
