@@ -266,21 +266,13 @@ def crown_in_class(b: AuxiliaryBipartite, members: set[int], hood: set[LeftKey]
 
 @dataclass(frozen=True)
 class CrownStep:
-    """A crown's class key and sorted C_u in the ids of the graph before
-    it, and that graph's vertex count n."""
+    """Class key and sorted C_u in the ids of the graph before the crown,
+    and its vertex count n; removal keeps vertex order, so they fix the
+    step's old -> new id map."""
 
     class_key: tuple[int, ...]
     removed: tuple[int, ...]
     n: int
-
-    @property
-    def mapping(self) -> list[Optional[int]]:
-        """Old id -> new id, None for a removed id. Removal keeps vertex
-        order, so `removed` and `n` determine it; the pipeline never
-        builds it."""
-        gone = set(self.removed)
-        kept = iter(range(self.n - len(gone)))
-        return [None if x in gone else next(kept) for x in range(self.n)]
 
     def line(self) -> str:
         key = ",".join(str(x) for x in self.class_key)
@@ -322,8 +314,9 @@ def crown_pass(d: RootedDigraph, classing: NeighborhoodClassing
     graph is built once, and the steps are those of a rebuild after every
     crown. Removal keeps vertex order, so key order does not change, and
     each step's key and removed ids are ranks among the vertices that the
-    earlier steps left: x less the ids in `gone` below it, by bisection,
-    so relabelling costs O((|key| + |C_u|) log n) per crown, not O(n)."""
+    earlier steps left: x less the ids in `gone` below it. No rank map is
+    rebuilt per crown: a rank costs one O(log n) bisection, and a removed
+    id one `insort` into `gone`, an O(|gone|) shift."""
     b = build_aux_graph(d, classing.modulator)
     steps: list[CrownStep] = []
     gone: list[int] = []

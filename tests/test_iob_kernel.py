@@ -124,9 +124,18 @@ def _crown_round_reference(inst, cover, classes):
             crown = crown_in_class(b, members, hood)
             nxt, mapping = apply_crown_rule(inst, crown)
             step = CrownStep(key, tuple(sorted(crown.c_u)), inst.graph.n)
-            assert step.mapping == mapping
+            assert _step_mapping(step) == mapping
             return nxt, step
     return None
+
+
+def _step_mapping(step):
+    """A step's old -> new id map, None for a removed id, derived from its
+    removed ids and vertex count the way ``remove_vertices`` numbers the
+    survivors."""
+    gone = set(step.removed)
+    kept = iter(range(step.n - len(gone)))
+    return [None if x in gone else next(kept) for x in range(step.n)]
 
 
 def _vertex_map_per_step(n, trace):
@@ -134,7 +143,8 @@ def _vertex_map_per_step(n, trace):
     by composing every step's full mapping, kept as the reference."""
     mapping = list(range(n))
     for step in trace:
-        mapping = [step.mapping[x] if x is not None else None for x in mapping]
+        step_map = _step_mapping(step)
+        mapping = [step_map[x] if x is not None else None for x in mapping]
     return mapping
 
 
@@ -526,7 +536,7 @@ class TestCrownPass:
 
     @staticmethod
     def outcome_view(out, trace):
-        view = [out.status, trace.serialize(), [step.mapping for step in trace]]
+        view = [out.status, trace.serialize(), [_step_mapping(step) for step in trace]]
         if isinstance(out, ReducedOutcome):
             g = out.instance.graph
             view.append((g.n, g.root, g.arcs(), out.instance.k))

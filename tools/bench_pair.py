@@ -5,10 +5,9 @@
 
 Runs ``perfbench/run.py`` (``--trace 0``) from the root of each checkout,
 one run of each per pair, for ``--pairs`` pairs; the side that runs first
-alternates from pair to pair. Run length is ``run_seconds`` from the new
-checkout's ``BENCHMARK.json`` unless ``--seconds`` is given, and is the
-same on both sides. Writes ``BENCH_<label>.json`` into the current
-directory with, for every end-to-end metric that ``BENCHMARK.json``
+alternates from pair to pair. Both sides run for ``run_seconds`` from the
+new checkout's ``BENCHMARK.json``. Writes ``BENCH_<label>.json`` into the
+current directory with, for every end-to-end metric that ``BENCHMARK.json``
 declares: each side's runs, median and quartiles, the pairs the new side
 wins (ties count for neither side), and whether the medians differ by more
 than the old side's interquartile range. The provenance line of each side
@@ -49,12 +48,11 @@ def main() -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float)
     ap.add_argument("--label", required=True)
     args = ap.parse_args()
     with open(os.path.join(args.new, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
 
     results: dict[str, list[dict]] = {"old": [], "new": []}
     provenance: dict[str, dict] = {}
