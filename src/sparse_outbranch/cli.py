@@ -57,7 +57,7 @@ def _write_json(path: Optional[str], payload: dict) -> None:
 def _trace_summary(trace) -> dict:
     counts: dict[str, int] = {}
     for step in trace:
-        tag = getattr(getattr(step, "application", step), "rule_id", None)
+        tag = getattr(step, "rule_id", None)
         key = f"rule{tag}" if tag is not None else "crown"
         counts[key] = counts.get(key, 0) + 1
     return counts

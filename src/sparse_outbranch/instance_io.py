@@ -45,14 +45,14 @@ def parse_instance(text: str) -> InstanceFile:
         line = raw.strip()
         if not line:
             continue
-        tag = line.split()[0]
+        parts = line.split()
+        tag = parts[0]
         if tag == "c":
             comments.append(line[2:] if len(line) > 2 else "")
             continue
         if tag == "p":
             if seen_p:
                 raise ParseError(lineno, "duplicate p line")
-            parts = line.split()
             if len(parts) != 6:
                 raise ParseError(lineno, "expected: p <lob|iob> <n> <m> <root> <k>")
             kind = parts[1]
@@ -69,7 +69,6 @@ def parse_instance(text: str) -> InstanceFile:
         if tag == "a":
             if not seen_p:
                 raise ParseError(lineno, "a line before p line")
-            parts = line.split()
             if len(parts) != 3:
                 raise ParseError(lineno, "expected: a <u> <v>")
             try:

@@ -106,7 +106,6 @@ def vc_or_solution(inst: IobInstance) -> Union[OutBranching, set[int]]:
 
 @dataclass
 class AuxiliaryBipartite:
-    cover: frozenset[int]
     w_vertices: frozenset[int]
     left_adj: dict[LeftKey, set[int]]   # left vertex -> W neighbors
     w_adj: dict[int, set[LeftKey]]      # W vertex -> left neighbors
@@ -134,7 +133,7 @@ def build_aux_graph(d: RootedDigraph, cover: set[int]) -> AuxiliaryBipartite:
                 key = ("p", x, y)
                 left_adj.setdefault(key, set()).add(w)
                 w_adj[w].add(key)
-    return AuxiliaryBipartite(frozenset(cover), w_set, left_adj, w_adj)
+    return AuxiliaryBipartite(w_set, left_adj, w_adj)
 
 
 @dataclass
@@ -266,13 +265,12 @@ def crown_in_class(b: AuxiliaryBipartite, members: set[int], hood: set[LeftKey]
 
 @dataclass(frozen=True)
 class CrownStep:
-    """Class key and sorted C_u in the ids of the graph before the crown,
-    and its vertex count n; removal keeps vertex order, so they fix the
-    step's old -> new id map."""
+    """Class key and sorted C_u in the ids of the graph before the crown.
+    Removal keeps vertex order, so with that graph's vertex count they fix
+    the step's old -> new id map (``remove_vertices``)."""
 
     class_key: tuple[int, ...]
     removed: tuple[int, ...]
-    n: int
 
     def line(self) -> str:
         key = ",".join(str(x) for x in self.class_key)
@@ -281,7 +279,7 @@ class CrownStep:
 
 
 def apply_crown_rule(inst: IobInstance, crown: CrownDecomposition,
-                     b: Optional[AuxiliaryBipartite] = None) -> tuple[IobInstance, list]:
+                     b: Optional[AuxiliaryBipartite] = None) -> IobInstance:
     """Delete C_u from the instance; k is unchanged and the result is an
     induced subgraph. When the auxiliary graph is supplied the crown is
     re-validated against it."""
@@ -289,8 +287,7 @@ def apply_crown_rule(inst: IobInstance, crown: CrownDecomposition,
         raise ValueError("crown has empty C_u; nothing to remove")
     if b is not None:
         validate_crown(b, crown)
-    g, mapping = remove_vertices(inst.graph, crown.c_u)
-    return IobInstance(g, inst.k), mapping
+    return IobInstance(remove_vertices(inst.graph, crown.c_u)[0], inst.k)
 
 
 def small_degree_classes(d: RootedDigraph, cover: set[int], threshold: int
@@ -333,8 +330,7 @@ def crown_pass(d: RootedDigraph, classing: NeighborhoodClassing
         if len(left) > len(class_hood(b, left)):
             raise RuntimeError(f"class {key} keeps more members than neighbors after its crown")
         steps.append(CrownStep(tuple(x - bisect_left(gone, x) for x in key),
-                               tuple(x - bisect_left(gone, x) for x in sorted(crown.c_u)),
-                               d.n - len(gone)))
+                               tuple(x - bisect_left(gone, x) for x in sorted(crown.c_u))))
         for x in crown.c_u:
             insort(gone, x)
     return steps, gone
@@ -370,7 +366,7 @@ def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None
             for key, group in classing.classes.items():
                 if len(group) > 2 * (len(key) ** 2 + len(key)):
                     raise RuntimeError("retained class exceeds its structural bound")
-            return ReducedOutcome(current, trace, classing), trace
+            return ReducedOutcome(current, classing), trace
         trace.steps.extend(steps)
         current = IobInstance(remove_vertices(current.graph, dead)[0], current.k)
     raise RuntimeError("kernelization failed to reach a fixpoint")

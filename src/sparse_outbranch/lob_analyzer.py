@@ -275,7 +275,7 @@ class LobCertificate:
         }
 
 
-def size_report(inst: LobInstance, dc: ContractedGraph, dec: BipathDecomposition,
+def size_report(dc: ContractedGraph, dec: BipathDecomposition,
                 sp: set[int], iso: set[int]) -> dict:
     """Diagnostics over the hard-bipath structure: easy/hard counts, the
     per-path outside-neighborhood histogram (equivalently the bipath-minor
@@ -339,6 +339,6 @@ def analyze(inst: LobInstance, check: bool = True) -> LobAnalysis:
     dec = decompose_bipaths(dc, {dc.graph.root} | sp | iso)
     masters, slaves = classify_masters_slaves(dec, dc)
     cert = LobCertificate(inst.k, len(sp), len(iso), len(slaves))
-    report = size_report(inst, dc, dec, sp, iso)
+    report = size_report(dc, dec, sp, iso)
     report["certificate"] = cert.to_dict()
     return LobAnalysis(dc, sp, iso, dec, masters, slaves, cert, report)

@@ -50,7 +50,9 @@ changed (``_Reduction``). It carries the dominator tree across steps:
 
 Cut-edges are built from the tree only when rules 2-4 all miss. Loci are
 kept on labels and translated to current ids (ranks among the surviving
-labels) when a trace step is written.
+labels) when a trace step is written. A step is that application and
+nothing more: replay derives a contraction's old -> new ids from the graph
+it runs on (``contract_arc``), so a wrong renumbering fails a later re-match.
 """
 
 from __future__ import annotations
@@ -116,15 +118,6 @@ class RuleApplication:
             return f"RULE {self.rule_id} LOCUS {locus} ACTION no"
         u, v = self.action.arc
         return f"RULE {self.rule_id} LOCUS {locus} ACTION {self.action.kind} {u} {v}"
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    application: RuleApplication
-    mapping: Optional[list[int]]  # old id -> new id, for contractions
-
-    def line(self) -> str:
-        return self.application.line()
 
 
 def find_rule_1(d: RootedDigraph) -> Optional[RuleApplication]:
@@ -271,39 +264,36 @@ def _rematch(inst: LobInstance, rule_id: int, locus: tuple[int, ...]) -> RuleApp
     return app
 
 
-def apply_rule_2(inst: LobInstance, locus: int) -> tuple[LobInstance, list[int]]:
+def apply_rule_2(inst: LobInstance, locus: int) -> LobInstance:
     return apply(inst, _rematch(inst, 2, (locus,)))
 
 
-def apply_rule_3(inst: LobInstance, locus: tuple[int, ...]) -> tuple[LobInstance, list[int]]:
+def apply_rule_3(inst: LobInstance, locus: tuple[int, ...]) -> LobInstance:
     return apply(inst, _rematch(inst, 3, tuple(locus)))
 
 
 def apply_rule_4(inst: LobInstance, locus: tuple[int, int]) -> LobInstance:
-    return apply(inst, _rematch(inst, 4, tuple(locus)))[0]
+    return apply(inst, _rematch(inst, 4, tuple(locus)))
 
 
-def apply_rule_5(inst: LobInstance, locus: tuple[Arc, Arc]) -> tuple[LobInstance, list[int]]:
+def apply_rule_5(inst: LobInstance, locus: tuple[Arc, Arc]) -> LobInstance:
     (x1, y1), (x2, y2) = locus
     return apply(inst, _rematch(inst, 5, (x1, y1, x2, y2)))
 
 
 def apply_rule_6(inst: LobInstance, locus: Arc) -> LobInstance:
-    return apply(inst, _rematch(inst, 6, tuple(locus)))[0]
+    return apply(inst, _rematch(inst, 6, tuple(locus)))
 
 
-def apply(inst: LobInstance, app: RuleApplication
-          ) -> tuple[KernelOutcome | LobInstance, Optional[list[int]]]:
+def apply(inst: LobInstance, app: RuleApplication) -> KernelOutcome | LobInstance:
     """Carry out ``app.action`` without re-checking that its rule applies;
-    returns the new instance (or the No outcome of rule 1) plus the vertex
-    mapping when a contraction compacted the ids."""
+    returns the new instance, or the No outcome of rule 1."""
     action = app.action
     if isinstance(action, ResolveNo):
-        return NoOutcome(action.reason), None
+        return NoOutcome(action.reason)
     if isinstance(action, DeleteArc):
-        return LobInstance(inst.graph.with_arcs_removed([action.arc]), inst.k), None
-    g, mapping = contract_arc(inst.graph, action.arc)
-    return LobInstance(g, inst.k), mapping
+        return LobInstance(inst.graph.with_arcs_removed([action.arc]), inst.k)
+    return LobInstance(contract_arc(inst.graph, action.arc)[0], inst.k)
 
 
 class _Reduction:
@@ -370,22 +360,18 @@ class _Reduction:
         self.ask4 = set(asked[bisect_left(asked, app.locus[0]):]) if app else set()
         return app
 
-    def apply(self, app: RuleApplication) -> TraceStep:
-        """Carry out ``app`` and return its trace step on current ids."""
+    def apply(self, app: RuleApplication) -> RuleApplication:
+        """Carry out ``app`` and return it on current ids, its trace step."""
         g = self.g
         action = app.action
         u, v = action.arc
         on_ids = RuleApplication(app.rule_id, tuple(map(g.rank, app.locus)),
                                  type(action)((g.rank(u), g.rank(v))))
-        mapping = None
         if isinstance(action, DeleteArc):
             g.delete(action.arc)
             changed = {u, v}
             self.ask4.add(v)
         else:
-            keep_id, gone_id = sorted(on_ids.action.arc)
-            mapping = (list(range(gone_id)) + [keep_id]
-                       + list(range(gone_id, len(g.labels) - 1)))
             keep = g.contract(action.arc, merge_tree=app.rule_id != 5)
             changed = {u, v, *g.in_adj[keep], *g.out_adj[keep]}
             self.ask4 |= {keep, *g.out_adj[keep]}
@@ -395,7 +381,7 @@ class _Reduction:
             changed = {w for x in changed for w in g.in_adj[x] + g.out_adj[x]
                        if _proper_internal(g, w) is not None}
             self.ask3 |= changed
-        return TraceStep(on_ids, mapping)
+        return on_ids
 
 
 def reduce_to_fixpoint(inst: LobInstance) -> tuple[KernelOutcome, ReductionTrace]:
@@ -408,13 +394,13 @@ def reduce_to_fixpoint(inst: LobInstance) -> tuple[KernelOutcome, ReductionTrace
     # reachable, so rule 1 is asked only here
     app = find_rule_1(red.g)
     if app is not None:
-        trace.append(TraceStep(app, None))
-        return apply(inst, app)[0], trace
+        trace.append(app)
+        return apply(inst, app), trace
     for _ in range(inst.graph.n + inst.graph.m + 1):
         app = red.find()
         if app is None:
             reduced = LobInstance(red.g.snapshot(), inst.k) if trace else inst
-            return ReducedOutcome(reduced, trace), trace
+            return ReducedOutcome(reduced), trace
         trace.append(red.apply(app))
     raise RuntimeError("reduction did not reach a fixpoint within n+m steps")
 
@@ -423,16 +409,12 @@ def replay_steps(inst: LobInstance, trace: ReductionTrace) -> Iterator[tuple]:
     """Re-run the recorded steps against the original instance, yielding
     each step's instance, its application and the result. Each step must
     equal (in rule, locus and action) what its rule's finder matches when
-    limited to the recorded locus, and its recorded vertex mapping must
-    equal the one the action produces, so a forged trace fails loudly."""
+    limited to the recorded locus, so a forged trace fails loudly."""
     current = inst
-    for step in trace:
-        app = step.application
+    for app in trace:
         if _match_at(current.graph, app.rule_id, app.locus) != app:
             raise ValueError(f"trace step does not re-match: {app.line()}")
-        result, mapping = apply(current, app)
-        if mapping != step.mapping:
-            raise ValueError(f"trace step records a wrong vertex mapping: {app.line()}")
+        result = apply(current, app)
         yield current, app, result
         if not isinstance(result, LobInstance):
             return

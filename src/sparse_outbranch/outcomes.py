@@ -2,8 +2,8 @@
 
 A pipeline run ends in one of three ways: the instance was resolved
 positively (with a certificate or witness), resolved negatively (with a
-reason), or reduced to an equivalent smaller instance together with a
-replayable trace of what was done.
+reason), or reduced to an equivalent smaller instance. Both pipelines
+return the replayable trace of what was done beside the outcome.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ class NoOutcome:
 
 @dataclass(frozen=True)
 class ReducedOutcome:
-    """A reduced instance and its trace. The iob kernel adds the
-    ``NeighborhoodClassing`` of its last crown pass, which fired nothing;
-    its modulator is that pass's vertex cover, and the report reads it."""
+    """A reduced instance; its trace is returned beside it. The iob kernel
+    adds the ``NeighborhoodClassing`` of its last crown pass, which fired
+    nothing; its modulator is that pass's vertex cover, and the report
+    reads it."""
 
     instance: Any
-    trace: "ReductionTrace"
     classing: Any = None
 
     status = "reduced"
@@ -44,8 +44,9 @@ KernelOutcome = Union[YesOutcome, NoOutcome, ReducedOutcome]
 
 @dataclass
 class ReductionTrace:
-    """Ordered log of reduction steps. Each step renders to one text line
-    and may carry an old->new vertex mapping for contractions/removals."""
+    """Ordered log of reduction steps. Each step records only what its
+    rule did and renders to one text line; the old -> new vertex map of a
+    contraction or removal is derived from the graph the step replays on."""
 
     steps: list[Any] = field(default_factory=list)
 

@@ -1,10 +1,10 @@
 """Degeneracy and neighborhood-diversity tooling for sparse graphs.
 
-Everything here works on the underlying undirected view of a digraph (or
-a raw adjacency list). Degeneracy comes from the classic iterated
-minimum-degree removal; the neighborhood classing buckets vertices outside
-a modulator X by their exact trace N(v) & X, splitting off the vertices
-whose trace is at least the chosen threshold as "heavy".
+Everything here works on the underlying undirected view of a digraph
+(degeneracy also on a raw adjacency list). Degeneracy comes from the classic
+iterated minimum-degree removal; the neighborhood classing buckets vertices
+outside a modulator X by their exact trace N(v) & X, splitting off the
+vertices whose trace is at least the chosen threshold as "heavy".
 """
 
 from __future__ import annotations
@@ -77,22 +77,20 @@ class NeighborhoodClassing:
         return len(self.heavy)
 
 
-def classify_by_modulator(g: Union[RootedDigraph, Adjacency],
-                          modulator: Iterable[int],
+def classify_by_modulator(d: RootedDigraph, modulator: Iterable[int],
                           threshold: int) -> NeighborhoodClassing:
     """Bucket every vertex outside the modulator by its exact neighborhood
     trace in it. Members with |N(v) & X| >= threshold land in ``heavy``
     instead of a class. With threshold = 2p and p at least the depth-1
     grad, the counting bounds say |heavy| <= 2p|X| and the number of
     distinct classes is at most (4^p + 2p)|X|."""
-    adj = _as_adjacency(g)
     X = frozenset(modulator)
     classes: dict[tuple[int, ...], list[int]] = {}
     heavy: list[int] = []
-    for v in range(len(adj)):
+    for v in range(d.n):
         if v in X:
             continue
-        trace = adj[v] & X if isinstance(adj[v], set) else set(adj[v]) & X
+        trace = X.intersection(d.in_adj[v] + d.out_adj[v])
         if len(trace) >= threshold:
             heavy.append(v)
         else:

@@ -134,7 +134,7 @@ def verify_rules(trials: int = 1000, max_n: int = 9, seed: int = 0) -> SuiteResu
                 if direct is None:
                     continue
                 before = _exact_maxleaf(d)
-                nxt, _ = apply(LobInstance(d, 1), direct)
+                nxt = apply(LobInstance(d, 1), direct)
                 if _exact_maxleaf(nxt.graph) != before:
                     violations.append((trial, direct.rule_id, before, "direct"))
                 fired[direct.rule_id] += 1
@@ -509,7 +509,7 @@ def verify_counting(graphs: int = 30, seed: int = 0, p: int = 3) -> SuiteResult:
         for _ in range(3):
             size = rng.randint(max(1, n // 10), max(2, n // 3))
             x = set(rng.sample(range(n), size))
-            classing = classify_by_modulator(adj, x, threshold=2 * p)
+            classing = classify_by_modulator(g, x, threshold=2 * p)
             if not heavy_count_bound_ok(classing):
                 violations += 1
             if not class_count_bound_ok(classing, p):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -70,6 +71,15 @@ def _run_python(argv, **env):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path, **env})
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's library example is the documented API; it must run as is
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8").read()
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)
+    exec(block.group(1), {})
+    assert capsys.readouterr().out.splitlines()[0].startswith("reduced RULE 2")
 
 
 class TestLinearFit:

@@ -10,6 +10,7 @@ from sparse_outbranch.digraph import (
     RootedDigraph,
     bfs_out_branching,
     is_connected,
+    remove_vertices,
     underlying_adjacency,
 )
 from sparse_outbranch.generators import gen_degenerate, gen_iob_twins
@@ -122,28 +123,36 @@ def _crown_round_reference(inst, cover, classes):
             hood.update(b.w_adj[w])
         if len(members) > 2 * len(hood):
             crown = crown_in_class(b, members, hood)
-            nxt, mapping = apply_crown_rule(inst, crown)
-            step = CrownStep(key, tuple(sorted(crown.c_u)), inst.graph.n)
-            assert _step_mapping(step) == mapping
-            return nxt, step
+            step = CrownStep(key, tuple(sorted(crown.c_u)))
+            assert _step_mapping(step, inst.graph.n) == remove_vertices(inst.graph,
+                                                                        crown.c_u)[1]
+            return apply_crown_rule(inst, crown), step
     return None
 
 
-def _step_mapping(step):
-    """A step's old -> new id map, None for a removed id, derived from its
-    removed ids and vertex count the way ``remove_vertices`` numbers the
-    survivors."""
+def _step_mapping(step, n):
+    """The old -> new id map, None for a removed id, of a step on a graph
+    of n vertices, derived from its removed ids the way ``remove_vertices``
+    numbers the survivors."""
     gone = set(step.removed)
-    kept = iter(range(step.n - len(gone)))
-    return [None if x in gone else next(kept) for x in range(step.n)]
+    kept = iter(range(n - len(gone)))
+    return [None if x in gone else next(kept) for x in range(n)]
+
+
+def _step_mappings(n, trace):
+    """Each step's old -> new id map, from the running vertex count."""
+    maps = []
+    for step in trace:
+        maps.append(_step_mapping(step, n))
+        n -= len(step.removed)
+    return maps
 
 
 def _vertex_map_per_step(n, trace):
     """The original -> kernel id map that ``cli.cmd_kernelize_iob`` built
     by composing every step's full mapping, kept as the reference."""
     mapping = list(range(n))
-    for step in trace:
-        step_map = _step_mapping(step)
+    for step_map in _step_mappings(n, trace):
         mapping = [step_map[x] if x is not None else None for x in mapping]
     return mapping
 
@@ -163,7 +172,7 @@ def _kernelize_iob_per_crown(inst):
         classes = small_degree_classes(current.graph, found, threshold).classes
         fired = _crown_round_reference(current, found, classes)
         if fired is None:
-            return ReducedOutcome(current, trace), trace
+            return ReducedOutcome(current), trace
         current, step = fired
         trace.append(step)
     raise RuntimeError("kernelization failed to reach a fixpoint")
@@ -342,7 +351,7 @@ class TestCrown:
             p = rng.uniform(0.1, 0.6)
             left_adj = {key: {w for w in ws if rng.random() < p} for key in lefts}
             w_adj = {w: {key for key in lefts if w in left_adj[key]} for w in ws}
-            b = AuxiliaryBipartite(frozenset(), frozenset(ws), left_adj, w_adj)
+            b = AuxiliaryBipartite(frozenset(ws), left_adj, w_adj)
             members = {w for w in ws if rng.random() < 0.8}
             hood = set().union(*(w_adj[w] for w in members))
             got = class_matching(b, members, hood)
@@ -391,7 +400,7 @@ class TestCrown:
         b3 = build_aux_graph(d3, {0, 1})
         crown = crown_in_class(b3, {2, 3, 4}, class_hood(b3, {2, 3, 4}))
         inst = IobInstance(d3, 2)
-        nxt, _ = apply_crown_rule(inst, crown, b3)
+        nxt = apply_crown_rule(inst, crown, b3)
         for k in (1, 2, 3):
             before = max_internal(d3) >= k
             after = max_internal(nxt.graph) >= k
@@ -535,8 +544,8 @@ class TestCrownPass:
     the kernel of one local search per crown."""
 
     @staticmethod
-    def outcome_view(out, trace):
-        view = [out.status, trace.serialize(), [_step_mapping(step) for step in trace]]
+    def outcome_view(out, trace, n):
+        view = [out.status, trace.serialize(), _step_mappings(n, trace)]
         if isinstance(out, ReducedOutcome):
             g = out.instance.graph
             view.append((g.n, g.root, g.arcs(), out.instance.k))
@@ -567,8 +576,8 @@ class TestCrownPass:
                                    rng.randrange(1 << 30))
                 k = rng.randint(2, 40)
             inst = IobInstance(g, k)
-            got = self.outcome_view(*kernelize_iob(inst))
-            assert got == self.outcome_view(*_kernelize_iob_per_crown(inst)), i
+            got = self.outcome_view(*kernelize_iob(inst), g.n)
+            assert got == self.outcome_view(*_kernelize_iob_per_crown(inst), g.n), i
             statuses[got[0]] = statuses.get(got[0], 0) + 1
         # later crowns of a pass must relabel their key, removed ids and
         # mapping by rank among the survivors of the earlier ones
@@ -589,8 +598,8 @@ class TestCrownPass:
             g = RootedDigraph(g.n, perm[g.root], [(perm[u], perm[v]) for u, v in g.arcs()])
             inst = IobInstance(g, k)
             out, trace = kernelize_iob(inst)
-            assert self.outcome_view(out, trace) == self.outcome_view(
-                *_kernelize_iob_per_crown(inst)), i
+            assert self.outcome_view(out, trace, g.n) == self.outcome_view(
+                *_kernelize_iob_per_crown(inst), g.n), i
             shifted += any(max(step.class_key) > min(step.removed) for step in trace)
         assert shifted >= 20
 

@@ -10,6 +10,7 @@ from sparse_outbranch import lob_reducer
 from sparse_outbranch.digraph import (
     Dominators,
     RootedDigraph,
+    contract_arc,
     cut_structure,
     dominators,
     is_connected,
@@ -22,7 +23,6 @@ from sparse_outbranch.lob_reducer import (
     LobInstance,
     ResolveNo,
     RuleApplication,
-    TraceStep,
     _Reduction,
     apply,
     apply_rule_2,
@@ -37,6 +37,7 @@ from sparse_outbranch.lob_reducer import (
     find_rule_5,
     find_rule_6,
     reduce_to_fixpoint,
+    replay_steps,
     replay_trace,
 )
 from sparse_outbranch.oracle import SolveMode, solve_branch_and_bound
@@ -88,9 +89,9 @@ def _reduce_rebuilding(inst):
     for _ in range(inst.graph.n + inst.graph.m + 1):
         app = lob_reducer.find_rule(current)
         if app is None:
-            return ReducedOutcome(current, trace), trace
-        result, mapping = apply(current, app)
-        trace.append(TraceStep(app, mapping))
+            return ReducedOutcome(current), trace
+        result = apply(current, app)
+        trace.append(app)
         if not isinstance(result, LobInstance):
             return result, trace
         current = result
@@ -142,8 +143,7 @@ class TestRule1:
         d = RootedDigraph(3, 0, [(0, 1), (2, 1)])
         app = find_rule_1(d)
         assert app == RuleApplication(1, (2,), ResolveNo("vertex 2 unreachable from root"))
-        out, mapping = apply(LobInstance(d, 5), app)
-        assert isinstance(out, NoOutcome) and mapping is None
+        assert isinstance(apply(LobInstance(d, 5), app), NoOutcome)
 
     def test_connected_rejected(self):
         assert find_rule_1(RootedDigraph(2, 0, [(0, 1)])) is None
@@ -152,13 +152,11 @@ class TestRule1:
 class TestRule2:
     def test_in_degree_contract(self):
         inst = LobInstance(RootedDigraph(3, 0, [(0, 1), (1, 2)]), 1)
-        nxt, mapping = apply_rule_2(inst, 1)
-        assert nxt.graph.n == 2
-        assert mapping == [0, 0, 1]
+        assert apply_rule_2(inst, 1).graph == RootedDigraph(2, 0, [(0, 1)])
 
     def test_out_degree_contract(self):
         d = RootedDigraph(5, 0, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
-        nxt, _ = apply_rule_2(LobInstance(d, 1), 3)
+        nxt = apply_rule_2(LobInstance(d, 1), 3)
         assert nxt.graph.n == 4
 
     def test_guard_rejected(self):
@@ -175,7 +173,7 @@ class TestRule2:
             if app is None or app.rule_id != 2:
                 continue
             before = maxleaf(d)
-            nxt, _ = apply(inst, app)
+            nxt = apply(inst, app)
             assert maxleaf(nxt.graph) == before
             checked += 1
         assert checked >= 20
@@ -186,7 +184,7 @@ class TestRule3:
         arcs = {(0, 1)} | bipath_arcs([1, 2, 3, 4, 5])
         d = RootedDigraph(6, 0, arcs)
         assert find_rule_3(d) == RuleApplication(3, (1, 2, 3, 4, 5), Contract((2, 3)))
-        nxt, _ = apply_rule_3(LobInstance(d, 1), (1, 2, 3, 4, 5))
+        nxt = apply_rule_3(LobInstance(d, 1), (1, 2, 3, 4, 5))
         assert nxt.graph.n == 5
 
     def test_short_bipath_no_match(self):
@@ -203,7 +201,7 @@ class TestRule3:
         app = find_rule_3(g)
         assert app is not None
         before = maxleaf(g)
-        nxt, _ = apply_rule_3(LobInstance(g, 1), app.locus)
+        nxt = apply_rule_3(LobInstance(g, 1), app.locus)
         assert maxleaf(nxt.graph) == before
 
 
@@ -285,7 +283,7 @@ class TestRule5:
         app = find_rule_5(d, ce)
         assert app == RuleApplication(5, (1, 3, 2, 4), Contract((1, 2)))
         assert maxleaf(d) == 2
-        nxt, _ = apply_rule_5(LobInstance(d, 2), ((1, 3), (2, 4)))
+        nxt = apply_rule_5(LobInstance(d, 2), ((1, 3), (2, 4)))
         assert maxleaf(nxt.graph) == 2
 
     def test_no_match_without_linked_tails(self):
@@ -303,7 +301,7 @@ class TestRule5:
                 continue
             before = maxleaf(d)
             x1, y1, x2, y2 = app.locus
-            nxt, _ = apply_rule_5(LobInstance(d, 1), ((x1, y1), (x2, y2)))
+            nxt = apply_rule_5(LobInstance(d, 1), ((x1, y1), (x2, y2)))
             assert maxleaf(nxt.graph) == before
             checked += 1
         assert checked >= 15
@@ -394,7 +392,7 @@ class TestDriver:
                 app = find_rule(inst)
                 if app is None or app.rule_id == 1:
                     break
-                inst, _ = apply(inst, app)
+                inst = apply(inst, app)
                 new_size = inst.graph.n + inst.graph.m
                 assert new_size < size
                 assert inst.graph.in_degree(inst.graph.root) == 0
@@ -402,12 +400,8 @@ class TestDriver:
                 size = new_size
 
     def test_forged_trace_rejected(self):
-        from sparse_outbranch.lob_reducer import (Contract, RuleApplication,
-                                                  TraceStep)
-        from sparse_outbranch.outcomes import ReductionTrace
         d = RootedDigraph(4, 0, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        forged = ReductionTrace([TraceStep(
-            RuleApplication(2, (1,), Contract((0, 1))), None)])
+        forged = ReductionTrace([RuleApplication(2, (1,), Contract((0, 1)))])
         with pytest.raises(ValueError):
             replay_trace(LobInstance(d, 1), forged)  # vertex 1 is no cut-vertex
 
@@ -415,20 +409,20 @@ class TestDriver:
         # the locus is genuine (1 is a cut-vertex of in-degree one) but
         # the recorded action contracts the wrong arc
         d = RootedDigraph(3, 0, [(0, 1), (1, 2)])
-        forged = ReductionTrace([TraceStep(
-            RuleApplication(2, (1,), Contract((1, 2))), None)])
+        forged = ReductionTrace([RuleApplication(2, (1,), Contract((1, 2)))])
         with pytest.raises(ValueError):
             replay_trace(LobInstance(d, 1), forged)
 
-    def test_wrong_mapping_rejected(self):
-        # a genuine rule-2 step whose recorded vertex mapping is forged
-        d = RootedDigraph(3, 0, [(0, 1), (1, 2)])
-        inst = LobInstance(d, 1)
-        app = find_rule(inst)
-        assert app == RuleApplication(2, (1,), Contract((0, 1)))
-        replay_trace(inst, ReductionTrace([TraceStep(app, [0, 0, 1])]))
-        forged = ReductionTrace([TraceStep(app, [7, 7, 7])])
-        with pytest.raises(ValueError, match="mapping"):
+    def test_locus_on_pre_contraction_ids_rejected(self):
+        # the second step names vertex 2 on the ids before the first
+        # contraction; that contraction renumbered it to 1, where it re-matches
+        inst = LobInstance(RootedDigraph(4, 0, [(0, 1), (1, 2), (2, 3)]), 1)
+        first = RuleApplication(2, (1,), Contract((0, 1)))
+        genuine = ReductionTrace([first, RuleApplication(2, (1,), Contract((0, 1)))])
+        assert reduce_to_fixpoint(inst)[1] == genuine
+        replay_trace(inst, genuine)
+        forged = ReductionTrace([first, RuleApplication(2, (2,), Contract((1, 2)))])
+        with pytest.raises(ValueError, match="re-match"):
             replay_trace(inst, forged)
 
     @settings(max_examples=80, deadline=None)
@@ -460,7 +454,7 @@ class TestDriver:
         assert find_rule(inst) is not None  # fills the dominator cache
         assert cut_structure(d) == (set(), set())
         with pytest.raises(ValueError):
-            replay_trace(inst, ReductionTrace([TraceStep(app, None)]))
+            replay_trace(inst, ReductionTrace([app]))
 
     def test_replay_random(self, rng):
         for _ in range(40):
@@ -481,12 +475,12 @@ class TestDriver:
                 app = find_rule(inst)
                 if app is None or app.rule_id == 1:
                     break
-                inst, _ = apply(inst, app)
+                inst = apply(inst, app)
                 assert euler_bound_holds(inst.graph)
 
     def test_bipath_chain_uses_rule_3(self):
         out, trace = reduce_to_fixpoint(LobInstance(gen_bipath_chain(20), 2))
-        rules = [s.application.rule_id for s in trace]
+        rules = [s.rule_id for s in trace]
         assert 3 in rules
 
 
@@ -587,14 +581,18 @@ class TestIncrementalDriver:
     rebuild-per-step driver is the reference."""
 
     def test_pinned_trace_digest(self):
-        # the SHA-256 of the corpus's traces, every step's mapping and the
-        # reduced graphs, as the rebuild-per-step driver produced them
+        # the SHA-256 of the corpus's traces, every step's vertex mapping
+        # (None unless it contracts) and the reduced graphs, as the
+        # rebuild-per-step driver produced them
         h = hashlib.sha256()
         for d in _pinned_corpus():
-            out, trace = reduce_to_fixpoint(LobInstance(d, 2))
+            inst = LobInstance(d, 2)
+            out, trace = reduce_to_fixpoint(inst)
             h.update(trace.serialize().encode())
-            for step in trace:
-                h.update(repr(step.mapping).encode())
+            for current, app, _ in replay_steps(inst, trace):
+                mapping = (contract_arc(current.graph, app.action.arc)[1]
+                           if isinstance(app.action, Contract) else None)
+                h.update(repr(mapping).encode())
             if isinstance(out, ReducedOutcome):
                 g = out.instance.graph
                 h.update(repr((g.n, g.root, g.arcs())).encode())
@@ -612,12 +610,11 @@ class TestIncrementalDriver:
             out, trace = reduce_to_fixpoint(inst)
             ref, ref_trace = _reduce_rebuilding(inst)
             assert trace.serialize() == ref_trace.serialize()
-            assert [s.mapping for s in trace] == [s.mapping for s in ref_trace]
             assert out == ref
             if isinstance(out, ReducedOutcome):
                 assert out.instance.graph.arcs() == ref.instance.graph.arcs()
             for step in trace:
-                fired[step.application.rule_id] += 1
+                fired[step.rule_id] += 1
         assert fired[1] >= 300 and fired[3] >= 50 and fired[5] >= 30
 
     def test_carried_state_matches_fresh_every_step(self):
@@ -639,9 +636,7 @@ class TestIncrementalDriver:
                 if app is None:
                     break
                 fired[app.rule_id] += 1
-                step = red.apply(app)
-                inst, mapping = apply(inst, step.application)
-                assert step.mapping == mapping
+                inst = apply(inst, red.apply(app))
                 assert red.g.snapshot() == inst.graph
                 _assert_tree_is_fresh(red.g)
         assert fired[3] >= 20 and fired[5] >= 10
@@ -683,7 +678,7 @@ class TestIncrementalDriver:
         monkeypatch.setattr(lob_reducer, "reachable", counting_reachable)
         g = gen_planar(400, seed=7, both_prob=0.1, keep_prob=0.25)
         _, trace = reduce_to_fixpoint(LobInstance(g, 3))
-        rule_5 = sum(1 for s in trace if s.application.rule_id == 5)
+        rule_5 = sum(1 for s in trace if s.rule_id == 5)
         assert passes <= 1 + rule_5
         assert searches <= 100
 
@@ -698,12 +693,12 @@ class TestIncrementalDriver:
                                       find_rule_6(inst.graph, cut_structure(inst.graph)[1]))
                       if app is not None]
             for app in direct:
-                assert is_connected(apply(inst, app)[0].graph)
+                assert is_connected(apply(inst, app).graph)
             app = find_rule(inst)
             if app is None:
                 break
             assert app.rule_id != 1
-            inst = apply(inst, app)[0]
+            inst = apply(inst, app)
             assert is_connected(inst.graph)
 
 

@@ -100,7 +100,7 @@ class TestClassify:
                            keep_prob=0.8, both_prob=0.3)
             adj = underlying_adjacency(g)
             x = set(rng.sample(range(40), 10))
-            cl = classify_by_modulator(adj, x, threshold=6)
+            cl = classify_by_modulator(g, x, threshold=6)
             for key, members in cl.classes.items():
                 for v in members:
                     assert tuple(sorted(adj[v] & x)) == key
@@ -113,9 +113,8 @@ class TestClassify:
             g = gen_planar(n, seed=rng.randrange(1 << 30),
                            keep_prob=rng.uniform(0.4, 1.0),
                            both_prob=rng.uniform(0, 0.5))
-            adj = underlying_adjacency(g)
             x = set(rng.sample(range(n), rng.randint(3, n // 2)))
-            cl = classify_by_modulator(adj, x, threshold=6)
+            cl = classify_by_modulator(g, x, threshold=6)
             assert heavy_count_bound_ok(cl)
             assert class_count_bound_ok(cl, 3)
 
