@@ -75,9 +75,9 @@ def _run_python(argv, **env):
 
 def test_readme_quick_start_runs(capsys):
     # the README's library example is the documented API; it must run as is
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
-                  encoding="utf-8").read()
-    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as fh:
+        block = re.search(r"## Library quick start\n\n```python\n(.*?)```", fh.read(), re.S)
     exec(block.group(1), {})
     assert capsys.readouterr().out.splitlines()[0].startswith("reduced RULE 2")
 

@@ -124,8 +124,8 @@ def _crown_round_reference(inst, cover, classes):
         if len(members) > 2 * len(hood):
             crown = crown_in_class(b, members, hood)
             step = CrownStep(key, tuple(sorted(crown.c_u)))
-            assert _step_mapping(step, inst.graph.n) == remove_vertices(inst.graph,
-                                                                        crown.c_u)[1]
+            _, mapping = remove_vertices(inst.graph, crown.c_u)
+            assert _step_mapping(step, inst.graph.n) == mapping
             return apply_crown_rule(inst, crown), step
     return None
 
