@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -80,6 +82,23 @@ def test_readme_quick_start_runs(capsys):
         block = re.search(r"## Library quick start\n\n```python\n(.*?)```", fh.read(), re.S)
     exec(block.group(1), {})
     assert capsys.readouterr().out.splitlines()[0].startswith("reduced RULE 2")
+
+
+def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    # every command of the README's CLI walkthrough runs as written, in
+    # order, and ends with an exit code the README documents
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as fh:
+        block = re.search(r"## CLI walkthrough\n\n```sh\n(.*?)```", fh.read(), re.S)
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line) for line in block.group(1).splitlines()
+                if line.startswith("sparse-outbranch ")]
+    assert len(commands) == 7
+    for argv in commands:
+        code = main(argv[1:])
+        # 10 = YES, 20 = NO, 0 = reduced; gen, verify and bench exit 0
+        allowed = {0, 10, 20} if argv[1] in ("reduce-lob", "kernelize-iob", "solve") else {0}
+        assert code in allowed, (argv, code, capsys.readouterr())
 
 
 class TestLinearFit:
@@ -396,3 +415,132 @@ class TestCliPipelines:
         proc = subprocess.run([sys.executable, "-m", "sparse_outbranch.cli"],
                               capture_output=True, text=True)
         assert proc.returncode == 2  # argparse usage error: no command
+
+
+# Every ending of every command: (input file name, its text or the `gen`
+# arguments that write it, the command's arguments, then the SHA-256 of
+# what the command left behind; see _ending_digest). {tmp} is the test's
+# directory, {inp} the input file.
+ENDINGS = {
+    "reduce-lob-rule1-no": (
+        "u.lob", "p lob 3 1 0 1\na 0 1\n",
+        ["reduce-lob", "{inp}", "--json", "{tmp}/r.json"],
+        "7590d69f5d94544e48a4fc1541015d392e592906b7f53ff2a9859b463631c674"),
+    "reduce-lob-certificate-yes": (
+        "c.lob", ["planar", "--n", "150", "--k", "1", "--seed", "3",
+                  "--both-prob", "0.15", "--keep-prob", "0.95"],
+        ["reduce-lob", "{inp}", "--json", "{tmp}/r.json"],
+        "524db0499a480c0f099769ca8c5b973f9ebf7b7d99c28e303bf9629eb5f7cdb6"),
+    "reduce-lob-accept-constant-yes": (
+        "a.lob", ["planar", "--n", "80", "--k", "1", "--seed", "6", "--keep-prob", "0.3"],
+        ["reduce-lob", "{inp}", "--json", "{tmp}/r.json", "--accept-constant", "2",
+         "--solve-max-n", "0"],
+        "e3cdf05a7646a9adac4a507679dc70dc6bac9b524fe1ca1e584a84127cadc8d4"),
+    "reduce-lob-exact-solve-yes": (
+        "y.lob", ["star", "--n", "6", "--k", "3"],
+        ["reduce-lob", "{inp}", "--json", "{tmp}/r.json"],
+        "a5f446e10018d42d1adc281b80aaa0f794cf1a58ac515cd01783e1cb8bf8cc5a"),
+    "reduce-lob-exact-solve-no": (
+        "n.lob", ["path", "--n", "6", "--k", "4"],
+        ["reduce-lob", "{inp}", "--json", "{tmp}/r.json"],
+        "d96b7e49e627f3dc1d665bb80aaa6d601aa145acfa92e98688c853431b84cc8e"),
+    "reduce-lob-reduced-dot": (
+        "d.lob", ["planar", "--n", "40", "--k", "8", "--seed", "2", "--keep-prob", "0.3"],
+        ["reduce-lob", "{inp}", "--json", "{tmp}/r.json", "--dot", "{tmp}/d.dot"],
+        "6caa2021a84add49439836ad01cd9e0d268b968afee77f076bc984df8e48cf99"),
+    "kernelize-iob-yes": (
+        "y.iob", "p iob 4 3 0 3\na 0 1\na 1 2\na 2 3\n",
+        ["kernelize-iob", "{inp}", "--json", "{tmp}/k.json"],
+        "d533cbd1ca930af428c82e2d73cea7417e27c92790298c090ccc2ab1b7eac4dc"),
+    "kernelize-iob-no": (
+        "n.iob", "p iob 3 1 0 1\na 0 1\n",
+        ["kernelize-iob", "{inp}", "--json", "{tmp}/k.json"],
+        "14dcb3d791bd0afdfe6916cb39fc8e3fd5141dfd29465388aa7cc2951fa3106e"),
+    "kernelize-iob-reduced": (
+        "t.iob", ["iob-twins", "--k", "6", "--d", "3", "--seed", "7"],
+        ["kernelize-iob", "{inp}", "--json", "{tmp}/k.json"],
+        "858a9440f6a0bbe96fcf4185af0b0af8b29579b05b5c08364d035fad0720066e"),
+    "kernelize-iob-lob-file": (
+        "p.lob", "p lob 2 1 0 1\na 0 1\n",
+        ["kernelize-iob", "{inp}", "--json", "{tmp}/k.json"],
+        "669a427189e21cf6cb9528be2ad660f9125caa24b4ea4849f233f322edb50b02"),
+    "solve-leaf": (
+        "s.lob", ["star", "--n", "4", "--k", "3"],
+        ["solve", "{inp}", "--mode", "leaf", "--json", "{tmp}/s.json"],
+        "c8c1d6fcdd5cb027c138df4fb4d66be39582ca7d1f2ea358aed50b2580c4b418"),
+    "solve-internal": (
+        "p.iob", "p iob 5 4 0 4\na 0 1\na 1 2\na 2 3\na 3 4\n",
+        ["solve", "{inp}", "--mode", "internal", "--json", "{tmp}/s.json"],
+        "8e4a5040fa5e12809f13ae89ca115b7de61a0e06c5d4e65ae1461b85de7feb43"),
+    "solve-unreachable-no": (
+        "u.lob", "p lob 3 1 0 1\na 0 1\n",
+        ["solve", "{inp}", "--json", "{tmp}/s.json"],
+        "94f3df0954738df69e42bcae6c794c3c1ec35294335e94183761a0cea1b11601"),
+    "solve-iob-dropped-root-arc": (
+        "r.iob", "p iob 4 4 0 3\na 0 1\na 1 2\na 2 3\na 3 0\n",
+        ["solve", "{inp}", "--json", "{tmp}/s.json"],
+        "00bc3b9ae1ad2a6526388819c523b6515efdb2e203cd4cb4ca2a7e0a2e25ee00"),
+    "bench-planar": (
+        None, None, ["bench", "--k-min", "2", "--k-max", "4", "--reps", "1"],
+        "7bd45db794dd2e48aa8aad208cbae7f0af5c9b0fda9d870339668e71eda0fa8d"),
+    "bench-bipath-chain": (
+        None, None, ["bench", "--family", "bipath-chain", "--k-min", "2", "--k-max", "4",
+                     "--reps", "1", "--csv", "{tmp}/b.csv"],
+        "20e92783aeb64543bfb08faed589b38706816ce5bc2d8ffee996dc0d2328cf40"),
+    "bench-degenerate": (
+        None, None, ["bench", "--family", "degenerate", "--k-min", "3", "--k-max", "4",
+                     "--reps", "2", "--seed", "5", "--csv", "{tmp}/b.csv"],
+        "0ce505adc4a03dffbf315bafe6799806a55ece1f9b18d448aca50a514646a52e"),
+    "bench-iob-twins": (
+        None, None, ["bench", "--family", "iob-twins", "--k-min", "3", "--k-max", "5",
+                     "--reps", "1", "--csv", "{tmp}/b.csv"],
+        "952f0805b3192fa55300dd6d55015f53ca2c87c627e23c2142086582792f9f54"),
+    "bench-unwritable-csv": (
+        None, None, ["bench", "--family", "iob-twins", "--k-min", "3", "--k-max", "3",
+                     "--reps", "1", "--csv", "{tmp}/missing/b.csv"],
+        "19b9844aa795bf1bbf3b6a1dd47ee8f50c1a60ee37f4d307e1bd9c18bb805b6b"),
+}
+
+
+def _drop_elapsed(text: str) -> str:
+    """Bench CSV without its last column, the wall-clock ``elapsed_s``."""
+    if not text.startswith("family,"):
+        return text
+    return "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
+
+
+def _ending_digest(tmp_path, capsys, case) -> str:
+    """Run one ENDINGS case in ``tmp_path``; SHA-256 of its exit code,
+    stdout, stderr and every file it wrote (JSON reports, whose layout is
+    checked first, without timing), with the directory's path replaced by
+    ``<tmp>``."""
+    name, source, argv, _ = case
+    inp = str(tmp_path / name) if name else None
+    if isinstance(source, list):
+        assert main(["gen", *source, "--out", inp]) == 0
+    elif source is not None:
+        (tmp_path / name).write_text(source)
+    capsys.readouterr()
+    code = main([a.format(tmp=tmp_path, inp=inp) for a in argv])
+    out, err = capsys.readouterr()
+    files = {}
+    for path in sorted(tmp_path.rglob("*")):
+        if path.is_dir() or str(path) == inp:
+            continue
+        text = path.read_text()
+        if path.suffix == ".csv":
+            text = _drop_elapsed(text)
+        elif path.suffix == ".json":
+            report = json.loads(text)
+            assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+            report.pop("timing", None)
+            text = json.dumps(report, sort_keys=True)
+        files[path.name] = text
+    tmp = str(tmp_path)
+    payload = json.dumps([code, _drop_elapsed(out), err, files], sort_keys=True)
+    return hashlib.sha256(payload.replace(tmp, "<tmp>").encode()).hexdigest()
+
+
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+def test_every_cli_ending_is_pinned(tmp_path, capsys, ending):
+    assert _ending_digest(tmp_path, capsys, ENDINGS[ending]) == ENDINGS[ending][3]
