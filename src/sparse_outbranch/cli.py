@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_YES = 10
 EXIT_NO = 20
+OUTCOME_EXIT = {"yes": EXIT_YES, "no": EXIT_NO, "reduced": EXIT_OK}
 
 
 def _default_seed() -> int:
@@ -52,6 +53,16 @@ def _write_json(path: Optional[str], payload: dict) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+
+
+def _finish(args, report: dict, outcome: str, line: str, **fields) -> int:
+    """End a pipeline command: record ``outcome`` and ``fields`` in the
+    report, write it to ``--json``, print the verdict line and return the
+    outcome's exit code."""
+    report.update(outcome=outcome, **fields)
+    _write_json(args.json, report)
+    print(line)
+    return OUTCOME_EXIT[outcome]
 
 
 def _trace_summary(trace) -> dict:
@@ -90,11 +101,11 @@ def _dot_export(path: str, inst: LobInstance, ana) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _load(path: str, expect_kind: str) -> InstanceFile:
+def _load(path: str, expect_kind: Optional[str] = None) -> InstanceFile:
     inst = load_instance(path)
     for w in inst.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if inst.kind != expect_kind:
+    if expect_kind is not None and inst.kind != expect_kind:
         raise SystemExit(f"error: expected a {expect_kind} instance, got {inst.kind}")
     return inst
 
@@ -111,11 +122,7 @@ def cmd_reduce_lob(args) -> int:
     report["timing"] = {"reduce_s": round(time.monotonic() - t0, 3)}
     report["trace_summary"] = _trace_summary(trace)
     if isinstance(outcome, NoOutcome):
-        report["outcome"] = "no"
-        report["reason"] = outcome.reason
-        _write_json(args.json, report)
-        print(f"NO: {outcome.reason}")
-        return EXIT_NO
+        return _finish(args, report, "no", f"NO: {outcome.reason}", reason=outcome.reason)
     reduced = outcome.instance
     report["reduced"] = {"n": reduced.graph.n, "m": reduced.graph.m}
     t1 = time.monotonic()
@@ -126,44 +133,34 @@ def cmd_reduce_lob(args) -> int:
     if args.dot:
         _dot_export(args.dot, reduced, ana)
     if ana.cert.accepted:
-        report["outcome"] = "yes"
-        report["decision_source"] = "certificate"
-        _write_json(args.json, report)
-        print(f"YES: certificate {ana.cert.decision} "
-              f"(sp={ana.cert.special_count}, iso={ana.cert.isolated_count}, "
-              f"sl={ana.cert.slave_count}, k={f.k})")
-        return EXIT_YES
+        return _finish(args, report, "yes",
+                       f"YES: certificate {ana.cert.decision} "
+                       f"(sp={ana.cert.special_count}, iso={ana.cert.isolated_count}, "
+                       f"sl={ana.cert.slave_count}, k={f.k})",
+                       decision_source="certificate")
     if args.accept_constant is not None and reduced.graph.n > args.accept_constant * f.k:
-        report["outcome"] = "yes"
-        report["decision_source"] = "accept-constant"
-        _write_json(args.json, report)
-        print(f"YES: size {reduced.graph.n} exceeds c*k = {args.accept_constant * f.k}")
-        return EXIT_YES
+        return _finish(args, report, "yes",
+                       f"YES: size {reduced.graph.n} exceeds c*k = {args.accept_constant * f.k}",
+                       decision_source="accept-constant")
     if reduced.graph.n <= args.solve_max_n:
         t2 = time.monotonic()
         res = solve_branch_and_bound(reduced.graph, f.k, SolveMode.LEAF,
                                      timeout=args.budget)
         report["timing"]["solve_s"] = round(time.monotonic() - t2, 3)
         if res.best_value >= f.k:
-            report["outcome"] = "yes"
-            report["decision_source"] = "exact-solve"
-            _write_json(args.json, report)
-            print(f"YES: reduced core solved, maxleaf >= {res.best_value}")
-            return EXIT_YES
+            return _finish(args, report, "yes",
+                           f"YES: reduced core solved, maxleaf >= {res.best_value}",
+                           decision_source="exact-solve")
         if res.exact:
-            report["outcome"] = "no"
-            report["decision_source"] = "exact-solve"
-            _write_json(args.json, report)
-            print(f"NO: reduced core solved, maxleaf = {res.best_value} < k = {f.k}")
-            return EXIT_NO
-    report["outcome"] = "reduced"
+            return _finish(args, report, "no",
+                           f"NO: reduced core solved, maxleaf = {res.best_value} < k = {f.k}",
+                           decision_source="exact-solve")
     out_path = args.out or (args.file + ".reduced")
     save_instance(out_path, "lob", reduced.graph, reduced.k,
                   comments=[f"reduced from {os.path.basename(args.file)}"])
-    report["output_file"] = out_path
-    _write_json(args.json, report)
-    print(f"REDUCED: {f.graph.n} -> {reduced.graph.n} vertices, written to {out_path}")
-    return EXIT_OK
+    return _finish(args, report, "reduced",
+                   f"REDUCED: {f.graph.n} -> {reduced.graph.n} vertices, written to {out_path}",
+                   output_file=out_path)
 
 
 def cmd_kernelize_iob(args) -> int:
@@ -179,51 +176,39 @@ def cmd_kernelize_iob(args) -> int:
     report["trace_summary"] = _trace_summary(trace)
     if isinstance(outcome, YesOutcome):
         tree = outcome.certificate
-        report["outcome"] = "yes"
-        report["internal_count"] = tree.internal_count()
-        _write_json(args.json, report)
-        print(f"YES: branching with {tree.internal_count()} internal vertices")
-        for v in sorted(tree.parent):
-            print(f"  parent[{v}] = {tree.parent[v]}")
-        return EXIT_YES
+        lines = [f"YES: branching with {tree.internal_count()} internal vertices"]
+        lines += [f"  parent[{v}] = {tree.parent[v]}" for v in sorted(tree.parent)]
+        return _finish(args, report, "yes", "\n".join(lines),
+                       internal_count=tree.internal_count())
     if isinstance(outcome, NoOutcome):
-        report["outcome"] = "no"
-        report["reason"] = outcome.reason
-        _write_json(args.json, report)
-        print(f"NO: {outcome.reason}")
-        return EXIT_NO
+        return _finish(args, report, "no", f"NO: {outcome.reason}", reason=outcome.reason)
     reduced = outcome.instance
     alive = list(range(f.graph.n))  # original ids of the kernel's vertices
     for step in trace:
         for r in reversed(step.removed):
             del alive[r]
     new_id = {x: i for i, x in enumerate(alive)}
-    report["outcome"] = "reduced"
     report["kernel"] = iob_report(reduced, outcome.classing)
     report["vertex_map"] = {str(x): new_id.get(x) for x in range(f.graph.n)}
     out_path = args.out or (args.file + ".kernel")
     comments = [f"kernel of {os.path.basename(args.file)}"]
     comments += [f"map {x} {i}" for i, x in enumerate(alive)]
     save_instance(out_path, "iob", reduced.graph, reduced.k, comments=comments)
-    report["output_file"] = out_path
-    _write_json(args.json, report)
-    print(f"REDUCED: {f.graph.n} -> {reduced.graph.n} vertices, written to {out_path}")
-    return EXIT_OK
+    return _finish(args, report, "reduced",
+                   f"REDUCED: {f.graph.n} -> {reduced.graph.n} vertices, written to {out_path}",
+                   output_file=out_path)
 
 
 def cmd_solve(args) -> int:
-    inst = load_instance(args.file)
-    for w in inst.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    inst = _load(args.file)
     if args.mode == "auto":
         mode = SolveMode.LEAF if inst.kind == "lob" else SolveMode.INTERNAL
     else:
         mode = SolveMode(args.mode)
     if not is_connected(inst.graph):
-        _write_json(args.json, {"command": "solve", "outcome": "no",
-                                "reason": "vertex unreachable from root"})
-        print("NO: vertex unreachable from root (no out-branching exists)")
-        return EXIT_NO
+        return _finish(args, {"command": "solve"}, "no",
+                       "NO: vertex unreachable from root (no out-branching exists)",
+                       reason="vertex unreachable from root")
     t0 = time.monotonic()
     res = solve_branch_and_bound(inst.graph, None, mode, timeout=args.budget)
     elapsed = time.monotonic() - t0
@@ -244,7 +229,7 @@ def cmd_solve(args) -> int:
         print(f"witness: {arcs}")
     if not res.exact:
         return EXIT_OK
-    return EXIT_YES if res.best_value >= inst.k else EXIT_NO
+    return OUTCOME_EXIT["yes" if res.best_value >= inst.k else "no"]
 
 
 def cmd_verify(args) -> int:
@@ -294,49 +279,28 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    lob = args.family in ("planar", "bipath-chain")
+    family_kwargs = {"planar": {"both_prob": 0.1, "keep_prob": 0.25},
+                     "bipath-chain": {}}.get(args.family, {"d": args.d or 3})
     rows = []
     fieldnames = ["family", "kind", "k", "rep", "seed", "n_input", "m_input",
                   "outcome", "n_out", "m_out", "cover_size", "elapsed_s"]
-    rng_base = args.seed
     for k in range(args.k_min, args.k_max + 1):
         for rep in range(args.reps):
-            seed = rng_base * 1_000_003 + 101 * k + rep
-            n = max(8, args.scale * k)
-            row = {"family": args.family, "k": k, "rep": rep, "seed": seed}
-            if args.family in ("planar", "bipath-chain"):
-                if args.family == "planar":
-                    g = generate("planar", n, k, seed, both_prob=0.1, keep_prob=0.25)
-                else:
-                    g = generate("bipath-chain", n, k, seed)
-                row.update({"kind": "lob", "n_input": g.n, "m_input": g.m})
-                t0 = time.monotonic()
-                outcome, _ = reduce_to_fixpoint(LobInstance(g, k))
-                row["elapsed_s"] = round(time.monotonic() - t0, 3)
-                if isinstance(outcome, ReducedOutcome):
-                    red = outcome.instance.graph
-                    row.update({"outcome": "reduced", "n_out": red.n,
-                                "m_out": red.m, "cover_size": ""})
-                else:
-                    row.update({"outcome": outcome.status, "n_out": "",
-                                "m_out": "", "cover_size": ""})
-            elif args.family in ("iob-twins", "degenerate"):
-                g = generate(args.family, n, k, seed, d=args.d or 3)
-                row.update({"kind": "iob", "n_input": g.n, "m_input": g.m})
-                t0 = time.monotonic()
-                outcome, _ = kernelize_iob(IobInstance(g, k))
-                row["elapsed_s"] = round(time.monotonic() - t0, 3)
-                if isinstance(outcome, ReducedOutcome):
-                    red = outcome.instance.graph
-                    row.update({"outcome": "reduced", "n_out": red.n,
-                                "m_out": red.m,
-                                "cover_size": len(outcome.classing.modulator)})
-                else:
-                    row.update({"outcome": outcome.status, "n_out": "",
-                                "m_out": "", "cover_size": ""})
-            else:
-                print(f"error: bench does not support family {args.family!r}",
-                      file=sys.stderr)
-                return EXIT_ERROR
+            seed = args.seed * 1_000_003 + 101 * k + rep
+            g = generate(args.family, max(8, args.scale * k), k, seed, **family_kwargs)
+            t0 = time.monotonic()
+            outcome, _ = (reduce_to_fixpoint(LobInstance(g, k)) if lob
+                          else kernelize_iob(IobInstance(g, k)))
+            row = {"family": args.family, "kind": "lob" if lob else "iob", "k": k,
+                   "rep": rep, "seed": seed, "n_input": g.n, "m_input": g.m,
+                   "outcome": outcome.status, "n_out": "", "m_out": "",
+                   "cover_size": "", "elapsed_s": round(time.monotonic() - t0, 3)}
+            if isinstance(outcome, ReducedOutcome):
+                red = outcome.instance.graph
+                row.update(n_out=red.n, m_out=red.m)
+                if not lob:
+                    row["cover_size"] = len(outcome.classing.modulator)
             rows.append(row)
     out = sys.stdout if args.csv in (None, "-") else open(args.csv, "w", newline="")
     try:

@@ -63,26 +63,14 @@ def build_contracted(d: RootedDigraph, check: bool = True) -> ContractedGraph:
         if u in touched or v in touched:
             raise StructureError("lonely cut-edges do not form a matching")
         touched.update((u, v))
-    groups: list[tuple[int, ...]] = []
-    in_pair = {}
-    for u, v in lonely:
-        in_pair[u] = (u, v)
-        in_pair[v] = (u, v)
-    for v in range(d.n):
-        if v not in in_pair:
-            groups.append((v,))
-        elif in_pair[v][0] == v:
-            groups.append(in_pair[v])
-    groups.sort(key=min)
+    # a lonely pair is (tail, head); the pairs are disjoint, so each group's
+    # smallest member orders it
+    groups = sorted([*lonely, *((v,) for v in range(d.n) if v not in touched)], key=min)
     origin = [0] * d.n
-    bags: list[Bag] = []
     for idx, grp in enumerate(groups):
         for w in grp:
             origin[w] = idx
-        if len(grp) == 1:
-            bags.append(Bag(grp, grp[0], grp[0]))
-        else:
-            bags.append(Bag(grp, grp[0], grp[1]))
+    bags = [Bag(grp, grp[0], grp[-1]) for grp in groups]
     arcs = {(origin[a], origin[b]) for a, b in d.arcs() if origin[a] != origin[b]}
     g = RootedDigraph(len(groups), origin[d.root], arcs)
     return ContractedGraph(g, bags, origin, d)
