@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
 import time
 from typing import Optional
 
-from . import verify as verify_mod
 from .digraph import is_connected
 from .generators import FAMILIES, generate
 from .instance_io import InstanceFile, load_instance, save_instance, serialize_instance
@@ -233,6 +233,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as verify_mod
     names = list(verify_mod.SUITES) if args.suite == "all" else args.suite.split(",")
     for name in names:
         if name not in verify_mod.SUITES:
@@ -312,8 +313,9 @@ def cmd_bench(args) -> int:
             out.close()
     sized = [(r["k"], r["n_out"]) for r in rows if r["outcome"] == "reduced"]
     if len(sized) >= 3 and len({k for k, _ in sized}) > 1:
-        slope, intercept, r2 = verify_mod.linear_fit([k for k, _ in sized],
-                                                     [n for _, n in sized])
+        from .verify import linear_fit
+        slope, intercept, r2 = linear_fit([k for k, _ in sized],
+                                          [n for _, n in sized])
         print(f"fit: kernel_size ~ {slope:.2f}*k + {intercept:.2f} (R^2 = {r2:.3f})",
               file=sys.stderr)
     return EXIT_OK
@@ -392,9 +394,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=8)
+def _parser_for(env_seed: Optional[str]) -> argparse.ArgumentParser:
+    """The parser whose ``--seed`` defaults come from ``env_seed``, the
+    raw ``SPARSE_OUTBRANCH_SEED``; a value that fails to build is never
+    cached, so it fails again on every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser_for(os.environ.get("SPARSE_OUTBRANCH_SEED")).parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):

@@ -406,8 +406,10 @@ class TestCliPipelines:
             assert runs[0] == runs[1], command
 
     def test_cli_imports_no_numeric_stack(self):
+        # verify (and statistics with it) loads only for `verify` and `bench`
         proc = _run_python(["-c", "import sys, sparse_outbranch.cli; "
-                            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"])
+                            "print(sorted({'numpy', 'scipy', 'sparse_outbranch.verify'}"
+                            " & set(sys.modules)))"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -415,6 +417,58 @@ class TestCliPipelines:
         proc = subprocess.run([sys.executable, "-m", "sparse_outbranch.cli"],
                               capture_output=True, text=True)
         assert proc.returncode == 2  # argparse usage error: no command
+
+
+class TestParserReuse:
+    """``main`` builds one parser per value of SPARSE_OUTBRANCH_SEED, which
+    it reads on every call; a value that does not parse is never cached."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        from sparse_outbranch import cli
+        cli._parser_for.cache_clear()
+        yield
+        cli._parser_for.cache_clear()
+
+    def test_one_build_per_env_value(self, tmp_path, monkeypatch):
+        from sparse_outbranch import cli
+        build, builds = cli.build_parser, []
+
+        def counted():
+            builds.append(os.environ.get("SPARSE_OUTBRANCH_SEED"))
+            return build()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        out = str(tmp_path / "g.lob")
+        for value in ("5", "5", "5", "6", "5", "6"):
+            monkeypatch.setenv("SPARSE_OUTBRANCH_SEED", value)
+            assert main(["gen", "path", "--n", "4", "--out", out]) == 0
+        assert builds == ["5", "6"]
+
+    def test_env_seed_change_between_calls(self, tmp_path, monkeypatch):
+        outs = {}
+        for seed in ("77", "78"):
+            monkeypatch.setenv("SPARSE_OUTBRANCH_SEED", seed)
+            assert main(["gen", "planar", "--n", "30", "--k", "2",
+                         "--out", str(tmp_path / f"env{seed}.lob")]) == 0
+        monkeypatch.delenv("SPARSE_OUTBRANCH_SEED")
+        for seed in ("77", "78"):
+            assert main(["gen", "planar", "--n", "30", "--k", "2", "--seed", seed,
+                         "--out", str(tmp_path / f"arg{seed}.lob")]) == 0
+            outs[seed] = (tmp_path / f"env{seed}.lob").read_bytes()
+            assert outs[seed] == (tmp_path / f"arg{seed}.lob").read_bytes()
+        assert outs["77"] != outs["78"]
+
+    def test_invalid_env_seed_after_a_cached_parser(self, tmp_path, monkeypatch, capsys):
+        inst = tmp_path / "p.lob"
+        monkeypatch.setenv("SPARSE_OUTBRANCH_SEED", "5")
+        assert main(["gen", "path", "--n", "6", "--k", "1", "--out", str(inst)]) == 0
+        assert main(["reduce-lob", str(inst)]) == 10
+        capsys.readouterr()
+        monkeypatch.setenv("SPARSE_OUTBRANCH_SEED", "seven")
+        for argv in (["reduce-lob", str(inst)], ["gen", "path", "--n", "4"]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == (
+                "", "error: SPARSE_OUTBRANCH_SEED must be an integer, got 'seven'\n")
 
 
 # Every ending of every command: (input file name, its text or the `gen`

@@ -50,6 +50,8 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--label", required=True)
     args = ap.parse_args()
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2: quartiles need two runs a side")
     with open(os.path.join(args.new, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
