@@ -4,9 +4,10 @@
         --seed 17 --pairs 10 --label iob-kernel-ranks
 
 Runs ``perfbench/run.py`` (``--trace 0``) from the root of each checkout,
-one run of each per pair, for ``--pairs`` pairs; the side that runs first
-alternates from pair to pair. Both sides run for ``run_seconds`` from the
-new checkout's ``BENCHMARK.json``. Writes ``BENCH_<label>.json`` into the
+one run of each per pair, for ``--pairs`` pairs (at least 2, so that each
+side has quartiles); the side that runs first alternates from pair to
+pair. Both sides run for ``run_seconds`` from the new checkout's
+``BENCHMARK.json``. Writes ``BENCH_<label>.json`` into the
 current directory with, for every end-to-end metric that ``BENCHMARK.json``
 declares: each side's runs, median and quartiles, the pairs the new side
 wins (ties count for neither side), and whether the medians differ by more
