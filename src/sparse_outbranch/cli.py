@@ -313,9 +313,9 @@ def cmd_bench(args) -> int:
             out.close()
     sized = [(r["k"], r["n_out"]) for r in rows if r["outcome"] == "reduced"]
     if len(sized) >= 3 and len({k for k, _ in sized}) > 1:
-        from .verify import linear_fit
-        slope, intercept, r2 = linear_fit([k for k, _ in sized],
-                                          [n for _, n in sized])
+        from . import verify as verify_mod
+        slope, intercept, r2 = verify_mod.linear_fit([k for k, _ in sized],
+                                                     [n for _, n in sized])
         print(f"fit: kernel_size ~ {slope:.2f}*k + {intercept:.2f} (R^2 = {r2:.3f})",
               file=sys.stderr)
     return EXIT_OK
