@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -42,6 +43,19 @@ def _default_seed() -> int:
     except ValueError:
         raise ValueError(
             f"SPARSE_OUTBRANCH_SEED must be an integer, got {env!r}") from None
+
+
+def _budget(text: str) -> float:
+    """Type of every ``--budget``: a finite number of seconds, at least 0.
+    A NaN or infinite deadline never passes, so it would mean no budget."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds >= 0, got {text!r}")
+    return value
 
 
 def _write_json(path: Optional[str], payload: dict) -> None:
@@ -337,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accept when the reduced size exceeds this constant times k")
     p.add_argument("--solve-max-n", type=int, default=12,
                    help="solve reduced cores up to this size exactly")
-    p.add_argument("--budget", type=float, default=60.0,
+    p.add_argument("--budget", type=_budget, default=60.0,
                    help="time budget for the exact solve, seconds")
     p.set_defaults(fn=cmd_reduce_lob)
 
@@ -353,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance exactly by branch and bound")
     p.add_argument("file")
     p.add_argument("--mode", choices=["leaf", "internal", "auto"], default="auto")
-    p.add_argument("--budget", type=float, default=60.0)
+    p.add_argument("--budget", type=_budget, default=60.0,
+                   help="time budget for the exact solve, seconds")
     p.add_argument("--json")
     p.set_defaults(fn=cmd_solve)
 

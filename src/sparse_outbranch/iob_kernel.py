@@ -5,8 +5,8 @@ The pipeline per round:
 1. a local search either finds an out-branching with at least k internal
    vertices (answer YES) or exposes a vertex cover U of size at most
    2k-1 that includes the root;
-2. an auxiliary undirected bipartite graph is built between U-side unit
-   and ordered-pair vertices and the independent remainder W;
+2. an auxiliary undirected bipartite graph joins U-side unit and
+   ordered-pair vertices to the independent remainder W;
 3. vertices of W with small degree are bucketed by their exact
    neighborhood in U, and any class more than twice the size of its
    bipartite neighborhood yields a crown decomposition whose unmatched
@@ -15,11 +15,21 @@ The pipeline per round:
    nothing.
 
 The result is an induced subgraph of the input with the same k.
+
+``crown_pass`` never builds the auxiliary graph. Members of a class with
+the same in-list and out-list are twins there, with the same neighbors,
+so the pass works each class as a few twin groups (``twin_groups``,
+``twin_matching``, ``twin_crown``). Its matching visits the members in the
+order that ``class_matching`` does, so the crowns and the trace are those
+of ``crown_in_class`` on ``build_aux_graph``; those two, with
+``class_hood``, ``class_matching`` and ``validate_crown``, stay as the
+member-by-member reference that ``verify`` and the tests compare with.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from heapq import merge
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -299,6 +309,137 @@ def small_degree_classes(d: RootedDigraph, cover: set[int], threshold: int
     return classify_by_modulator(d, cover, threshold)
 
 
+@dataclass(frozen=True)
+class TwinGroup:
+    """W-vertices with the same in-list and out-list, ascending. They have
+    the same auxiliary neighborhood `keys` (``build_aux_graph``)."""
+
+    keys: frozenset[LeftKey]
+    members: tuple[int, ...]
+
+
+def twin_groups(d: RootedDigraph, members: list[int]) -> list[TwinGroup]:
+    """Split a neighborhood class into its twin groups."""
+    by_lists: dict[tuple, list[int]] = {}
+    for w in members:
+        by_lists.setdefault((tuple(d.in_adj[w]), tuple(d.out_adj[w])), []).append(w)
+    return [TwinGroup(frozenset([("u", x) for x in ins]
+                                + [("p", x, y) for x in ins for y in outs]),
+                      tuple(sorted(group)))
+            for (ins, outs), group in by_lists.items()]
+
+
+def twin_matching(groups: list[TwinGroup], hood: set[LeftKey]
+                  ) -> dict[LeftKey, tuple[int, int]]:
+    """``class_matching`` of the union of `groups` and its neighborhood
+    `hood`, worked on the groups: returns key -> (group index, partner).
+
+    A key's partners are the members of its groups, merged in ascending
+    order. A matched member stays matched, so the first free partner of a
+    key is always the least free member of one of its groups, and each
+    group's matched members are its first ones: the first free partner is
+    found per group, without visiting the matched members before it."""
+    key_groups: dict[LeftKey, list[int]] = {key: [] for key in hood}
+    for i, group in enumerate(groups):
+        for key in group.keys:
+            key_groups[key].append(i)
+    used = [0] * len(groups)
+    match_left: dict[LeftKey, tuple[int, int]] = {}
+    match_w: dict[int, LeftKey] = {}
+
+    def augment(key: LeftKey) -> None:
+        # the search of class_matching: keys[j] reaches keys[j + 1]
+        # through its partner via[j]
+        seen = {key}
+        keys: list[LeftKey] = []
+        todo: list[Iterator[int]] = []
+        via: list[tuple[int, int]] = []
+        while True:
+            free = min(((groups[i].members[used[i]], i) for i in key_groups[key]
+                        if used[i] < len(groups[i].members)), default=None)
+            if free is not None:
+                w, i = free
+                used[i] += 1
+                for k, pair in reversed([*zip(keys, via), (key, (i, w))]):
+                    match_left[k] = pair
+                    match_w[pair[1]] = k
+                return
+            keys.append(key)
+            todo.append(merge(*(groups[i].members for i in key_groups[key])))
+            while True:
+                key = next((match_w[w] for w in todo[-1]
+                            if match_w[w] not in seen), None)
+                if key is not None:
+                    break
+                keys.pop()
+                todo.pop()
+                if not keys:
+                    return
+                via.pop()
+            seen.add(key)
+            via.append(match_left[key])
+
+    for key in sorted(hood):
+        augment(key)
+    return match_left
+
+
+def validate_twin_crown(groups: list[TwinGroup], reached: set[int],
+                        h: set[LeftKey], matching: dict[LeftKey, tuple[int, int]],
+                        used: list[int]) -> None:
+    """``validate_crown`` on twin groups. C is the members of the groups
+    in `reached`, and C_m the first used[i] members of each: its neighborhood
+    is exactly covered by H, and the matching pairs H perfectly into C_m.
+    C_m and C_u are a prefix and a suffix of each group, so never overlap."""
+    for i in reached:
+        outside = groups[i].keys - h
+        if outside:
+            raise ValueError(f"edge from crown vertex {groups[i].members[0]} "
+                             f"escapes H: {sorted(outside)[:3]}")
+    if set(matching) != h:
+        raise ValueError("matching must saturate H exactly")
+    c_m = {(i, w) for i in reached for w in groups[i].members[:used[i]]}
+    if set(matching.values()) != c_m or len(c_m) != len(matching):
+        raise ValueError("matching must pair H perfectly with C_m")
+    for key, (i, w) in matching.items():
+        if key not in groups[i].keys:
+            raise ValueError(f"matching edge {key}-{w} not in the graph")
+
+
+def twin_crown(groups: list[TwinGroup], hood: set[LeftKey]) -> list[int]:
+    """``crown_in_class`` on the twin groups of a class whose size exceeds
+    twice its neighborhood `hood`. Returns how many members each group
+    keeps; the rest of the group is its part of C_u.
+
+    A group's members share their neighbors, so one member reached puts
+    all its keys into H, and every matched member's partner is one of
+    them: the crown's C is whole groups, H their keys, C_m their matched
+    members and C_u their free ones, and the closure runs over groups."""
+    matching = twin_matching(groups, hood)
+    used = [0] * len(groups)
+    for i, _ in matching.values():
+        used[i] += 1
+    free = [i for i, group in enumerate(groups) if used[i] < len(group.members)]
+    reached = set(free)
+    h: set[LeftKey] = set()
+    queue = list(free)
+    while queue:
+        for key in groups[queue.pop()].keys:
+            if key in h:
+                continue
+            h.add(key)
+            if key not in matching:
+                raise RuntimeError("unmatched neighbor reached: matching was not maximum")
+            i = matching[key][0]
+            if i not in reached:
+                reached.add(i)
+                queue.append(i)
+    validate_twin_crown(groups, reached, h, {key: matching[key] for key in h}, used)
+    if not free:
+        raise RuntimeError("crown construction produced empty C_u")
+    return used
+
+
 def crown_pass(d: RootedDigraph, classing: NeighborhoodClassing
                ) -> tuple[list[CrownStep], list[int]]:
     """One crown pass over one cover, the classing's modulator: every
@@ -307,31 +448,44 @@ def crown_pass(d: RootedDigraph, classing: NeighborhoodClassing
     union of the C_u, in the ids of `d`, which the caller removes at once.
 
     W is independent and each C_u lies inside W, so a crown changes no
-    other class's members, auxiliary neighborhood or matching: the auxiliary
-    graph is built once, and the steps are those of a rebuild after every
-    crown. Removal keeps vertex order, so key order does not change, and
-    each step's key and removed ids are ranks among the vertices that the
+    other class's members, auxiliary neighborhood or matching: the steps
+    are those of a rebuild after every crown. Each class is split once
+    into twin groups; its neighborhood, size test, matching, closure of H
+    and crown checks are worked per group, and only C_u is listed member
+    by member. Grouping keeps the trace: the matching takes the same
+    partner for every key as ``class_matching`` (``twin_matching``), so
+    each crown is that of ``crown_in_class`` on ``build_aux_graph``.
+    Removal keeps vertex order, so key order does not change, and each
+    step's key and removed ids are ranks among the vertices that the
     earlier steps left: x less the ids in `gone` below it. No rank map is
     rebuilt per crown: a rank costs one O(log n) bisection, and a removed
     id one `insort` into `gone`, an O(|gone|) shift."""
-    b = build_aux_graph(d, classing.modulator)
+    cover = classing.modulator
+    uncovered = [(u, v) for u in range(d.n) if u not in cover
+                 for v in d.out_adj[u] if v not in cover]
+    if uncovered:
+        raise ValueError("not a vertex cover: arc ({},{}) uncovered".format(*min(uncovered)))
     steps: list[CrownStep] = []
     gone: list[int] = []
     for key in sorted(classing.classes):
-        members = set(classing.classes[key])
-        hood = class_hood(b, members)
+        members = classing.classes[key]
+        groups = twin_groups(d, members)
+        hood = set().union(*(group.keys for group in groups))
         if len(members) <= 2 * len(hood):
             continue
-        crown = crown_in_class(b, members, hood)
+        if not cover.isdisjoint(members):
+            raise ValueError("class members must lie inside W")
+        kept = twin_crown(groups, hood)
         # A class fires at most once per pass. C_u is exactly the members
         # the maximum matching leaves free, so each member left has its own
         # matched partner in the neighborhood of those left.
-        left = members - crown.c_u
-        if len(left) > len(class_hood(b, left)):
+        left_hood = set().union(*(group.keys for group, n in zip(groups, kept) if n))
+        if sum(kept) > len(left_hood):
             raise RuntimeError(f"class {key} keeps more members than neighbors after its crown")
+        removed = sorted(w for group, n in zip(groups, kept) for w in group.members[n:])
         steps.append(CrownStep(tuple(x - bisect_left(gone, x) for x in key),
-                               tuple(x - bisect_left(gone, x) for x in sorted(crown.c_u))))
-        for x in crown.c_u:
+                               tuple(x - bisect_left(gone, x) for x in removed)))
+        for x in removed:
             insort(gone, x)
     return steps, gone
 

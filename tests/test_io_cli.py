@@ -290,6 +290,19 @@ class TestCliPipelines:
         assert captured.err.startswith("error: line 3: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["reduce-lob", "solve"])
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+    def test_budget_must_be_finite_and_nonnegative(self, tmp_path, capsys, command, budget):
+        # a NaN or infinite deadline is never reached, so it meant no budget
+        inst = tmp_path / "p.lob"
+        inst.write_text("p lob 2 1 0 1\na 0 1\n")
+        with pytest.raises(SystemExit) as exc:
+            self.run(command, str(inst), "--budget", budget)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument --budget: expected a finite number of seconds >= 0, got '{budget}'" in err
+
     def test_kernelize_rejects_a_lob_file(self, tmp_path, capsys):
         inst = tmp_path / "p.lob"
         inst.write_text("p lob 2 1 0 1\na 0 1\n")

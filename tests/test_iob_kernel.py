@@ -19,15 +19,21 @@ from sparse_outbranch.iob_kernel import (
     AuxiliaryBipartite,
     CrownStep,
     IobInstance,
+    TwinGroup,
     apply_crown_rule,
     build_aux_graph,
     class_hood,
     class_matching,
     crown_in_class,
+    crown_pass,
     iob_report,
     kernelize_iob,
     small_degree_classes,
+    twin_crown,
+    twin_groups,
+    twin_matching,
     validate_crown,
+    validate_twin_crown,
     vc_or_solution,
 )
 from sparse_outbranch.oracle import enumerate_out_branchings
@@ -359,19 +365,30 @@ class TestCrown:
             assert [list(m.items()) for m in got] == [list(m.items()) for m in ref]
 
     def test_matching_matches_recursive_reference(self, rng, monkeypatch):
+        # the matching of every crown the pass builds, worked on twin
+        # groups, equals the recursive reference on the pass's whole
+        # auxiliary graph, key by key and in the same order
         from sparse_outbranch import iob_kernel
-        real = iob_kernel.class_matching
+        real_pass, real_matching = iob_kernel.crown_pass, iob_kernel.twin_matching
+        aux = []
         calls = 0
 
-        def both(b, members, hood):
+        def recording_pass(d, classing):
+            aux[:] = [build_aux_graph(d, classing.modulator)]
+            return real_pass(d, classing)
+
+        def both(groups, hood):
             nonlocal calls
             calls += 1
-            got = real(b, members, hood)
-            ref = _class_matching_recursive(b, members, hood)
-            assert [list(m.items()) for m in got] == [list(m.items()) for m in ref]
+            got = real_matching(groups, hood)
+            members = {w for group in groups for w in group.members}
+            ref, _ = _class_matching_recursive(aux[0], members, hood)
+            assert [(key, w) for key, (_, w) in got.items()] == list(ref.items())
+            assert all(w in groups[i].members for i, w in got.values())
             return got
 
-        monkeypatch.setattr(iob_kernel, "class_matching", both)
+        monkeypatch.setattr(iob_kernel, "crown_pass", recording_pass)
+        monkeypatch.setattr(iob_kernel, "twin_matching", both)
         for i in range(100):
             if i % 2:
                 g = gen_degenerate(rng.randint(20, 120), rng.randint(1, 3),
@@ -603,6 +620,43 @@ class TestCrownPass:
             shifted += any(max(step.class_key) > min(step.removed) for step in trace)
         assert shifted >= 20
 
+    # (in-list, out-list, twins) below the cover {0, 1, 2}: one class of
+    # 17 members whose neighbors are 1 and 2, in five twin groups
+    FIVE_GROUPS = [((2,), (1,), 9), ((1, 2), (2,), 1), ((1,), (1, 2), 2),
+                   ((1, 2), (1,), 2), ((1, 2), (), 3)]
+
+    def test_five_group_class_matches_member_reference(self):
+        arcs = [(0, 1), (0, 2)]
+        n = 3
+        for ins, outs, twins in self.FIVE_GROUPS:
+            for w in range(n, n + twins):
+                arcs += [(x, w) for x in ins] + [(w, y) for y in outs]
+            n += twins
+        rng = random.Random(7)
+        for shuffled in range(6):
+            perm = list(range(n))
+            if shuffled:
+                rng.shuffle(perm)
+            d = RootedDigraph(n, perm[0], [(perm[u], perm[v]) for u, v in arcs])
+            cover = {perm[0], perm[1], perm[2]}
+            classing = classify_by_modulator(d, cover, 3)
+            (key, members), = classing.classes.items()
+            groups = twin_groups(d, members)
+            assert len(groups) == 5
+            b = build_aux_graph(d, cover)
+            hood = class_hood(b, set(members))
+            match_left, _ = class_matching(b, set(members), hood)
+            assert {k: w for k, (_, w) in twin_matching(groups, hood).items()} == match_left
+            if not shuffled:
+                # first free partners alone saturate fewer keys, so the
+                # maximum matching needs an augmenting path
+                taken = set()
+                for k in sorted(hood):
+                    taken |= set(sorted(b.left_adj[k] - taken)[:1])
+                assert len(taken) < len(match_left) == len(hood)
+            removed = sorted(crown_in_class(b, set(members), hood).c_u)
+            assert crown_pass(d, classing) == ([CrownStep(key, tuple(removed))], removed)
+
     def test_cli_vertex_map_matches_per_step_composition(self, tmp_path):
         # the CLI deletes each step's removed ranks from one list of
         # original ids; composing the steps' full mappings gives the same
@@ -672,6 +726,9 @@ class TestKernelEquivalence:
 class TestContractChecks:
     """The kernel's contract checks raise, so they survive ``python -O``."""
 
+    # four twins below one cover vertex: a class of four with one neighbor
+    STAR = RootedDigraph(6, 0, [(0, 1)] + [(1, i) for i in range(2, 6)])
+
     def test_oversized_cover_raises(self, monkeypatch):
         from sparse_outbranch import iob_kernel
         monkeypatch.setattr(iob_kernel, "vc_or_solution", lambda inst: {0, 1, 2, 3})
@@ -683,17 +740,52 @@ class TestContractChecks:
         # a crown that removes only one free twin leaves the class larger
         # than its neighborhood, which a maximum matching never does
         from sparse_outbranch import iob_kernel
-        real = iob_kernel.crown_in_class
+        real = iob_kernel.twin_crown
 
-        def one_removed(b, members, hood):
-            crown = real(b, members, hood)
-            return type(crown)(crown.c_m, frozenset([min(crown.c_u)]), crown.h,
-                               crown.matching)
+        def one_removed(groups, hood):
+            kept = real(groups, hood)
+            return [len(group.members) - (n < len(group.members))
+                    for group, n in zip(groups, kept)]
 
-        monkeypatch.setattr(iob_kernel, "crown_in_class", one_removed)
-        arcs = [(0, 1)] + [(1, i) for i in range(2, 6)]
+        monkeypatch.setattr(iob_kernel, "twin_crown", one_removed)
         with pytest.raises(RuntimeError, match="more members than neighbors"):
-            kernelize_iob(IobInstance(RootedDigraph(6, 0, arcs), 3))
+            kernelize_iob(IobInstance(self.STAR, 3))
+
+    def test_uncovered_arc_raises(self, monkeypatch):
+        # {0, 1} leaves the arcs (2,3) and (3,4) of the path uncovered
+        from sparse_outbranch import iob_kernel
+        monkeypatch.setattr(iob_kernel, "vc_or_solution", lambda inst: {0, 1})
+        d = RootedDigraph(5, 0, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        with pytest.raises(ValueError, match=r"not a vertex cover: arc \(2,3\) uncovered"):
+            kernelize_iob(IobInstance(d, 3))
+
+    def test_unmatched_neighbor_raises(self, monkeypatch):
+        # with no matching at all, the closure from the free twins meets
+        # their unmatched neighbor ("u", 1)
+        from sparse_outbranch import iob_kernel
+        monkeypatch.setattr(iob_kernel, "twin_matching", lambda groups, hood: {})
+        with pytest.raises(RuntimeError, match="unmatched neighbor reached"):
+            kernelize_iob(IobInstance(self.STAR, 3))
+
+    def test_twin_crown_checks_raise(self):
+        group = TwinGroup(frozenset([("u", 1), ("p", 1, 1)]), (2, 3, 4, 5, 6))
+        edge = {("u", 1): (0, 2), ("p", 1, 1): (0, 3)}
+        validate_twin_crown([group], {0}, set(group.keys), edge, [2])
+        with pytest.raises(ValueError, match="escapes H"):
+            validate_twin_crown([group], {0}, {("u", 1)}, {("u", 1): (0, 2)}, [2])
+        with pytest.raises(ValueError, match="saturate H"):
+            validate_twin_crown([group], {0}, set(group.keys), {("u", 1): (0, 2)}, [2])
+        with pytest.raises(ValueError, match="pair H perfectly"):
+            validate_twin_crown([group], {0}, set(group.keys),
+                                {("u", 1): (0, 2), ("p", 1, 1): (0, 2)}, [2])
+        with pytest.raises(ValueError, match="not in the graph"):
+            validate_twin_crown([group], {0}, {*group.keys, ("p", 1, 2)},
+                                {**edge, ("p", 1, 2): (0, 4)}, [3])
+
+    def test_empty_cu_raises(self):
+        # a matching that saturates the class leaves no member free
+        with pytest.raises(RuntimeError, match="empty C_u"):
+            twin_crown([TwinGroup(frozenset([("u", 1)]), (2,))], {("u", 1)})
 
     def test_retained_class_bound_raises(self, monkeypatch):
         # five W-vertices share the three cover units 1, 2, 3, so no crown
