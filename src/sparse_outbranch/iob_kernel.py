@@ -29,8 +29,8 @@ member-by-member reference that ``verify`` and the tests compare with.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from heapq import merge
 from dataclasses import dataclass
+from heapq import merge
 from typing import Iterator, Optional, Union
 
 from .digraph import (
