@@ -58,6 +58,31 @@ def _budget(text: str) -> float:
     return value
 
 
+def _threshold(text: str) -> int:
+    """Type of ``kernelize-iob --threshold``: an integer, at least 2. Every
+    W vertex of a root-connected graph has a cover neighbor, so at 1 or
+    below all of W is heavy and no crown can fire."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
+    return value
+
+
+def _accept_constant(text: str) -> float:
+    """Type of ``reduce-lob --accept-constant``: a finite number above 0.
+    At 0 or below every reduced instance would pass c*k, and at NaN none."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _write_json(path: Optional[str], payload: dict) -> None:
     if path is None:
         return
@@ -347,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write a JSON report here ('-' for stdout)")
     p.add_argument("--dot", help="write a colored DOT rendering of the reduced graph")
     p.add_argument("--out", help="path for the reduced instance file")
-    p.add_argument("--accept-constant", type=float, default=None,
+    p.add_argument("--accept-constant", type=_accept_constant, default=None,
                    help="accept when the reduced size exceeds this constant times k")
     p.add_argument("--solve-max-n", type=int, default=12,
                    help="solve reduced cores up to this size exactly")
@@ -359,9 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--json")
     p.add_argument("--out")
-    p.add_argument("--threshold", type=int, default=None,
+    p.add_argument("--threshold", type=_threshold, default=None,
                    help="degree threshold separating small/heavy remainder "
-                        "vertices (default: twice the degeneracy)")
+                        "vertices, at least 2 (default: twice the degeneracy, "
+                        "at least 2)")
     p.set_defaults(fn=cmd_kernelize_iob)
 
     p = sub.add_parser("solve", help="solve an instance exactly by branch and bound")

@@ -7,6 +7,11 @@ every vertex is reachable from the root, a cut-vertex (cut-edge) is a
 vertex (arc) whose removal breaks that property. Both come from the
 graph's dominator tree.
 
+A ``RootedDigraph`` holds sorted out-lists and in-lists, and ``arcs()``
+reads the out-lists in tail order, which is the sorted arc order. Its
+constructor checks every arc and, when one fails, reports the first
+faulty arc in input order.
+
 A ``RootedDigraph`` is immutable after construction; every surgery returns
 a new graph together with an old-id -> new-id mapping so that reduction
 traces can be replayed against original vertex names. Immutability is what
@@ -30,7 +35,13 @@ Arc = tuple[int, int]
 
 
 class RootedDigraph:
-    """Simple digraph on vertices 0..n-1 with a root of in-degree 0."""
+    """Simple digraph on vertices 0..n-1 with a root of in-degree 0.
+
+    ``out_adj`` and ``in_adj`` are sorted and hold exactly the arc set.
+    The constructor builds the set in one step, so a repeated arc shows as
+    a smaller set, and checks range, self-loop and the root as it appends
+    each arc. On any fault it rescans the input arc by arc, so it raises
+    for the first faulty arc in input order."""
 
     __slots__ = ("n", "root", "out_adj", "in_adj", "_arcset", "_dom")
 
@@ -39,21 +50,23 @@ class RootedDigraph:
             raise ValueError("vertex count must be positive")
         if not 0 <= root < n:
             raise ValueError(f"root {root} out of range 0..{n - 1}")
+        if not isinstance(arcs, (list, set)):
+            arcs = list(arcs)
         out_adj: list[list[int]] = [[] for _ in range(n)]
         in_adj: list[list[int]] = [[] for _ in range(n)]
-        arcset: set[Arc] = set()
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u},{v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            if (u, v) in arcset:
-                raise ValueError(f"duplicate arc ({u},{v})")
-            if v == root:
-                raise ValueError(f"arc ({u},{v}) enters the root")
-            arcset.add((u, v))
-            out_adj[u].append(v)
-            in_adj[v].append(u)
+        try:
+            arcset = set(arcs)
+            fault = len(arcset) != len(arcs)  # some arc repeats
+            for u, v in arcs:
+                if not (0 <= u < n and 0 <= v < n) or u == v or v == root:
+                    fault = True
+                    break
+                out_adj[u].append(v)
+                in_adj[v].append(u)
+        except (TypeError, ValueError):  # such as unhashable pairs
+            fault = True
+        if fault:  # rescan, arc by arc, to report the first fault
+            arcset, out_adj, in_adj = _checked_lists(n, root, arcs)
         for adj in out_adj:
             adj.sort()
         for adj in in_adj:
@@ -70,7 +83,8 @@ class RootedDigraph:
         return len(self._arcset)
 
     def arcs(self) -> list[Arc]:
-        return sorted(self._arcset)
+        """Every arc, in sorted order: the out-lists read in tail order."""
+        return [(u, v) for u, adj in enumerate(self.out_adj) for v in adj]
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self._arcset
@@ -97,6 +111,29 @@ class RootedDigraph:
 
     def __repr__(self) -> str:
         return f"RootedDigraph(n={self.n}, root={self.root}, m={self.m})"
+
+
+def _checked_lists(n: int, root: int, arcs: Iterable[Arc]
+                   ) -> tuple[set[Arc], list[list[int]], list[list[int]]]:
+    """The arc set, out-lists and in-lists of `arcs`, checked one arc at a
+    time in input order: raises for the first arc that is out of range, a
+    self-loop, a repeat of an earlier arc or an arc into the root."""
+    arcset: set[Arc] = set()
+    out_adj: list[list[int]] = [[] for _ in range(n)]
+    in_adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in arcs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"arc ({u},{v}) out of range")
+        if u == v:
+            raise ValueError(f"self-loop at {u}")
+        if (u, v) in arcset:
+            raise ValueError(f"duplicate arc ({u},{v})")
+        if v == root:
+            raise ValueError(f"arc ({u},{v}) enters the root")
+        arcset.add((u, v))
+        out_adj[u].append(v)
+        in_adj[v].append(u)
+    return arcset, out_adj, in_adj
 
 
 class OutBranching:
@@ -476,8 +513,9 @@ def remove_vertices(d: RootedDigraph, drop: Iterable[int]) -> tuple[RootedDigrap
         if x not in dead:
             mapping[x] = nxt
             nxt += 1
-    new_arcs = {(mapping[a], mapping[b]) for a, b in d._arcset
-                if a not in dead and b not in dead}
+    # the mapping keeps vertex order, so the induced arcs come out sorted
+    new_arcs = [(mapping[a], mapping[b]) for a, adj in enumerate(d.out_adj)
+                if a not in dead for b in adj if b not in dead]
     g = RootedDigraph(d.n - len(dead), mapping[d.root], new_arcs)
     return g, mapping
 

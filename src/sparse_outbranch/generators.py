@@ -203,8 +203,13 @@ FAMILIES = {
 
 
 def generate(family: str, n: int, k: int, seed: int, **kwargs) -> RootedDigraph:
+    """The graph of ``family`` for these parameters. Raises ValueError for
+    an unknown family, n < 1, k < 0 or a degeneracy parameter d < 1."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
+    for name, value, least in (("n", n, 1), ("k", k, 0), ("d", kwargs.get("d", 1), 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     g = FAMILIES[family](n, k, seed, **kwargs)
     if not is_connected(g):
         raise RuntimeError(f"family {family!r} generated a disconnected graph")

@@ -76,14 +76,15 @@ def vc_or_solution(inst: IobInstance) -> Union[OutBranching, set[int]]:
     vertices plus the blocked heads of remaining leaf-leaf arcs form the
     cover.
 
-    One forward pass over the sorted arcs makes the same moves as
-    rescanning from the first arc after every move, because an arc that
-    fails the test keeps failing. A move (u, v) only turns the leaf u
-    internal, and it takes a child from a parent that keeps at least one,
-    so no vertex ever becomes a leaf again. A vertex with fewer than two
+    One forward pass over the sorted arcs, the out-lists read in tail
+    order, makes the same moves as rescanning from the first arc after
+    every move, because an arc that fails the test keeps failing. A move
+    (u, v) only turns the leaf u internal, and it takes a child from a
+    parent that keeps at least one, so no vertex ever becomes a leaf again. A vertex with fewer than two
     children never gains one (only leaves do), and its only child cannot
-    move away, so its child count never reaches two. The arc just used
-    fails from then on, since u is no longer a leaf.
+    move away, so its child count never reaches two. The arc just used,
+    and every later arc out of u, fails from then on, since u is no
+    longer a leaf.
     """
     d = inst.graph
     tree = bfs_out_branching(d)
@@ -94,22 +95,22 @@ def vc_or_solution(inst: IobInstance) -> Union[OutBranching, set[int]]:
     for p in parent.values():
         n_children[p] += 1
 
-    arcs = d.arcs()
     # the root always keeps children, so leaf checks exclude it
-    for u, v in arcs:
-        if n_children[u] == 0 and n_children[v] == 0 and n_children[parent[v]] >= 2:
-            n_children[parent[v]] -= 1
-            parent[v] = u
-            n_children[u] += 1
+    for u, heads in enumerate(d.out_adj):
+        if n_children[u] == 0:
+            for v in heads:
+                if n_children[v] == 0 and n_children[parent[v]] >= 2:
+                    n_children[parent[v]] -= 1
+                    parent[v] = u
+                    n_children[u] += 1
+                    break
 
     tree = OutBranching(d.n, d.root, parent)
     if tree.internal_count() >= inst.k:
         return tree
     internal = tree.internal()
-    blocked = set()
-    for u, v in arcs:
-        if n_children[u] == 0 and n_children[v] == 0:
-            blocked.add(v)
+    blocked = {v for u, heads in enumerate(d.out_adj) if n_children[u] == 0
+               for v in heads if n_children[v] == 0}
     cover = internal | blocked | {d.root}
     return cover
 
@@ -499,10 +500,15 @@ def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None
     an induced-subgraph instance in which no small-degree neighborhood
     class exceeds twice its auxiliary neighborhood, with the classing of
     that last pass (whose modulator is its cover). The default degree
-    threshold is twice the degeneracy of the input's underlying graph.
+    threshold is twice the degeneracy of the input's underlying graph, and
+    at least 2; a threshold below 2 raises ValueError, since every W
+    vertex of a connected graph has a cover neighbor and no crown could
+    fire.
     """
     if threshold is None:
         threshold = max(2, 2 * degeneracy(inst.graph).d)
+    elif threshold < 2:
+        raise ValueError(f"degree threshold must be at least 2, got {threshold}")
     trace = ReductionTrace()
     current = inst
     for _ in range(inst.graph.n + 1):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import deque
 
 import pytest
@@ -21,7 +22,7 @@ from sparse_outbranch.digraph import (
 )
 from sparse_outbranch.oracle import solve_branch_and_bound, SolveMode
 
-from sparse_outbranch.generators import gen_bipath_chain, gen_planar
+from sparse_outbranch.generators import FAMILIES, gen_bipath_chain, gen_planar
 
 from conftest import euler_bound_holds, random_connected, small_digraphs
 
@@ -403,6 +404,164 @@ class TestPlanarityWitness:
         arcs = {(u, v) for u, v in arcs if v != 0}
         # 22 arcs, but anti-parallel pairs are one edge: 12 <= 3 * 9 - 6
         assert euler_bound_holds(RootedDigraph(9, 0, arcs))
+
+
+def _probing_lists(n, root, arcs):
+    """The constructor that probed and grew the arc set for every arc and
+    then sorted both sides, kept as the reference for ``RootedDigraph``:
+    (out_adj, in_adj, arc set)."""
+    out_adj = [[] for _ in range(n)]
+    in_adj = [[] for _ in range(n)]
+    arcset = set()
+    for u, v in arcs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"arc ({u},{v}) out of range")
+        if u == v:
+            raise ValueError(f"self-loop at {u}")
+        if (u, v) in arcset:
+            raise ValueError(f"duplicate arc ({u},{v})")
+        if v == root:
+            raise ValueError(f"arc ({u},{v}) enters the root")
+        arcset.add((u, v))
+        out_adj[u].append(v)
+        in_adj[v].append(u)
+    for adj in out_adj + in_adj:
+        adj.sort()
+    return out_adj, in_adj, arcset
+
+
+def _remove_vertices_by_set(d, drop):
+    """``remove_vertices`` as it listed the induced arcs from the arc set,
+    kept as the reference."""
+    dead = set(drop)
+    mapping = [None] * d.n
+    nxt = 0
+    for x in range(d.n):
+        if x not in dead:
+            mapping[x] = nxt
+            nxt += 1
+    new_arcs = {(mapping[a], mapping[b]) for a, b in d._arcset
+                if a not in dead and b not in dead}
+    return RootedDigraph(d.n - len(dead), mapping[d.root], new_arcs), mapping
+
+
+def _assert_matches_probing(d, n, root, arcs):
+    out_adj, in_adj, arcset = _probing_lists(n, root, arcs)
+    assert d.out_adj == out_adj
+    assert d.in_adj == in_adj
+    assert d._arcset == arcset
+    assert d.arcs() == sorted(arcset)
+
+
+def _family_graphs():
+    rng = random.Random(8080)
+    for family, kwargs in (("path", {}), ("star", {}), ("bipath-chain", {}),
+                           ("planar", {"keep_prob": 0.5}), ("degenerate", {"d": 3}),
+                           ("iob-twins", {"d": 3, "twin_factor": 3}), ("random", {})):
+        for _ in range(4):
+            n, k = rng.randint(1, 120), rng.randint(2, 16)
+            if family == "bipath-chain":
+                n = max(n, 3)
+            yield FAMILIES[family](n, k, rng.randrange(1 << 30), **kwargs)
+
+
+class TestConstructionEquivalence:
+    """The constructor, ``arcs()`` and ``remove_vertices`` against the
+    set-probing constructor, ``sorted(_arcset)`` and the set-built
+    induced subgraph."""
+
+    def test_generator_families_original_and_shuffled(self):
+        rng = random.Random(9090)
+        for g in _family_graphs():
+            perm = list(range(g.n))
+            for shuffled in (False, True):
+                if shuffled:
+                    rng.shuffle(perm)
+                arcs = [(perm[u], perm[v]) for u, v in sorted(g._arcset)]
+                root = perm[g.root]
+                rng.shuffle(arcs)
+                for given in (arcs, set(arcs), iter(arcs), sorted(arcs)):
+                    d = RootedDigraph(g.n, root, given)
+                    _assert_matches_probing(d, g.n, root, arcs)
+                # pairs given as lists build the same graph
+                assert RootedDigraph(g.n, root, [list(a) for a in arcs]) == d
+
+    def test_labelled_digraph_after_deletions_and_contractions(self):
+        rng = random.Random(9191)
+        checked = 0
+        for _ in range(60):
+            d = _relabelled(rng, random_connected(rng, rng.randint(2, 25), 0.2, bidi=0.4))
+            g = LabelledDigraph(d)
+            while g.m:
+                u, v = rng.choice(sorted(g._arcset))
+                if rng.random() < 0.5 or (u == g.root and g.in_degree(v) > 1):
+                    g.delete((u, v))
+                else:
+                    g.contract((u, v), merge_tree=False)
+                _assert_matches_probing(g, g.n, g.root, g._arcset)
+                snap = g.snapshot()
+                _assert_matches_probing(snap, snap.n, snap.root, snap._arcset)
+                checked += 1
+        assert checked >= 500
+
+    def test_remove_vertices_of_random_sets(self):
+        rng = random.Random(9292)
+        for g in _family_graphs():
+            for _ in range(5):
+                drop = {v for v in range(g.n) if v != g.root and rng.random() < 0.3}
+                got, mapping = remove_vertices(g, drop)
+                ref, ref_mapping = _remove_vertices_by_set(g, drop)
+                assert mapping == ref_mapping
+                assert (got.n, got.root) == (ref.n, ref.root)
+                assert got.out_adj == ref.out_adj and got.in_adj == ref.in_adj
+                assert got._arcset == ref._arcset
+                assert got.arcs() == sorted(ref._arcset)
+
+    FAULTS = {
+        "out of range": ((0, 4), "arc (0,4) out of range"),
+        "negative id": ((-1, 2), "arc (-1,2) out of range"),
+        "self-loop": ((2, 2), "self-loop at 2"),
+        "duplicate": ((1, 2), "duplicate arc (1,2)"),
+        "into the root": ((3, 0), "arc (3,0) enters the root"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FAULTS))
+    def test_each_fault_kind_raises_as_before(self, kind):
+        arc, message = self.FAULTS[kind]
+        arcs = [(0, 1), (1, 2), arc, (2, 3)]
+        with pytest.raises(ValueError) as ref:
+            _probing_lists(4, 0, arcs)
+        assert str(ref.value) == message
+        for given in (arcs, iter(arcs), [list(a) for a in arcs]):
+            with pytest.raises(ValueError) as got:
+                RootedDigraph(4, 0, given)
+            assert str(got.value) == message
+
+    def test_first_fault_in_input_order_wins(self):
+        # arcs with several faults, each placed at random: the message is
+        # the one of the first faulty arc, as the per-arc checks gave it
+        rng = random.Random(9393)
+        kinds = set()
+        several = 0
+        for _ in range(400):
+            n = rng.randint(2, 12)
+            arcs = [(rng.randrange(-1, n + 1), rng.randrange(-1, n + 1))
+                    for _ in range(rng.randint(1, 3 * n))]
+            faults = len(arcs) - len(set(arcs)) + sum(
+                not (0 <= u < n and 0 <= v < n) or u == v or v == 0 for u, v in arcs)
+            several += faults >= 2
+            try:
+                _probing_lists(n, 0, arcs)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    RootedDigraph(n, 0, arcs)
+                assert str(got.value) == str(exc)
+                kinds.add(re.sub(r"-?\d+", "#", str(exc)))
+            else:
+                _assert_matches_probing(RootedDigraph(n, 0, arcs), n, 0, arcs)
+        assert kinds == {"arc (#,#) out of range", "self-loop at #",
+                         "duplicate arc (#,#)", "arc (#,#) enters the root"}
+        assert several >= 200
 
 
 class TestRemoveVertices:

@@ -303,6 +303,53 @@ class TestCliPipelines:
         assert err.startswith("usage: ")
         assert f"argument --budget: expected a finite number of seconds >= 0, got '{budget}'" in err
 
+    @pytest.mark.parametrize("value", ["1", "0", "-1", "2.5", "x"])
+    def test_threshold_must_be_an_integer_of_at_least_two(self, tmp_path, capsys, value):
+        # at 1 or below every W vertex is heavy and no crown ever fires
+        inst = tmp_path / "t.iob"
+        assert self.run("gen", "iob-twins", "--k", "8", "--seed", "3",
+                        "--out", str(inst)) == 0
+        with pytest.raises(SystemExit) as exc:
+            self.run("kernelize-iob", str(inst), "--threshold", value)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument --threshold: expected an integer >= 2, got '{value}'" in err
+
+    def test_threshold_two_is_accepted(self, tmp_path, capsys):
+        inst = tmp_path / "t.iob"
+        assert self.run("gen", "iob-twins", "--k", "8", "--seed", "3",
+                        "--out", str(inst)) == 0
+        rep = tmp_path / "r.json"
+        assert self.run("kernelize-iob", str(inst), "--threshold", "2",
+                        "--json", str(rep)) == 0
+        assert json.loads(rep.read_text())["kernel"]["threshold"] == 2
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf", "x"])
+    def test_accept_constant_must_be_finite_and_positive(self, tmp_path, capsys, value):
+        # at -1 every reduced instance read YES, and at NaN none ever did
+        inst = tmp_path / "p.lob"
+        inst.write_text("p lob 2 1 0 1\na 0 1\n")
+        with pytest.raises(SystemExit) as exc:
+            self.run("reduce-lob", str(inst), f"--accept-constant={value}")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument --accept-constant: expected a finite number > 0, got '{value}'" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["degenerate", "--d", "0"], "d must be at least 1, got 0"),
+        (["degenerate", "--d", "-1"], "d must be at least 1, got -1"),
+        (["iob-twins", "--d", "0"], "d must be at least 1, got 0"),
+        (["planar", "--n", "10", "--k", "-1"], "k must be at least 0, got -1"),
+        (["planar", "--n", "0"], "n must be at least 1, got 0"),
+    ])
+    def test_gen_bad_family_parameter_is_one_error_line(self, capsys, argv, message):
+        assert self.run("gen", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_kernelize_rejects_a_lob_file(self, tmp_path, capsys):
         inst = tmp_path / "p.lob"
         inst.write_text("p lob 2 1 0 1\na 0 1\n")

@@ -117,6 +117,31 @@ def _vc_or_solution_rescan(inst):
     return tree.internal() | blocked | {d.root}
 
 
+def _vc_or_solution_sorted_arcs(inst):
+    """The local search that made both its sweeps over a sorted copy of
+    the arc set, kept as the reference for the out-list sweeps of
+    ``iob_kernel.vc_or_solution``."""
+    d = inst.graph
+    tree = bfs_out_branching(d)
+    if tree.internal_count() >= inst.k:
+        return tree
+    parent = dict(tree.parent)
+    n_children = [0] * d.n
+    for p in parent.values():
+        n_children[p] += 1
+    arcs = sorted(d._arcset)
+    for u, v in arcs:
+        if n_children[u] == 0 and n_children[v] == 0 and n_children[parent[v]] >= 2:
+            n_children[parent[v]] -= 1
+            parent[v] = u
+            n_children[u] += 1
+    tree = OutBranching(d.n, d.root, parent)
+    if tree.internal_count() >= inst.k:
+        return tree
+    blocked = {v for u, v in arcs if n_children[u] == 0 and n_children[v] == 0}
+    return tree.internal() | blocked | {d.root}
+
+
 def _crown_round_reference(inst, cover, classes):
     """One crown per round: the first oversized class in key order loses
     its C_u and the instance is rebuilt. Kept as the reference for
@@ -209,6 +234,34 @@ class TestLocalSearch:
                     same = got == ref
                 differences += not same
         assert differences == 0
+        assert covers >= 300 and trees >= 300
+
+    def test_out_list_sweeps_match_sorted_arc_sweeps(self):
+        rng = random.Random(4343)
+        covers = trees = 0
+        for i in range(300):
+            if i % 3 == 0:
+                d = random_connected(rng, rng.randint(2, 40), rng.uniform(0.02, 0.2),
+                                     bidi=rng.uniform(0, 0.4))
+            elif i % 3 == 1:
+                d = gen_degenerate(rng.randint(5, 120), rng.randint(1, 3),
+                                   rng.randrange(1 << 30))
+            else:
+                d = gen_iob_twins(rng.randint(2, 12), rng.randint(1, 3),
+                                  rng.randrange(1 << 30), twin_factor=rng.randint(1, 4))
+            perm = list(range(d.n))
+            rng.shuffle(perm)
+            for g in (d, RootedDigraph(d.n, perm[d.root],
+                                       [(perm[u], perm[v]) for u, v in d._arcset])):
+                for k in (rng.randint(1, 4), g.n // 3 + 1, g.n):
+                    got = vc_or_solution(IobInstance(g, k))
+                    ref = _vc_or_solution_sorted_arcs(IobInstance(g, k))
+                    if isinstance(ref, OutBranching):
+                        trees += 1
+                        assert isinstance(got, OutBranching) and got.parent == ref.parent
+                    else:
+                        covers += 1
+                        assert got == ref
         assert covers >= 300 and trees >= 300
 
     def test_path_k3_solution(self):
@@ -473,6 +526,13 @@ class TestKernelize:
         out, _ = kernelize_iob(IobInstance(g, 6), threshold=4)
         assert isinstance(out, (ReducedOutcome, YesOutcome))
 
+    @pytest.mark.parametrize("threshold", [1, 0, -1])
+    def test_threshold_below_two_raises(self, threshold):
+        # every W vertex has a cover neighbor, so no class would be small
+        g = gen_iob_twins(8, 3, seed=3)
+        with pytest.raises(ValueError, match=f"threshold must be at least 2, got {threshold}"):
+            kernelize_iob(IobInstance(g, 8), threshold=threshold)
+
     def test_trace_lines(self, rng):
         g = gen_iob_twins(6, 2, seed=5)
         out, trace = kernelize_iob(IobInstance(g, 6))
@@ -625,10 +685,13 @@ class TestCrownPass:
     FIVE_GROUPS = [((2,), (1,), 9), ((1, 2), (2,), 1), ((1,), (1, 2), 2),
                    ((1, 2), (1,), 2), ((1, 2), (), 3)]
 
-    def test_five_group_class_matches_member_reference(self):
+    @classmethod
+    def five_group_graphs(cls):
+        """(graph, id map) of the five-group class: original ids, then five
+        shuffled labelings."""
         arcs = [(0, 1), (0, 2)]
         n = 3
-        for ins, outs, twins in self.FIVE_GROUPS:
+        for ins, outs, twins in cls.FIVE_GROUPS:
             for w in range(n, n + twins):
                 arcs += [(x, w) for x in ins] + [(w, y) for y in outs]
             n += twins
@@ -637,7 +700,10 @@ class TestCrownPass:
             perm = list(range(n))
             if shuffled:
                 rng.shuffle(perm)
-            d = RootedDigraph(n, perm[0], [(perm[u], perm[v]) for u, v in arcs])
+            yield RootedDigraph(n, perm[0], [(perm[u], perm[v]) for u, v in arcs]), perm
+
+    def test_five_group_class_matches_member_reference(self):
+        for shuffled, (d, perm) in enumerate(self.five_group_graphs()):
             cover = {perm[0], perm[1], perm[2]}
             classing = classify_by_modulator(d, cover, 3)
             (key, members), = classing.classes.items()
@@ -656,6 +722,18 @@ class TestCrownPass:
                 assert len(taken) < len(match_left) == len(hood)
             removed = sorted(crown_in_class(b, set(members), hood).c_u)
             assert crown_pass(d, classing) == ([CrownStep(key, tuple(removed))], removed)
+
+    def test_five_group_class_through_kernelize_iob(self):
+        # the local search exposes the cover {0, 1, 2}, so the class above
+        # fires inside the kernel loop; a matching of first free partners
+        # leaves a key unmatched there, and the crown's closure reaches it
+        for d, _ in self.five_group_graphs():
+            inst = IobInstance(d, 4)
+            out, trace = kernelize_iob(inst)
+            assert isinstance(out, ReducedOutcome) and len(trace) == 1
+            assert len(trace.steps[0].removed) == 11
+            assert self.outcome_view(out, trace, d.n) == self.outcome_view(
+                *_kernelize_iob_per_crown(inst), d.n)
 
     def test_cli_vertex_map_matches_per_step_composition(self, tmp_path):
         # the CLI deletes each step's removed ranks from one list of
