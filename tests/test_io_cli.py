@@ -307,8 +307,7 @@ class TestCliPipelines:
     def test_threshold_must_be_an_integer_of_at_least_two(self, tmp_path, capsys, value):
         # at 1 or below every W vertex is heavy and no crown ever fires
         inst = tmp_path / "t.iob"
-        assert self.run("gen", "iob-twins", "--k", "8", "--seed", "3",
-                        "--out", str(inst)) == 0
+        inst.write_text("p iob 2 1 0 1\na 0 1\n")
         with pytest.raises(SystemExit) as exc:
             self.run("kernelize-iob", str(inst), "--threshold", value)
         assert exc.value.code == 2
@@ -316,7 +315,7 @@ class TestCliPipelines:
         assert err.startswith("usage: ")
         assert f"argument --threshold: expected an integer >= 2, got '{value}'" in err
 
-    def test_threshold_two_is_accepted(self, tmp_path, capsys):
+    def test_threshold_two_is_accepted(self, tmp_path):
         inst = tmp_path / "t.iob"
         assert self.run("gen", "iob-twins", "--k", "8", "--seed", "3",
                         "--out", str(inst)) == 0
