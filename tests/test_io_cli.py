@@ -58,6 +58,50 @@ class TestParse:
             parse_instance("p lob 2 1 0 1\na 0 5\n")
         assert "line 2" in str(err.value)
 
+    # One file per fault kind, with the full message it must raise. Blank
+    # and comment lines count towards the line number.
+    FAULTS = [
+        ("p lob 3 2 0 1\na 0 1\n\np iob 3 2 0 1\na 1 2\n", 4, "duplicate p line"),
+        ("", 0, "missing p line"),
+        ("c only a comment\n\n", 0, "missing p line"),
+        ("c x\np what 3 1 0 1\na 0 1\n", 2, "unknown problem kind 'what'"),
+        ("p lob 3 1 0\na 0 1\n", 1, "expected: p <lob|iob> <n> <m> <root> <k>"),
+        ("p lob 3 1 0 1 7\na 0 1\n", 1, "expected: p <lob|iob> <n> <m> <root> <k>"),
+        ("p lob 3 x 0 1\na 0 1\n", 1, "non-integer field in p line"),
+        ("p lob 3 1 0 1.5\na 0 1\n", 1, "non-integer field in p line"),
+        ("p lob 0 0 0 1\n", 1, "p line fields out of range"),
+        ("p lob 3 -1 0 1\n", 1, "p line fields out of range"),
+        ("p lob 3 1 3 1\na 0 1\n", 1, "p line fields out of range"),
+        ("p lob 3 1 -1 1\na 0 1\n", 1, "p line fields out of range"),
+        ("p lob 3 1 0 -1\na 0 1\n", 1, "p line fields out of range"),
+        ("c x\na 0 1\np lob 2 1 0 1\n", 2, "a line before p line"),
+        ("p lob 3 2 0 1\na 0 1\na 1\n", 3, "expected: a <u> <v>"),
+        ("p lob 3 2 0 1\na 0 1\na 1 2 0\n", 3, "expected: a <u> <v>"),
+        ("p lob 3 2 0 1\na 0 1\n\na 1 x\n", 4, "non-integer arc endpoint"),
+        ("p lob 3 2 0 1\na 0 1\na 1.0 2\n", 3, "non-integer arc endpoint"),
+        ("p lob 2 1 0 1\na 0 5\n", 2, "arc (0,5) out of range for n=2"),
+        ("p lob 3 2 0 1\na 0 1\na -1 2\n", 3, "arc (-1,2) out of range for n=3"),
+        ("p lob 3 2 0 1\nc x\na 0 1\na 2 2\n", 4, "self-loop at 2"),
+        ("p lob 3 3 0 1\na 0 1\na 1 2\na 2 0\n", 4, "arc (2,0) enters the root of a lob instance"),
+        ("p lob 3 3 0 1\na 0 1\na 1 2\na 0 1\n", 0, "duplicate arcs [(0, 1)]"),
+        ("p lob 4 10 0 1\n" + "a 0 1\na 3 2\na 0 3\na 1 2\na 0 2\n" * 2, 0,
+         "duplicate arcs [(0, 1), (0, 2), (0, 3)]"),
+        ("p lob 3 2 0 1\na 0 1\n", 0, "p line declares 2 arcs, found 1"),
+        ("p lob 3 1 0 1\na 0 1\na 1 2\n", 0, "p line declares 1 arcs, found 2"),
+        ("p iob 3 3 0 1\na 0 1\na 2 0\n", 0, "p line declares 3 arcs, found 2"),
+        ("p lob 3 2 0 1\na 0 1\nx 1 2\n", 3, "unknown line tag 'x'"),
+        ("p lob 3 2 0 1\na 0 1\n1 2\n", 3, "unknown line tag '1'"),
+        ("p lob 3 2 0 1\na 0 1\nab 1 2\n", 3, "unknown line tag 'ab'"),
+        ("q\n", 1, "unknown line tag 'q'"),
+    ]
+
+    @pytest.mark.parametrize("text, lineno, message", FAULTS)
+    def test_every_fault_has_its_message_and_line(self, text, lineno, message):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert str(err.value) == f"line {lineno}: {message}"
+        assert err.value.lineno == lineno
+
 
 def test_generate_rejects_a_disconnected_result(monkeypatch):
     from sparse_outbranch import generators
