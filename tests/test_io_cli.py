@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -9,9 +10,10 @@ import sys
 import pytest
 
 import sparse_outbranch
+from sparse_outbranch import instance_io
 from sparse_outbranch.cli import main
 from sparse_outbranch.digraph import RootedDigraph
-from sparse_outbranch.generators import generate
+from sparse_outbranch.generators import FAMILIES, generate
 from sparse_outbranch.instance_io import (
     ParseError,
     parse_instance,
@@ -101,6 +103,151 @@ class TestParse:
             parse_instance(text)
         assert str(err.value) == f"line {lineno}: {message}"
         assert err.value.lineno == lineno
+
+    def test_one_repeated_arc_among_fifty_thousand(self):
+        lines = ["p lob 50001 50001 0 1"] + [f"a {i} {i + 1}" for i in range(50000)]
+        with pytest.raises(ParseError) as err:
+            parse_instance("\n".join(lines + ["a 0 1"]) + "\n")
+        assert str(err.value) == "line 0: duplicate arcs [(0, 1)]"
+
+
+def _fields(f):
+    g = f.graph
+    return (f.kind, f.k, f.comments, f.warnings, g.n, g.root, g.out_adj, g.in_adj)
+
+
+def _arc_lines(kind, n, root, k, arcs, comments=()):
+    lines = [f"c {c}" for c in comments] + [f"p {kind} {n} {len(arcs)} {root} {k}"]
+    return "\n".join(lines + [f"a {u} {v}" for u, v in arcs]) + "\n"
+
+
+class TestBulkRead:
+    """``parse_instance`` reads the common shape in bulk and hands every
+    other text to the line scan ``_scan``, which stays the reference: on
+    every text both give the same instance, or the same ParseError."""
+
+    @staticmethod
+    def check(text):
+        """Whether the bulk path read `text`; either way, the result of
+        ``parse_instance`` equals the scan's."""
+        try:
+            want = _fields(instance_io._scan(text))
+        except ParseError as err:
+            want = (str(err), err.lineno)
+        try:
+            got = _fields(parse_instance(text))
+        except ParseError as err:
+            got = (str(err), err.lineno)
+        assert got == want, text
+        try:
+            bulk = instance_io._read_bulk(text)
+        except ParseError:
+            raise AssertionError(f"the bulk path raised a ParseError on {text!r}")
+        except ValueError:
+            return False
+        assert _fields(bulk) == want, text
+        return True
+
+    @staticmethod
+    def family_graphs(rng, max_n):
+        for family, kwargs in (("path", {}), ("star", {}), ("bipath-chain", {}),
+                               ("planar", {"keep_prob": 0.5}), ("degenerate", {"d": 3}),
+                               ("iob-twins", {"d": 3, "twin_factor": 3}), ("random", {})):
+            for _ in range(4):
+                n, k = rng.randint(3, max_n), rng.randint(2, 12)
+                yield FAMILIES[family](n, k, rng.randrange(1 << 30), **kwargs), k
+
+    def test_generator_families_original_and_shuffled(self):
+        rng = random.Random(4040)
+        for g, k in self.family_graphs(rng, 120):
+            for kind in ("lob", "iob"):
+                assert self.check(serialize_instance(kind, g, k, ["family graph"]))
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                arcs = [(perm[u], perm[v]) for u, v in g.arcs()]
+                rng.shuffle(arcs)
+                assert self.check(_arc_lines(kind, g.n, perm[g.root], k, arcs))
+
+    def test_reduced_cores_and_kernel_files(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        written = []
+        for seed in range(4):
+            main(["gen", "planar", "--n", "300", "--k", "30", "--seed", str(seed),
+                  "--keep-prob", "0.25", "--out", f"p{seed}.lob"])
+            main(["reduce-lob", f"p{seed}.lob", "--solve-max-n", "0"])
+            main(["gen", "iob-twins", "--k", "16", "--d", "3", "--seed", str(seed),
+                  "--out", f"t{seed}.iob"])
+            main(["kernelize-iob", f"t{seed}.iob"])
+            written += [name for name in (f"p{seed}.lob.reduced", f"t{seed}.iob.kernel")
+                        if os.path.exists(name)]
+        capsys.readouterr()
+        assert any(w.endswith(".reduced") for w in written)
+        assert any(w.endswith(".kernel") for w in written)
+        for name in written:
+            with open(name, encoding="utf-8") as fh:
+                text = fh.read()
+            assert self.check(text), name
+            if name.endswith(".kernel"):
+                assert instance_io._read_bulk(text).comments[1].startswith("map ")
+
+    READ_IN_BULK = [
+        "p lob 3 2 0 1\na 0 1\na 1 2\n",
+        "p lob 3 2 0 1\na 0 1\na 1 2",  # no final newline
+        "p lob 3 2 0 1\na\t0\t1\na 1  2 \t\n",  # tabs, runs of blanks
+        "c\n\nc two words\n  c indented\nc\tafter a tab\n\np  lob 3 2 0 1 \na 0 1\na 1 2\n",
+        "p iob 3 2 0 1\na 0 1\na 1 2\n",
+        "p lob 3 2 0 1\na 0 1\na 1 +2\n",  # spellings that int() reads
+        "p lob 11 2 0 1\na 0 1\na 1_0 2\n",
+    ]
+    SCANNED = [
+        "p lob 3 2 0 1\r\na 0 1\r\na 1 2\r\n",  # CRLF endings
+        "p lob 3 2 0 1\na 0 1\n\na 1 2\n",  # a blank line among the arcs
+        "p lob 3 2 0 1\nc after the p line\na 0 1\na 1 2\n",
+        "p lob 3 2 0 1\na 0 1\nc\na 1 2\n",  # a bare c
+        "p lob 3 2 0 1\n a 0 1\na 1 2\n",  # an indented a line
+        "p iob 3 3 0 1\na 0 1\na 1 2\na 2 0\n",  # an iob root arc, dropped
+        "p iob 3 4 0 1\na 2 0\na 0 1\na 1 0\na 1 2\n",
+        "p lob 3 2 0 1\na 0 1\x1ea 1 2\n",  # a line break of str.splitlines only
+        "p lob 3 2 0 1\na 0\x0b1\na 1 2\n",
+        "p lob 3 2 0 1\na 0 1\na 1 2\u2028\n",
+        "p lob 3 2 0 1\na 0 1\na 1 2\n\n",  # a trailing blank line
+        "p lob 3 1 0 1\n",  # m = 1, no a line
+        "p lob 1 0 0 0\n",  # m = 0
+        "c only\np lob 2 0 0 1",
+        "p lob 3 2 0 1\na 0 1 a\n1 2\n",  # three tokens a line, but not a u v
+        "p lob 3 2 0 1\n\na 0 1 a 1 2\n",  # two lines, two arcs on one
+        "p lob 3 2 0 1\na 0 1\naa 1 2\n",
+    ]
+
+    @pytest.mark.parametrize("text", READ_IN_BULK)
+    def test_layouts_read_in_bulk(self, text):
+        assert self.check(text)
+
+    @pytest.mark.parametrize("text", SCANNED + [t for t, _, _ in TestParse.FAULTS])
+    def test_layouts_and_faults_left_to_the_scan(self, text):
+        assert not self.check(text)
+
+    def test_seeded_mutants(self):
+        rng = random.Random(5050)
+        bases = []
+        for g, k in self.family_graphs(rng, 12):
+            kind = rng.choice(("lob", "iob"))
+            bases.append(serialize_instance(kind, g, k, ["mutant base"] * rng.randint(0, 2)))
+        read = 0
+        for _ in range(4000):
+            pieces = re.split(r"(\s+)", rng.choice(bases))
+            i = rng.randrange(len(pieces))
+            if pieces[i].isspace():
+                pieces[i] = rng.choice([" ", "\t", "\n", "\n\n", " \n ", "\r\n",
+                                        "\r", "\x1e", "\x0c", "\u2028"])
+            else:
+                token = rng.choice(["a", "aa", "ab", "c", "p", "x", "0", "1", "2", "-1",
+                                    "01", "1.5", "+2", "1_0", "lob", "iob", "99"])
+                op = rng.randrange(3)
+                pieces[i] = ("" if op == 0 else f"{pieces[i]} {token}" if op == 1
+                             else token)
+            read += self.check("".join(pieces))
+        assert 100 < read < 3900  # both paths meet mutants
 
 
 def test_generate_rejects_a_disconnected_result(monkeypatch):
