@@ -53,6 +53,7 @@ _OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def parse_instance(text: str) -> InstanceFile:
+    """The instance in `text`; raises ParseError for the first fault."""
     try:
         return _read_bulk(text)
     except ValueError:  # another shape, or a fault: the scan says which
