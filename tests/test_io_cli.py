@@ -116,11 +116,6 @@ def _fields(f):
     return (f.kind, f.k, f.comments, f.warnings, g.n, g.root, g.out_adj, g.in_adj)
 
 
-def _arc_lines(kind, n, root, k, arcs, comments=()):
-    lines = [f"c {c}" for c in comments] + [f"p {kind} {n} {len(arcs)} {root} {k}"]
-    return "\n".join(lines + [f"a {u} {v}" for u, v in arcs]) + "\n"
-
-
 class TestBulkRead:
     """``parse_instance`` reads the common shape in bulk and hands every
     other text to the line scan ``_scan``, which stays the reference: on
@@ -166,7 +161,9 @@ class TestBulkRead:
                 rng.shuffle(perm)
                 arcs = [(perm[u], perm[v]) for u, v in g.arcs()]
                 rng.shuffle(arcs)
-                assert self.check(_arc_lines(kind, g.n, perm[g.root], k, arcs))
+                lines = [f"p {kind} {g.n} {len(arcs)} {perm[g.root]} {k}"]
+                lines += [f"a {u} {v}" for u, v in arcs]
+                assert self.check("\n".join(lines) + "\n")
 
     def test_reduced_cores_and_kernel_files(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
