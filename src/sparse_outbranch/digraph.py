@@ -29,6 +29,7 @@ edits only as far as its callers vouch for (see ``delete`` and
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from copy import copy
 from typing import Iterable, Optional
 
 Arc = tuple[int, int]
@@ -88,12 +89,6 @@ class RootedDigraph:
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self._arcset
-
-    def out_degree(self, v: int) -> int:
-        return len(self.out_adj[v])
-
-    def in_degree(self, v: int) -> int:
-        return len(self.in_adj[v])
 
     def with_arcs_removed(self, removed: Iterable[Arc]) -> "RootedDigraph":
         dead = set(removed)
@@ -456,10 +451,19 @@ class LabelledDigraph(RootedDigraph):
             insort(self.in_adj[v], u)
 
     def snapshot(self) -> RootedDigraph:
-        """The graph on current ids."""
+        """The graph on current ids, with the dominator tree it carries."""
         rank = {v: i for i, v in enumerate(self.labels)}
-        return RootedDigraph(len(self.labels), rank[self.root],
-                             ((rank[u], rank[v]) for u, v in self._arcset))
+        d = RootedDigraph(len(self.labels), rank[self.root],
+                          ((rank[u], rank[v]) for u, v in self._arcset))
+        if self._dom is not None:
+            dom = d._dom = copy(self._dom)
+            dom._root, dom._in_adj = rank[dom._root], d.in_adj
+            dom._pre, dom._size, dom._kids = (
+                [a[v] for v in self.labels] for a in (dom._pre, dom._size, dom._kids))
+            dom.cut_vertices = {rank[v] for v in dom.cut_vertices}
+            if dom._cut_e is not None:
+                dom._cut_e = frozenset((rank[u], rank[v]) for u, v in dom._cut_e)
+        return d
 
 
 def heads_by_tail(arcs: Iterable[Arc]) -> dict[int, list[int]]:

@@ -81,7 +81,7 @@ def special_vertex_set(g: RootedDigraph) -> set[int]:
     reverse is absent."""
     out: set[int] = set()
     for v in range(g.n):
-        if g.in_degree(v) >= 3:
+        if len(g.in_adj[v]) >= 3:
             out.add(v)
             continue
         for u in g.in_adj[v]:

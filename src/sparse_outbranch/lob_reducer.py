@@ -131,23 +131,18 @@ def find_rule_1(d: RootedDigraph) -> Optional[RuleApplication]:
 
 def find_rule_2(d: RootedDigraph, cut_v: set[int]) -> Optional[RuleApplication]:
     for v in sorted(cut_v):
-        if d.in_degree(v) == 1:
-            arc = (d.in_adj[v][0], v)
-            return RuleApplication(2, (v,), Contract(arc))
-        if d.out_degree(v) == 1:
-            arc = (v, d.out_adj[v][0])
-            return RuleApplication(2, (v,), Contract(arc))
+        ins, outs = d.in_adj[v], d.out_adj[v]
+        if len(ins) == 1:
+            return RuleApplication(2, (v,), Contract((ins[0], v)))
+        if len(outs) == 1:
+            return RuleApplication(2, (v,), Contract((v, outs[0])))
     return None
 
 
-def _proper_internal(d: RootedDigraph, v: int) -> Optional[tuple[int, int]]:
-    """The two neighbors of v when N+(v) = N-(v) = {a, b}, else None."""
-    if d.in_degree(v) != 2 or d.out_degree(v) != 2:
-        return None
-    if d.in_adj[v] != d.out_adj[v]:
-        return None
-    a, b = d.in_adj[v]
-    return a, b
+def _proper_internal(d: RootedDigraph, v: int) -> Optional[list[int]]:
+    """The sorted in-list [a, b] of v when N+(v) = N-(v) = {a, b}, else None."""
+    ins = d.in_adj[v]
+    return ins if len(ins) == 2 and ins == d.out_adj[v] else None
 
 
 def find_rule_3(d: RootedDigraph, middles: Optional[Iterable[int]] = None
@@ -210,10 +205,9 @@ def find_rule_4(d: RootedDigraph, heads: Optional[Iterable[int]] = None
 
 def find_rule_5(d: RootedDigraph, cut_e: set[Arc]) -> Optional[RuleApplication]:
     heads = heads_by_tail(cut_e)
-    tails = sorted(heads)
-    for x1 in tails:
-        for x2 in tails:
-            if x1 != x2 and d.has_arc(x1, x2) and d.has_arc(x2, x1):
+    for x1 in sorted(heads):
+        for x2 in d.out_adj[x1]:  # sorted: x1's first partner comes first
+            if x2 in heads and d.has_arc(x2, x1):
                 locus = (x1, min(heads[x1]), x2, min(heads[x2]))
                 return RuleApplication(5, locus, Contract((x1, x2)))
     return None
@@ -300,14 +294,15 @@ class _Reduction:
     """Rules 2-5 on a ``LabelledDigraph``, with what each finder already
     knows carried across steps. Applications are on labels.
 
-    - Rule 2 re-asks the vertices whose degrees a step changed: the
-      endpoints of a deleted arc, a contraction's merged vertex and its
-      neighbours. No other vertex can become a cut-vertex: a deletion keeps
-      the tree, and a contraction maps every root path that avoids a
-      vertex c outside the contracted arc to one that still avoids c, so c
-      can only stop dominating.
-    - Rule 3 re-asks every middle vertex within two proper-internal hops of
-      a vertex whose adjacency changed, and keeps the matches of the rest.
+    - Rule 2 re-asks the vertices whose lists a step changed: a deletion's
+      endpoints, or, contracting (a, b) into keep = min(a, b), gone = max(a,
+      b) and its neighbours, which trade gone for keep. No other vertex c
+      can become a cut-vertex: a deletion keeps the tree, and a contraction
+      maps every root path avoiding c to one still avoiding c.
+    - Rule 3's match at u2, old or new, reads only the lists of u2, u3 and
+      u4, so it re-asks every middle vertex within two proper-internal hops
+      of a changed vertex: an unchanged u2 (u3) stays proper internal and
+      next to u3 (u4).
     - Rule 4 re-asks, besides the vertices never answered, the head of a
       deletion (every other answer depends only on which vertices the root
       reaches avoiding a set, which the deletion keeps) and a
@@ -372,14 +367,15 @@ class _Reduction:
             changed = {u, v}
             self.ask4.add(v)
         else:
+            gone = max(u, v)
+            changed = {u, v, *g.in_adj[gone], *g.out_adj[gone]}
             keep = g.contract(action.arc, merge_tree=app.rule_id != 5)
-            changed = {u, v, *g.in_adj[keep], *g.out_adj[keep]}
             self.ask4 |= {keep, *g.out_adj[keep]}
         self.ask2 |= changed
         self.ask3 |= changed
         for _ in range(2):
-            changed = {w for x in changed for w in g.in_adj[x] + g.out_adj[x]
-                       if _proper_internal(g, w) is not None}
+            near = set().union(*(g.in_adj[x] + g.out_adj[x] for x in changed))
+            changed = {w for w in near if _proper_internal(g, w) is not None}
             self.ask3 |= changed
         return on_ids
 

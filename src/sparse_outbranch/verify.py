@@ -305,7 +305,7 @@ def verify_structure(instances: int = 300, max_core: int = 12, seed: int = 0) ->
         g = dc.graph
         _, ce = cut_structure(d)
         for u, v in ce:
-            if d.in_degree(v) != 1:
+            if len(d.in_adj[v]) != 1:
                 violations += 1
         for v in range(g.n):
             if len(dc.bag_of[v].members) > 2:

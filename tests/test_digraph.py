@@ -193,7 +193,7 @@ class TestCutStructure:
         for _ in range(80):
             d = random_connected(rng, rng.randint(2, 8), 0.25)
             for u, v in cut_structure(d)[1]:
-                if d.in_degree(v) == 1:
+                if len(d.in_adj[v]) == 1:
                     assert v not in reachable(d, 0, removed_arcs={(u, v)})
 
     def test_cut_structure_matches_naive_on_larger_graphs(self, rng):
@@ -293,7 +293,7 @@ class TestLabelledDigraph:
             while g.m:
                 u, v = rng.choice(sorted(g._arcset))
                 ids = (g.rank(u), g.rank(v))
-                if rng.random() < 0.5 or (u == g.root and g.in_degree(v) > 1):
+                if rng.random() < 0.5 or (u == g.root and len(g.in_adj[v]) > 1):
                     g.delete((u, v))
                     d = d.with_arcs_removed([ids])
                 else:
@@ -370,7 +370,7 @@ class TestContractArc:
             d = random_connected(rng, rng.randint(2, 8), 0.25, bidi=0.3)
             before = solve_branch_and_bound(d, None, SolveMode.LEAF).best_value
             for u, v in cut_structure(d)[1]:
-                if u == d.root and d.in_degree(v) > 1:
+                if u == d.root and len(d.in_adj[v]) > 1:
                     continue  # merging would hand the root an in-arc
                 g, _ = contract_arc(d, (u, v))
                 after = solve_branch_and_bound(g, None, SolveMode.LEAF).best_value
@@ -494,7 +494,7 @@ class TestConstructionEquivalence:
             g = LabelledDigraph(d)
             while g.m:
                 u, v = rng.choice(sorted(g._arcset))
-                if rng.random() < 0.5 or (u == g.root and g.in_degree(v) > 1):
+                if rng.random() < 0.5 or (u == g.root and len(g.in_adj[v]) > 1):
                     g.delete((u, v))
                 else:
                     g.contract((u, v), merge_tree=False)

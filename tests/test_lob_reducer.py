@@ -13,6 +13,7 @@ from sparse_outbranch.digraph import (
     contract_arc,
     cut_structure,
     dominators,
+    heads_by_tail,
     is_connected,
     reachable,
 )
@@ -32,6 +33,7 @@ from sparse_outbranch.lob_reducer import (
     apply_rule_6,
     find_rule,
     find_rule_1,
+    find_rule_2,
     find_rule_3,
     find_rule_4,
     find_rule_5,
@@ -77,6 +79,18 @@ def _find_rule_4_bfs(d):
         for y in d.in_adj[x]:
             if not any(w in alive for w in d.in_adj[y]):
                 return RuleApplication(4, (x, y), DeleteArc((y, x)))
+    return None
+
+
+def _find_rule_5_pairs(d, cut_e):
+    """Reference rule-5 finder: every ordered pair of cut-edge tails."""
+    heads = heads_by_tail(cut_e)
+    tails = sorted(heads)
+    for x1 in tails:
+        for x2 in tails:
+            if x1 != x2 and d.has_arc(x1, x2) and d.has_arc(x2, x1):
+                locus = (x1, min(heads[x1]), x2, min(heads[x2]))
+                return RuleApplication(5, locus, Contract((x1, x2)))
     return None
 
 
@@ -306,6 +320,25 @@ class TestRule5:
             checked += 1
         assert checked >= 15
 
+    def test_matches_pair_loop(self, monkeypatch):
+        # every rule-5 question the driver asks, on the pinned corpus and
+        # on planar inputs, gets the pair loop's answer
+        asked, fired = 0, 0
+
+        def both(d, cut_e):
+            nonlocal asked, fired
+            app = find_rule_5(d, cut_e)
+            assert app == _find_rule_5_pairs(d, cut_e)
+            asked += 1
+            fired += app is not None
+            return app
+
+        monkeypatch.setattr(lob_reducer, "find_rule_5", both)
+        planar = [gen_planar(n, seed=7, both_prob=0.1, keep_prob=0.25) for n in (1600, 3200)]
+        for d in _pinned_corpus() + planar:
+            reduce_to_fixpoint(LobInstance(d, 2))
+        assert fired >= 50 and asked >= 2 * fired
+
 
 class TestRule6:
     def test_delete_reverse(self):
@@ -395,7 +428,7 @@ class TestDriver:
                 inst = apply(inst, app)
                 new_size = inst.graph.n + inst.graph.m
                 assert new_size < size
-                assert inst.graph.in_degree(inst.graph.root) == 0
+                assert not inst.graph.in_adj[inst.graph.root]
                 assert inst.k == 2
                 size = new_size
 
@@ -563,16 +596,24 @@ def _on_ids(g, app):
                            type(app.action)(tuple(map(g.rank, app.action.arc))))
 
 
-def _assert_tree_is_fresh(g):
-    """The dominator tree ``g`` carries equals a fresh pass over it."""
+def _assert_tree_is_fresh(g, vertices=None):
+    """The dominator tree ``g`` carries equals a fresh pass over it; its
+    vertices are its labels unless given."""
+    vertices = g.labels if vertices is None else vertices
     carried = dominators(g)
     fresh = Dominators(g.n, g.root, g.out_adj, g.in_adj)
-    assert carried.reached == fresh.reached == len(g.labels)
+    assert carried.reached == fresh.reached == len(vertices)
     assert carried.cut_vertices == fresh.cut_vertices
     assert carried.cut_edges == fresh.cut_edges
-    for a in g.labels:
-        for b in g.labels:
+    for a in vertices:
+        for b in vertices:
             assert carried.dominates(a, b) == fresh.dominates(a, b), (a, b)
+
+
+def _rule_2_answers(g):
+    """Each surviving label's rule-2 answer, None off the cut-vertices."""
+    cut_v = dominators(g).cut_vertices
+    return {w: find_rule_2(g, cut_v & {w}) for w in g.labels}
 
 
 class TestIncrementalDriver:
@@ -619,26 +660,41 @@ class TestIncrementalDriver:
 
     def test_carried_state_matches_fresh_every_step(self):
         # after every step the carried tree is what a fresh pass computes,
-        # and at every step the rule-4 answer from the heads not known to
-        # miss is find_rule_4's on the whole graph
+        # the carried rule-3 matches refreshed at the re-asked middles are
+        # a fresh find_rule_3 at every middle, and every cut-vertex whose
+        # rule-2 answer the step changed is re-asked; at every step the
+        # rule-4 answer from the heads not known to miss is find_rule_4's
+        # on the whole graph; the reduced graph gets the carried tree
         fired = {i: 0 for i in range(2, 7)}
         for d in _pinned_corpus()[:600] + [gen_bipath_chain(30)]:
             inst = LobInstance(d, 2)
             if find_rule_1(d) is not None:
                 continue
             red = _Reduction(d)
+            g = red.g
             while True:
                 ask4 = set(red.ask4)
-                assert _on_ids(red.g, red.ask_rule_4()) == find_rule_4(inst.graph)
+                assert _on_ids(g, red.ask_rule_4()) == find_rule_4(inst.graph)
                 red.ask4 = ask4
                 app = red.find()
-                assert _on_ids(red.g, app) == find_rule(inst)
+                assert _on_ids(g, app) == find_rule(inst)
                 if app is None:
                     break
                 fired[app.rule_id] += 1
+                before = _rule_2_answers(g)
                 inst = apply(inst, red.apply(app))
-                assert red.g.snapshot() == inst.graph
-                _assert_tree_is_fresh(red.g)
+                assert g.snapshot() == inst.graph
+                _assert_tree_is_fresh(g)
+                after = _rule_2_answers(g)
+                assert {w for w in dominators(g).cut_vertices
+                        if after[w] != before[w]} <= red.ask2
+                fresh = {u2: find_rule_3(g, (u2,)) for u2 in g.labels}
+                kept = {u2: a for u2, a in red.rule_3.items() if u2 not in red.ask3}
+                assert kept == {u2: a for u2, a in fresh.items()
+                                if a is not None and u2 not in red.ask3}
+            reduced = g.snapshot()
+            assert reduced == inst.graph
+            _assert_tree_is_fresh(reduced, range(reduced.n))
         assert fired[3] >= 20 and fired[5] >= 10
 
     def test_direct_rule_6_deletions_keep_the_tree(self, rng):
@@ -744,7 +800,7 @@ class TestPostFixpointLemmas:
             for u in cut_v | {g.root}:
                 for v in g.out_adj[u]:
                     if dom.dominates(u, v):
-                        assert g.in_degree(v) == 1
+                        assert len(g.in_adj[v]) == 1
 
     def test_cut_edge_tails_not_heads(self, rng):
         for g in self.reduced_corpus(rng):
