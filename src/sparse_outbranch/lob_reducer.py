@@ -300,9 +300,9 @@ class _Reduction:
       can become a cut-vertex: a deletion keeps the tree, and a contraction
       maps every root path avoiding c to one still avoiding c.
     - Rule 3's match at u2, old or new, reads only the lists of u2, u3 and
-      u4, so it re-asks every middle vertex within two proper-internal hops
-      of a changed vertex: an unchanged u2 (u3) stays proper internal and
-      next to u3 (u4).
+      u4. An unchanged u2 stays proper internal and next to u3, and an
+      unchanged u3 next to u4, so every middle whose match can move lies
+      within two proper-internal hops of a changed vertex; it re-asks those.
     - Rule 4 re-asks, besides the vertices never answered, the head of a
       deletion (every other answer depends only on which vertices the root
       reaches avoiding a set, which the deletion keeps) and a
