@@ -321,8 +321,8 @@ class TestRule5:
         assert checked >= 15
 
     def test_matches_pair_loop(self, monkeypatch):
-        # every rule-5 question the driver asks, on the pinned corpus and
-        # on planar inputs, gets the pair loop's answer
+        # every rule-5 question reduce_to_fixpoint asks, on the pinned
+        # corpus and on planar inputs, gets the pair loop's answer
         asked, fired = 0, 0
 
         def both(d, cut_e):
