@@ -533,8 +533,13 @@ def underlying_adjacency(d: RootedDigraph) -> list[set[int]]:
     return adj
 
 
+class UnreachableError(ValueError):
+    """The root does not reach every vertex."""
+
+
 def bfs_out_branching(d: RootedDigraph) -> OutBranching:
-    """Breadth-first spanning out-branching; requires a connected graph."""
+    """Breadth-first spanning out-branching; raises ``UnreachableError``
+    unless the root reaches every vertex."""
     parent: dict[int, int] = {}
     seen = [False] * d.n
     seen[d.root] = True
@@ -546,5 +551,5 @@ def bfs_out_branching(d: RootedDigraph) -> OutBranching:
                 parent[w] = u
                 found.append(w)
     if len(parent) != d.n - 1:
-        raise ValueError("graph is not connected from the root")
+        raise UnreachableError("graph is not connected from the root")
     return OutBranching(d.n, d.root, parent)

@@ -18,26 +18,28 @@ The result is an induced subgraph of the input with the same k.
 
 ``crown_pass`` never builds the auxiliary graph. Members of a class with
 the same in-list and out-list are twins there, with the same neighbors,
-so the pass works each class as a few twin groups (``twin_groups``,
-``twin_matching``, ``twin_crown``). Its matching visits the members in the
-order that ``class_matching`` does, so the crowns and the trace are those
-of ``crown_in_class`` on ``build_aux_graph``; those two, with
+so the pass works each class as the few twin groups that the classing
+already split it into (``NeighborhoodClassing.twins``, ``twin_matching``,
+``twin_crown``). Its matching visits the members in the order that
+``class_matching`` does, so the crowns and the trace are those of
+``crown_in_class`` on ``build_aux_graph``; those two, with
 ``class_hood``, ``class_matching`` and ``validate_crown``, stay as the
 member-by-member reference that ``verify`` and the tests compare with.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import merge
+from itertools import chain
 from typing import Iterator, Optional, Union
 
 from .digraph import (
     OutBranching,
     RootedDigraph,
+    UnreachableError,
     bfs_out_branching,
-    is_connected,
     remove_vertices,
 )
 from .outcomes import (
@@ -67,8 +69,8 @@ class IobInstance:
 def vc_or_solution(inst: IobInstance) -> Union[OutBranching, set[int]]:
     """Local search: returns an out-branching with >= k internal vertices,
     or a vertex cover of the underlying undirected graph of size at most
-    2k-1 that contains the root. Raises ValueError when the root does not
-    reach every vertex.
+    2k-1 that contains the root. Raises ``UnreachableError``, a ValueError,
+    from its BFS when the root does not reach every vertex.
 
     Starting from a BFS tree, while some arc (u, v) joins two leaves whose
     target still has siblings, re-hang v under u; every move turns one
@@ -318,16 +320,12 @@ class TwinGroup:
     keys: frozenset[LeftKey]
     members: tuple[int, ...]
 
-
-def twin_groups(d: RootedDigraph, members: list[int]) -> list[TwinGroup]:
-    """Split a neighborhood class into its twin groups."""
-    by_lists: dict[tuple, list[int]] = {}
-    for w in members:
-        by_lists.setdefault((tuple(d.in_adj[w]), tuple(d.out_adj[w])), []).append(w)
-    return [TwinGroup(frozenset([("u", x) for x in ins]
-                                + [("p", x, y) for x in ins for y in outs]),
-                      tuple(sorted(group)))
-            for (ins, outs), group in by_lists.items()]
+    @classmethod
+    def of(cls, d: RootedDigraph, members: tuple[int, ...]) -> TwinGroup:
+        """The group of twins `members`, its keys read off the first."""
+        ins, outs = d.in_adj[members[0]], d.out_adj[members[0]]
+        return cls(frozenset([("u", x) for x in ins]
+                             + [("p", x, y) for x in ins for y in outs]), members)
 
 
 def twin_matching(groups: list[TwinGroup], hood: set[LeftKey]
@@ -339,7 +337,9 @@ def twin_matching(groups: list[TwinGroup], hood: set[LeftKey]
     order. A matched member stays matched, so the first free partner of a
     key is always the least free member of one of its groups, and each
     group's matched members are its first ones: the first free partner is
-    found per group, without visiting the matched members before it."""
+    the least of the groups' next members, found without visiting the
+    matched members before it. A key with a free partner takes it
+    directly; only a key with none starts the augmenting search."""
     key_groups: dict[LeftKey, list[int]] = {key: [] for key in hood}
     for i, group in enumerate(groups):
         for key in group.keys:
@@ -348,23 +348,20 @@ def twin_matching(groups: list[TwinGroup], hood: set[LeftKey]
     match_left: dict[LeftKey, tuple[int, int]] = {}
     match_w: dict[int, LeftKey] = {}
 
+    def first_free(key: LeftKey) -> Optional[tuple[int, int]]:
+        """(group index, member) of the least free partner of `key`."""
+        free = min(((groups[i].members[used[i]], i) for i in key_groups[key]
+                    if used[i] < len(groups[i].members)), default=None)
+        return None if free is None else (free[1], free[0])
+
     def augment(key: LeftKey) -> None:
-        # the search of class_matching: keys[j] reaches keys[j + 1]
-        # through its partner via[j]
+        # the search of class_matching from a key with no free partner:
+        # keys[j] reaches keys[j + 1] through its partner via[j]
         seen = {key}
         keys: list[LeftKey] = []
         todo: list[Iterator[int]] = []
         via: list[tuple[int, int]] = []
         while True:
-            free = min(((groups[i].members[used[i]], i) for i in key_groups[key]
-                        if used[i] < len(groups[i].members)), default=None)
-            if free is not None:
-                w, i = free
-                used[i] += 1
-                for k, pair in reversed([*zip(keys, via), (key, (i, w))]):
-                    match_left[k] = pair
-                    match_w[pair[1]] = k
-                return
             keys.append(key)
             todo.append(merge(*(groups[i].members for i in key_groups[key])))
             while True:
@@ -379,9 +376,22 @@ def twin_matching(groups: list[TwinGroup], hood: set[LeftKey]
                 via.pop()
             seen.add(key)
             via.append(match_left[key])
+            free = first_free(key)
+            if free is not None:
+                used[free[0]] += 1
+                for k, pair in reversed([*zip(keys, via), (key, free)]):
+                    match_left[k] = pair
+                    match_w[pair[1]] = k
+                return
 
     for key in sorted(hood):
-        augment(key)
+        free = first_free(key)
+        if free is None:
+            augment(key)
+        else:
+            used[free[0]] += 1
+            match_left[key] = free
+            match_w[free[1]] = key
     return match_left
 
 
@@ -450,19 +460,22 @@ def crown_pass(d: RootedDigraph, classing: NeighborhoodClassing
 
     W is independent and each C_u lies inside W, so a crown changes no
     other class's members, auxiliary neighborhood or matching: the steps
-    are those of a rebuild after every crown. Each class is split once
-    into twin groups; its neighborhood, size test, matching, closure of H
-    and crown checks are worked per group, and only C_u is listed member
-    by member. Grouping keeps the trace: the matching takes the same
-    partner for every key as ``class_matching`` (``twin_matching``), so
-    each crown is that of ``crown_in_class`` on ``build_aux_graph``.
-    Removal keeps vertex order, so key order does not change, and each
-    step's key and removed ids are ranks among the vertices that the
-    earlier steps left: x less the ids in `gone` below it. No rank map is
-    rebuilt per crown: a rank costs one O(log n) bisection, and a removed
-    id one `insort` into `gone`, an O(|gone|) shift."""
+    are those of a rebuild after every crown. Each class comes split into
+    twin groups (``NeighborhoodClassing.twins``), and twins have the same
+    out-list, so the cover check reads one member per group; the
+    neighborhood, size test, matching, closure of H and crown checks are
+    worked per group, and only C_u is listed member by member. Grouping
+    keeps the trace: the matching takes the same partner for every key as
+    ``class_matching`` (``twin_matching``), so each crown is that of
+    ``crown_in_class`` on ``build_aux_graph``. Removal keeps vertex order,
+    so key order does not change, and each step's key and removed ids are
+    ranks among the vertices that the earlier steps left: x less the ids
+    in `gone` below it. The ranks of a step take one bisection each, and
+    its removed ids join `gone` in one merge (``list.sort`` of two sorted
+    runs), so no rank map is rebuilt per crown."""
     cover = classing.modulator
-    uncovered = [(u, v) for u in range(d.n) if u not in cover
+    firsts = [group[0] for groups in classing.twins.values() for group in groups]
+    uncovered = [(u, v) for u in firsts + classing.heavy
                  for v in d.out_adj[u] if v not in cover]
     if uncovered:
         raise ValueError("not a vertex cover: arc ({},{}) uncovered".format(*min(uncovered)))
@@ -470,7 +483,7 @@ def crown_pass(d: RootedDigraph, classing: NeighborhoodClassing
     gone: list[int] = []
     for key in sorted(classing.classes):
         members = classing.classes[key]
-        groups = twin_groups(d, members)
+        groups = [TwinGroup.of(d, group) for group in classing.twins[key]]
         hood = set().union(*(group.keys for group in groups))
         if len(members) <= 2 * len(hood):
             continue
@@ -483,11 +496,11 @@ def crown_pass(d: RootedDigraph, classing: NeighborhoodClassing
         left_hood = set().union(*(group.keys for group, n in zip(groups, kept) if n))
         if sum(kept) > len(left_hood):
             raise RuntimeError(f"class {key} keeps more members than neighbors after its crown")
-        removed = sorted(w for group, n in zip(groups, kept) for w in group.members[n:])
-        steps.append(CrownStep(tuple(x - bisect_left(gone, x) for x in key),
-                               tuple(x - bisect_left(gone, x) for x in removed)))
-        for x in removed:
-            insort(gone, x)
+        removed = sorted(chain.from_iterable(group.members[n:] for group, n in zip(groups, kept)))
+        ranks = [x - bisect_left(gone, x) for x in (*key, *removed)]
+        steps.append(CrownStep(tuple(ranks[:len(key)]), tuple(ranks[len(key):])))
+        gone += removed
+        gone.sort()
     return steps, gone
 
 
@@ -504,6 +517,11 @@ def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None
     at least 2; a threshold below 2 raises ValueError, since every W
     vertex of a connected graph has a cover neighbor and no crown could
     fire.
+
+    Each round makes one graph search, the local search's BFS tree, which
+    raises ``UnreachableError`` when the root misses a vertex: that is the
+    round's reachability test. Each round also makes one scan of W, the
+    classing's bucketing, which hands the crown pass its twin groups.
     """
     if threshold is None:
         threshold = max(2, 2 * degeneracy(inst.graph).d)
@@ -512,9 +530,10 @@ def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None
     trace = ReductionTrace()
     current = inst
     for _ in range(inst.graph.n + 1):
-        if not is_connected(current.graph):
+        try:
+            found = vc_or_solution(current)
+        except UnreachableError:
             return NoOutcome("vertex unreachable from root"), trace
-        found = vc_or_solution(current)
         if isinstance(found, OutBranching):
             return YesOutcome(found), trace
         cover = found

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Iterator, Optional
 
 from .digraph import (
@@ -303,6 +304,8 @@ class _Reduction:
       u4. An unchanged u2 stays proper internal and next to u3, and an
       unchanged u3 next to u4, so every middle whose match can move lies
       within two proper-internal hops of a changed vertex; it re-asks those.
+      The carried matches sit in a heap keyed by locus, so the least one
+      costs O(log n) a step rather than a scan of them all.
     - Rule 4 re-asks, besides the vertices never answered, the head of a
       deletion (every other answer depends only on which vertices the root
       reaches avoiding a set, which the deletion keeps) and a
@@ -321,6 +324,9 @@ class _Reduction:
         self.ask3 = set(range(d.n))
         self.ask4 = set(range(d.n))
         self.rule_3: dict[int, RuleApplication] = {}  # middle vertex -> its match
+        # (locus, middle) for every carried match, and for some dropped or
+        # replaced ones, which are skipped when they reach the top
+        self.by_locus: list[tuple[tuple[int, ...], int]] = []
 
     def find(self) -> Optional[RuleApplication]:
         """What ``find_rule`` would return on the current graph, rule 1
@@ -337,11 +343,18 @@ class _Reduction:
             app = find_rule_3(g, (u2,))
             if app is None:
                 self.rule_3.pop(u2, None)
-            else:
+            elif self.rule_3.get(u2) != app:
                 self.rule_3[u2] = app
+                heappush(self.by_locus, (app.locus, u2))
         self.ask3.clear()
-        if self.rule_3:
-            return min(self.rule_3.values(), key=lambda a: a.locus)
+        # loci are labels, which keep their order, so the least live entry
+        # is the least carried match
+        while self.by_locus:
+            locus, u2 = self.by_locus[0]
+            app = self.rule_3.get(u2)
+            if app is not None and app.locus == locus:
+                return app
+            heappop(self.by_locus)
         app = self.ask_rule_4()
         if app is not None:
             return app

@@ -10,6 +10,7 @@ vertices whose trace is at least the chosen threshold as "heavy".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 from .digraph import RootedDigraph, underlying_adjacency
@@ -65,10 +66,19 @@ def degeneracy(g: Union[RootedDigraph, Adjacency]) -> DegeneracyOrdering:
 
 @dataclass
 class NeighborhoodClassing:
+    """The vertices outside the modulator X, by their trace N(v) & X.
+
+    ``classes`` maps each sorted trace of fewer than ``threshold`` vertices
+    to its members and ``heavy`` lists the rest, both ascending, with the
+    classes in order of their least member. ``twins`` splits each class
+    into its twin groups, the members with the same in-list and out-list:
+    each group ascending, the groups in order of their least member."""
+
     modulator: frozenset[int]
     threshold: int
     classes: dict[tuple[int, ...], list[int]]  # sorted trace -> members
     heavy: list[int]
+    twins: dict[tuple[int, ...], list[tuple[int, ...]]]  # sorted trace -> twin groups
 
     def class_count(self) -> int:
         return len(self.classes)
@@ -83,19 +93,30 @@ def classify_by_modulator(d: RootedDigraph, modulator: Iterable[int],
     trace in it. Members with |N(v) & X| >= threshold land in ``heavy``
     instead of a class. With threshold = 2p and p at least the depth-1
     grad, the counting bounds say |heavy| <= 2p|X| and the number of
-    distinct classes is at most (4^p + 2p)|X|."""
+    distinct classes is at most (4^p + 2p)|X|.
+
+    One scan buckets the vertices by (in-list, out-list). Twins have the
+    same neighborhood, hence the same trace under any modulator, so each
+    distinct trace is worked out once per bucket, and the buckets of a
+    class are its twin groups. The buckets come in order of their least
+    member, so the classes do too."""
     X = frozenset(modulator)
-    classes: dict[tuple[int, ...], list[int]] = {}
-    heavy: list[int] = []
+    in_adj, out_adj = d.in_adj, d.out_adj
+    buckets: dict[tuple, list[int]] = {}
     for v in range(d.n):
-        if v in X:
-            continue
-        trace = X.intersection(d.in_adj[v] + d.out_adj[v])
+        if v not in X:
+            buckets.setdefault((tuple(in_adj[v]), tuple(out_adj[v])), []).append(v)
+    twins: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    heavy: list[int] = []
+    for (ins, outs), group in buckets.items():
+        trace = X.intersection(ins + outs)
         if len(trace) >= threshold:
-            heavy.append(v)
+            heavy += group
         else:
-            classes.setdefault(tuple(sorted(trace)), []).append(v)
-    return NeighborhoodClassing(X, threshold, classes, heavy)
+            twins.setdefault(tuple(sorted(trace)), []).append(tuple(group))
+    heavy.sort()
+    classes = {key: sorted(chain.from_iterable(groups)) for key, groups in twins.items()}
+    return NeighborhoodClassing(X, threshold, classes, heavy, twins)
 
 
 def heavy_count_bound_ok(classing: NeighborhoodClassing) -> bool:

@@ -8,6 +8,7 @@ from sparse_outbranch.cli import main
 from sparse_outbranch.digraph import (
     OutBranching,
     RootedDigraph,
+    UnreachableError,
     bfs_out_branching,
     is_connected,
     remove_vertices,
@@ -30,7 +31,6 @@ from sparse_outbranch.iob_kernel import (
     kernelize_iob,
     small_degree_classes,
     twin_crown,
-    twin_groups,
     twin_matching,
     validate_crown,
     validate_twin_crown,
@@ -140,6 +140,51 @@ def _vc_or_solution_sorted_arcs(inst):
         return tree
     blocked = {v for u, v in arcs if n_children[u] == 0 and n_children[v] == 0}
     return tree.internal() | blocked | {d.root}
+
+
+def _classify_per_member(d, modulator, threshold):
+    """The per-member bucketing that ``sparsity.classify_by_modulator``
+    replaced, kept as the reference: (classes, heavy), one trace worked
+    out for every vertex outside the modulator."""
+    X = frozenset(modulator)
+    classes = {}
+    heavy = []
+    for v in range(d.n):
+        if v in X:
+            continue
+        trace = X.intersection(d.in_adj[v] + d.out_adj[v])
+        if len(trace) >= threshold:
+            heavy.append(v)
+        else:
+            classes.setdefault(tuple(sorted(trace)), []).append(v)
+    return classes, heavy
+
+
+def _twin_groups(d, members):
+    """The per-class twin split that ``crown_pass`` ran before the
+    classing handed it ``NeighborhoodClassing.twins``, kept as the
+    reference."""
+    by_lists = {}
+    for w in members:
+        by_lists.setdefault((tuple(d.in_adj[w]), tuple(d.out_adj[w])), []).append(w)
+    return [TwinGroup(frozenset([("u", x) for x in ins]
+                                + [("p", x, y) for x in ins for y in outs]),
+                      tuple(sorted(group)))
+            for (ins, outs), group in by_lists.items()]
+
+
+def _assert_classing_matches_references(d, modulator, threshold):
+    """The one-scan classing equals the per-member classing, in dict
+    order and member order, and its twin split equals the per-class
+    split of every class, keys included."""
+    got = classify_by_modulator(d, modulator, threshold)
+    classes, heavy = _classify_per_member(d, modulator, threshold)
+    assert list(got.classes.items()) == list(classes.items())
+    assert got.heavy == heavy
+    assert list(got.twins) == list(classes)
+    for key, members in classes.items():
+        assert [TwinGroup.of(d, group) for group in got.twins[key]] == _twin_groups(d, members)
+    return got
 
 
 def _crown_round_reference(inst, cover, classes):
@@ -486,8 +531,14 @@ class TestKernelize:
         assert len(trace) == 0
 
     def test_no_when_unreachable(self):
-        out, _ = kernelize_iob(IobInstance(RootedDigraph(3, 0, [(0, 1)]), 1))
-        assert isinstance(out, NoOutcome)
+        # the local search's BFS raises UnreachableError, a ValueError,
+        # which the kernel loop turns into NO
+        d = RootedDigraph(3, 0, [(0, 1)])
+        out, _ = kernelize_iob(IobInstance(d, 1))
+        assert out == NoOutcome("vertex unreachable from root")
+        with pytest.raises(UnreachableError, match="not connected from the root"):
+            vc_or_solution(IobInstance(d, 1))
+        assert issubclass(UnreachableError, ValueError)
 
     def test_reduced_is_induced_subgraph(self, rng):
         for _ in range(25):
@@ -705,9 +756,9 @@ class TestCrownPass:
     def test_five_group_class_matches_member_reference(self):
         for shuffled, (d, perm) in enumerate(self.five_group_graphs()):
             cover = {perm[0], perm[1], perm[2]}
-            classing = classify_by_modulator(d, cover, 3)
+            classing = _assert_classing_matches_references(d, cover, 3)
             (key, members), = classing.classes.items()
-            groups = twin_groups(d, members)
+            groups = [TwinGroup.of(d, group) for group in classing.twins[key]]
             assert len(groups) == 5
             b = build_aux_graph(d, cover)
             hood = class_hood(b, set(members))
@@ -776,6 +827,88 @@ class TestCrownPass:
         assert isinstance(out, ReducedOutcome)
         assert len(trace) >= 20
         assert calls <= 4
+
+    def test_one_search_per_round(self, monkeypatch):
+        # the local search's BFS tree is also the round's reachability
+        # test; a separate is_connected searched the graph twice a round
+        from sparse_outbranch import digraph, iob_kernel
+        rounds = searches = 0
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                nonlocal searches
+                searches += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def counting_round(inst):
+            nonlocal rounds
+            rounds += 1
+            return real(inst)
+
+        for module in (digraph, iob_kernel):
+            for name in ("reachable", "bfs_out_branching"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        real = iob_kernel.vc_or_solution
+        monkeypatch.setattr(iob_kernel, "vc_or_solution", counting_round)
+        out, trace = kernelize_iob(IobInstance(gen_iob_twins(64, 3, seed=1), 64))
+        assert isinstance(out, ReducedOutcome) and len(trace) >= 20
+        assert rounds >= 2 and searches == rounds
+
+
+class TestOneBucketing:
+    """One scan buckets W by (in-list, out-list); the classes, their
+    order and their twin split are those of the per-member classing and
+    the per-class twin split."""
+
+    def test_matches_references_on_shuffled_inputs(self, rng):
+        split = 0
+        for i in range(60):
+            if i % 2:
+                k = rng.choice((4, 8, 16))
+                g = gen_iob_twins(k, rng.randint(1, 3), rng.randrange(1 << 30),
+                                  twin_factor=3)
+            else:
+                g = gen_degenerate(rng.randint(20, 150), rng.randint(1, 3),
+                                   rng.randrange(1 << 30))
+                k = rng.randint(2, 20)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = RootedDigraph(g.n, perm[g.root], [(perm[u], perm[v]) for u, v in g.arcs()])
+            found = vc_or_solution(IobInstance(g, k))
+            modulators = [set(rng.sample(range(g.n), rng.randint(1, g.n // 3)))]
+            if isinstance(found, set):
+                modulators.append(found)
+            for x in modulators:
+                got = _assert_classing_matches_references(g, x, rng.randint(1, 7))
+                split += any(len(groups) > 1 for groups in got.twins.values())
+        assert split >= 20
+
+    def test_matches_references_on_verify_counting_modulators(self, monkeypatch):
+        from sparse_outbranch import verify
+        calls = 0
+
+        def both(d, modulator, threshold):
+            nonlocal calls
+            calls += 1
+            return _assert_classing_matches_references(d, modulator, threshold)
+
+        monkeypatch.setattr(verify, "classify_by_modulator", both)
+        for seed in (0, 1):
+            assert verify.verify_counting(graphs=10, seed=seed).passed
+        assert calls == 60
+
+    def test_degenerate_inputs(self):
+        # a lone root, every vertex in the modulator, an empty modulator
+        # (every trace empty, so one class split by lists), and threshold
+        # 1, which sends every vertex with a modulator neighbor to heavy
+        one = RootedDigraph(1, 0, [])
+        path = RootedDigraph(4, 0, [(0, 1), (1, 2), (2, 3)])
+        for d, x in ((one, {0}), (one, set()), (path, range(4)), (path, set()),
+                     (path, {1})):
+            for threshold in (1, 2):
+                _assert_classing_matches_references(d, x, threshold)
 
 
 class TestKernelEquivalence:
@@ -875,6 +1008,7 @@ class TestContractChecks:
         monkeypatch.setattr(iob_kernel, "vc_or_solution", lambda inst: {0, 1, 2, 3})
         monkeypatch.setattr(iob_kernel, "small_degree_classes",
                             lambda g, cover, threshold: NeighborhoodClassing(
-                                frozenset(cover), threshold, {(1,): [4, 5, 6, 7, 8]}, []))
+                                frozenset(cover), threshold, {(1,): [4, 5, 6, 7, 8]}, [],
+                                {(1,): [(4, 5, 6, 7, 8)]}))
         with pytest.raises(RuntimeError, match="structural bound"):
             kernelize_iob(IobInstance(d, 6))

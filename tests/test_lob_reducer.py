@@ -738,6 +738,29 @@ class TestIncrementalDriver:
         assert passes <= 1 + rule_5
         assert searches <= 100
 
+    def test_work_guard_on_bipath_chain_2000(self, monkeypatch):
+        # deterministic work: taking the least carried rule-3 match by a
+        # scan of them all read 1,998,993 loci here; the heap keyed by
+        # locus reads a few per re-ask, push and pop (27,934 in all)
+        reads = 0
+
+        class Counted(RuleApplication):
+            def __getattribute__(self, name):
+                nonlocal reads
+                reads += name == "locus"
+                return super().__getattribute__(name)
+
+        real = lob_reducer.find_rule_3
+
+        def counted(d, middles=None):
+            app = real(d, middles)
+            return app and Counted(app.rule_id, app.locus, app.action)
+
+        monkeypatch.setattr(lob_reducer, "find_rule_3", counted)
+        _, trace = reduce_to_fixpoint(LobInstance(gen_bipath_chain(2000), 2))
+        assert sum(s.rule_id == 3 for s in trace) == 1996
+        assert reads <= 20 * 2000
+
     @settings(max_examples=150, deadline=None)
     @given(small_digraphs(max_n=9))
     def test_rules_2_to_6_keep_every_vertex_reachable(self, d):
