@@ -462,10 +462,10 @@ def crown_pass(d: RootedDigraph, classing: NeighborhoodClassing
     other class's members, auxiliary neighborhood or matching: the steps
     are those of a rebuild after every crown. Each class comes split into
     twin groups (``NeighborhoodClassing.twins``), and twins have the same
-    out-list, so the cover check reads one member per group; the
-    neighborhood, size test, matching, closure of H and crown checks are
-    worked per group, and only C_u is listed member by member. Grouping
-    keeps the trace: the matching takes the same partner for every key as
+    out-list, so the cover check reads the least member of each group and
+    every heavy vertex; the neighborhood, size test, matching, closure of
+    H and crown checks are worked per group, and only C_u is listed member
+    by member. Grouping keeps the trace: the matching takes the same partner for every key as
     ``class_matching`` (``twin_matching``), so each crown is that of
     ``crown_in_class`` on ``build_aux_graph``. Removal keeps vertex order,
     so key order does not change, and each step's key and removed ids are

@@ -96,9 +96,9 @@ def classify_by_modulator(d: RootedDigraph, modulator: Iterable[int],
     distinct classes is at most (4^p + 2p)|X|.
 
     One scan buckets the vertices by (in-list, out-list). Twins have the
-    same neighborhood, hence the same trace under any modulator, so each
-    distinct trace is worked out once per bucket, and the buckets of a
-    class are its twin groups. The buckets come in order of their least
+    same neighborhood, hence the same trace under any modulator, so the
+    trace is worked out once per bucket, and the buckets of a class are
+    its twin groups. The buckets come in order of their least
     member, so the classes do too."""
     X = frozenset(modulator)
     in_adj, out_adj = d.in_adj, d.out_adj

@@ -969,6 +969,12 @@ class TestContractChecks:
         d = RootedDigraph(5, 0, [(0, 1), (1, 2), (2, 3), (3, 4)])
         with pytest.raises(ValueError, match=r"not a vertex cover: arc \(2,3\) uncovered"):
             kernelize_iob(IobInstance(d, 3))
+        # 3 sees the cover vertices 1 and 2, so threshold 2 files it on
+        # the heavy side, whose arcs the check reads too
+        monkeypatch.setattr(iob_kernel, "vc_or_solution", lambda inst: {0, 1, 2})
+        d = RootedDigraph(5, 0, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
+        with pytest.raises(ValueError, match=r"not a vertex cover: arc \(3,4\) uncovered"):
+            kernelize_iob(IobInstance(d, 2), threshold=2)
 
     def test_unmatched_neighbor_raises(self, monkeypatch):
         # with no matching at all, the closure from the free twins meets
