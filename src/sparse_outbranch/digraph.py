@@ -175,16 +175,14 @@ class OutBranching:
 
 
 def reachable(d: RootedDigraph, start: int,
-              removed_vertices: Iterable[int] = (),
-              removed_arcs: Iterable[Arc] = ()) -> set[int]:
+              removed_vertices: Iterable[int] = ()) -> set[int]:
     """Vertices reachable from ``start`` by directed paths that avoid the
-    removed vertices and arcs. ``start`` itself is always included."""
+    removed vertices. ``start`` itself is always included."""
     if not 0 <= start < d.n:
         raise ValueError(f"vertex {start} out of range")
     dead_v = set(removed_vertices)
     if start in dead_v:
         raise ValueError("start vertex is removed")
-    dead_a = set(removed_arcs)
     seen = [False] * d.n
     seen[start] = True
     for v in dead_v:
@@ -192,7 +190,7 @@ def reachable(d: RootedDigraph, start: int,
     found = [start]
     for u in found:  # also visits what is appended meanwhile
         for w in d.out_adj[u]:
-            if not seen[w] and not (dead_a and (u, w) in dead_a):
+            if not seen[w]:
                 seen[w] = True
                 found.append(w)
     return set(found)

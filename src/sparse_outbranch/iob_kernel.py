@@ -25,6 +25,9 @@ already split it into (``NeighborhoodClassing.twins``, ``twin_matching``,
 ``crown_in_class`` on ``build_aux_graph``; those two, with
 ``class_hood``, ``class_matching`` and ``validate_crown``, stay as the
 member-by-member reference that ``verify`` and the tests compare with.
+Both matchings run one augmenting-path search, ``augmenting_matching``,
+so that reference checks the auxiliary graph, the closure of H and the
+crown checks, and the tests' recursive matching checks the search.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import merge
-from itertools import chain
-from typing import Iterator, Optional, Union
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Union
 
 from .digraph import (
     OutBranching,
@@ -54,6 +58,8 @@ from .sparsity import NeighborhoodClassing, classify_by_modulator, degeneracy
 # left-side vertices of the auxiliary graph: ("u", x) for units,
 # ("p", x, y) for ordered pairs over the cover
 LeftKey = tuple
+# a right-side vertex of a matching: a W vertex, or (group index, member)
+Partner = Hashable
 
 
 @dataclass(frozen=True)
@@ -183,48 +189,65 @@ def validate_crown(b: AuxiliaryBipartite, crown: CrownDecomposition) -> None:
             raise ValueError(f"matching edge {h_key}-{w} not in the graph")
 
 
+def augmenting_matching(keys: list[LeftKey],
+                        partners: Callable[[LeftKey], Iterable[Partner]],
+                        first_free: Callable[[LeftKey, dict], Optional[Partner]]
+                        ) -> tuple[dict[LeftKey, Partner], dict[Partner, LeftKey]]:
+    """Maximum matching from `keys` by augmenting paths, one search per key
+    in the given order; ``class_matching`` and ``twin_matching`` share it.
+    ``partners(key)`` lists a key's partners in ascending order, and
+    ``first_free(key, match_w)`` returns the least of them not in
+    `match_w`, or None. A key with a free partner takes it before any
+    search state is built. Otherwise a depth-first search on an explicit
+    stack descends through matched partners, in order, to the keys they
+    are matched to, until one of those has a free partner, and flips the
+    path to it. Returns the key->partner and partner->key maps."""
+    match_left: dict[LeftKey, Partner] = {}
+    match_w: dict[Partner, LeftKey] = {}
+    for key in keys:
+        free = first_free(key, match_w)
+        if free is not None:
+            match_left[key] = free
+            match_w[free] = key
+            continue
+        # path[j] reaches path[j + 1] through the partner of path[j + 1]
+        seen = {key}
+        path = [key]
+        todo = [iter(partners(key))]
+        while todo:
+            nxt = next((match_w[w] for w in todo[-1] if match_w[w] not in seen), None)
+            if nxt is None:
+                path.pop()
+                todo.pop()
+                continue
+            seen.add(nxt)
+            path.append(nxt)
+            free = first_free(nxt, match_w)
+            if free is None:
+                todo.append(iter(partners(nxt)))
+                continue
+            # each key on the path takes the partner of the next, the last
+            # key the free one
+            for k, w in zip(path, [match_left[k] for k in path[1:]] + [free]):
+                match_left[k] = w
+                match_w[w] = k
+            break
+    return match_left, match_w
+
+
 def class_matching(b: AuxiliaryBipartite, members: set[int], hood: set[LeftKey]
                    ) -> tuple[dict[LeftKey, int], dict[int, LeftKey]]:
     """Maximum matching between a class `members` and its neighborhood
-    `hood` (augmenting paths from the small side, one search per left
-    vertex in sorted order). Returns the left->W and W->left maps."""
-    match_left: dict[LeftKey, int] = {}
-    match_w: dict[int, LeftKey] = {}
+    `hood` (``augmenting_matching`` from the small side, the left vertices
+    in sorted order, each partner list sorted). Returns the left->W and
+    W->left maps."""
+    def partners(key: LeftKey) -> list[int]:
+        return sorted(b.left_adj[key] & members)
 
-    def augment(key: LeftKey) -> None:
-        # depth-first search on an explicit stack: at each left vertex try
-        # its free partners, then descend through its matched ones, each in
-        # sorted order; keys[j] reaches keys[j + 1] through its partner via[j]
-        seen = {key}
-        keys: list[LeftKey] = []
-        todo: list[Iterator[int]] = []
-        via: list[int] = []
-        while True:
-            partners = sorted(b.left_adj[key] & members)
-            free = next((w for w in partners if w not in match_w), None)
-            if free is not None:
-                for k, w in reversed([*zip(keys, via), (key, free)]):
-                    match_left[k] = w
-                    match_w[w] = k
-                return
-            keys.append(key)
-            todo.append(iter(partners))
-            while True:
-                key = next((match_w[w] for w in todo[-1]
-                            if match_w[w] not in seen), None)
-                if key is not None:
-                    break
-                keys.pop()
-                todo.pop()
-                if not keys:
-                    return
-                via.pop()
-            seen.add(key)
-            via.append(match_left[key])
+    def first_free(key: LeftKey, match_w: dict) -> Optional[int]:
+        return next((w for w in partners(key) if w not in match_w), None)
 
-    for key in sorted(hood):
-        augment(key)
-    return match_left, match_w
+    return augmenting_matching(sorted(hood), partners, first_free)
 
 
 def class_hood(b: AuxiliaryBipartite, members: set[int]) -> set[LeftKey]:
@@ -331,68 +354,37 @@ class TwinGroup:
 def twin_matching(groups: list[TwinGroup], hood: set[LeftKey]
                   ) -> dict[LeftKey, tuple[int, int]]:
     """``class_matching`` of the union of `groups` and its neighborhood
-    `hood`, worked on the groups: returns key -> (group index, partner).
+    `hood`, worked on the groups (``augmenting_matching`` with the same key
+    order and partner order): returns key -> (group index, partner).
 
     A key's partners are the members of its groups, merged in ascending
-    order. A matched member stays matched, so the first free partner of a
-    key is always the least free member of one of its groups, and each
-    group's matched members are its first ones: the first free partner is
-    the least of the groups' next members, found without visiting the
-    matched members before it. A key with a free partner takes it
-    directly; only a key with none starts the augmenting search."""
+    order. A matched member stays matched, and each newly matched one is
+    some group's least free member, so each group's matched members are
+    its first ones: the first free partner of a key is the least of its
+    groups' next free members, and each group's count of matched members
+    is brought up to date when the group is next asked."""
     key_groups: dict[LeftKey, list[int]] = {key: [] for key in hood}
     for i, group in enumerate(groups):
         for key in group.keys:
             key_groups[key].append(i)
     used = [0] * len(groups)
-    match_left: dict[LeftKey, tuple[int, int]] = {}
-    match_w: dict[int, LeftKey] = {}
 
-    def first_free(key: LeftKey) -> Optional[tuple[int, int]]:
+    def partners(key: LeftKey) -> Iterator[tuple[int, int]]:
+        return merge(*(zip(repeat(i), groups[i].members) for i in key_groups[key]),
+                     key=itemgetter(1))
+
+    def first_free(key: LeftKey, match_w: dict) -> Optional[tuple[int, int]]:
         """(group index, member) of the least free partner of `key`."""
-        free = min(((groups[i].members[used[i]], i) for i in key_groups[key]
-                    if used[i] < len(groups[i].members)), default=None)
-        return None if free is None else (free[1], free[0])
+        best = None
+        for i in key_groups[key]:
+            members = groups[i].members
+            while used[i] < len(members) and (i, members[used[i]]) in match_w:
+                used[i] += 1
+            if used[i] < len(members) and (best is None or members[used[i]] < best[1]):
+                best = (i, members[used[i]])
+        return best
 
-    def augment(key: LeftKey) -> None:
-        # the search of class_matching from a key with no free partner:
-        # keys[j] reaches keys[j + 1] through its partner via[j]
-        seen = {key}
-        keys: list[LeftKey] = []
-        todo: list[Iterator[int]] = []
-        via: list[tuple[int, int]] = []
-        while True:
-            keys.append(key)
-            todo.append(merge(*(groups[i].members for i in key_groups[key])))
-            while True:
-                key = next((match_w[w] for w in todo[-1]
-                            if match_w[w] not in seen), None)
-                if key is not None:
-                    break
-                keys.pop()
-                todo.pop()
-                if not keys:
-                    return
-                via.pop()
-            seen.add(key)
-            via.append(match_left[key])
-            free = first_free(key)
-            if free is not None:
-                used[free[0]] += 1
-                for k, pair in reversed([*zip(keys, via), (key, free)]):
-                    match_left[k] = pair
-                    match_w[pair[1]] = k
-                return
-
-    for key in sorted(hood):
-        free = first_free(key)
-        if free is None:
-            augment(key)
-        else:
-            used[free[0]] += 1
-            match_left[key] = free
-            match_w[free[1]] = key
-    return match_left
+    return augmenting_matching(sorted(hood), partners, first_free)[0]
 
 
 def validate_twin_crown(groups: list[TwinGroup], reached: set[int],

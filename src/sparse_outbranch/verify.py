@@ -406,7 +406,8 @@ def verify_crown(firings: int = 500, max_n: int = 9, seed: int = 0) -> SuiteResu
     structural validity of each crown (checked once, when it is built).
     Each trace step must equal the first crown that the member-by-member
     reference builds on the graph left so far: over the carried cover,
-    else over a new local search's."""
+    else over a new local search's. The reference shares only the
+    augmenting search (``augmenting_matching``) with the pass."""
     rng = random.Random(seed)
     fired = 0
     violations = 0

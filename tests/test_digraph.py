@@ -106,7 +106,7 @@ class TestReachable:
 
     def test_removed_arc_detour(self):
         d = RootedDigraph(3, 0, [(0, 1), (0, 2), (1, 2)])
-        assert reachable(d, 0, removed_arcs={(0, 2)}) == {0, 1, 2}
+        assert reachable(d.with_arcs_removed({(0, 2)}), 0) == {0, 1, 2}
 
     def test_invalid_vertex(self):
         with pytest.raises(ValueError):
@@ -118,7 +118,7 @@ class TestReachable:
         base = reachable(d, 0)
         rm_v = {v for v in more_v if v < d.n}
         rm_a = {(u, v) for u in more_a for v in more_a if u != v and u < d.n and v < d.n}
-        shrunk = reachable(d, 0, removed_vertices=rm_v, removed_arcs=rm_a)
+        shrunk = reachable(d.with_arcs_removed(rm_a), 0, removed_vertices=rm_v)
         assert shrunk <= base
 
     def test_matches_label_scan(self, rng):
@@ -128,8 +128,9 @@ class TestReachable:
             rm_v = set(rng.sample(range(d.n), rng.randint(0, d.n // 3))) - {start}
             arcs = d.arcs()
             rm_a = set(rng.sample(arcs, rng.randint(0, len(arcs) // 3)))
-            for args in ((), (rm_v,), (rm_v, rm_a), ((), rm_a)):
-                assert reachable(d, start, *args) == _reachable_scan(d, start, *args)
+            for dead_v, dead_a in (((), ()), (rm_v, ()), (rm_v, rm_a), ((), rm_a)):
+                assert (reachable(d.with_arcs_removed(dead_a), start, dead_v)
+                        == _reachable_scan(d, start, dead_v, dead_a))
 
 
 class TestConnectivity:
@@ -176,7 +177,7 @@ class TestCutStructure:
     def test_cut_edge_definitional_roundtrip(self, d):
         _, ce = cut_structure(d)
         for arc in d.arcs():
-            unreached = len(reachable(d, 0, removed_arcs={arc})) != d.n
+            unreached = len(reachable(d.with_arcs_removed({arc}), 0)) != d.n
             assert (arc in ce) == unreached
 
     @settings(max_examples=80, deadline=None)
@@ -194,7 +195,7 @@ class TestCutStructure:
             d = random_connected(rng, rng.randint(2, 8), 0.25)
             for u, v in cut_structure(d)[1]:
                 if len(d.in_adj[v]) == 1:
-                    assert v not in reachable(d, 0, removed_arcs={(u, v)})
+                    assert v not in reachable(d.with_arcs_removed({(u, v)}), 0)
 
     def test_cut_structure_matches_naive_on_larger_graphs(self, rng):
         # the one-sweep computation against per-vertex and per-arc removal
@@ -204,7 +205,7 @@ class TestCutStructure:
             naive_cv = {v for v in range(1, d.n)
                         if len(reachable(d, 0, removed_vertices={v})) != d.n - 1}
             naive_ce = {a for a in d.arcs()
-                        if len(reachable(d, 0, removed_arcs={a})) != d.n}
+                        if len(reachable(d.with_arcs_removed({a}), 0)) != d.n}
             assert cv == naive_cv
             assert ce == naive_ce
 

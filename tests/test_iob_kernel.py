@@ -461,6 +461,16 @@ class TestCrown:
             got = class_matching(b, members, hood)
             ref = _class_matching_recursive(b, members, hood)
             assert [list(m.items()) for m in got] == [list(m.items()) for m in ref]
+            # the same class as twin groups, members with equal neighborhoods,
+            # in any order
+            by_hood = {}
+            for w in sorted(members):
+                by_hood.setdefault(frozenset(w_adj[w]), []).append(w)
+            groups = [TwinGroup(keys, tuple(ws)) for keys, ws in by_hood.items()]
+            rng.shuffle(groups)
+            twins = twin_matching(groups, hood)
+            assert [(key, w) for key, (_, w) in twins.items()] == list(ref[0].items())
+            assert all(w in groups[i].members for i, w in twins.values())
 
     def test_matching_matches_recursive_reference(self, rng, monkeypatch):
         # the matching of every crown the pass builds, worked on twin

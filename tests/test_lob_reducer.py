@@ -713,6 +713,77 @@ class TestIncrementalDriver:
             checked += 1
         assert checked >= 50
 
+    # (n, arcs, contractions), rooted at 0: after the contractions some
+    # middle's carried rule-3 match has moved to a larger locus, and the
+    # heap entry of its old locus, now stale, sits below every live one
+    STALE_RULE_3 = [
+        (15, [(0, 11), (0, 12), (2, 3), (2, 4), (3, 2), (3, 9), (4, 2), (4, 6),
+              (5, 9), (5, 14), (6, 4), (6, 13), (8, 12), (9, 3), (9, 5), (10, 11),
+              (11, 7), (11, 10), (12, 6), (12, 8), (13, 5), (14, 1)],
+         [(14, 1), (4, 2)]),
+        (11, [(0, 7), (1, 2), (1, 8), (2, 1), (2, 5), (5, 2), (6, 8), (6, 10),
+              (7, 9), (7, 10), (8, 1), (8, 6), (9, 3), (9, 7), (10, 4), (10, 6)],
+         [(9, 7), (7, 10), (2, 1), (7, 4)]),
+        (11, [(0, 2), (1, 3), (1, 8), (2, 7), (2, 10), (3, 1), (3, 6), (4, 9),
+              (5, 2), (5, 8), (5, 10), (6, 3), (6, 9), (8, 1), (8, 5), (9, 4),
+              (9, 6), (10, 5)],
+         [(5, 10), (3, 6)]),
+    ]
+
+    @staticmethod
+    def _bipath_rich(rng):
+        """A random tree on 6-30 vertices rooted at 0, most arcs also
+        reversed, plus n // 3 random arcs, the non-root ids shuffled."""
+        n = rng.randint(6, 30)
+        arcs = set()
+
+        def add(u, v, both):
+            arcs.add((u, v))
+            if u != 0 and rng.random() < both:
+                arcs.add((v, u))
+
+        for v in range(1, n):
+            add(rng.randrange(v), v, 0.8)
+        for _ in range(n // 3):
+            u, v = rng.randrange(n), rng.randrange(1, n)
+            if u != v:
+                add(u, v, 0.7)
+        perm = [0, *rng.sample(range(1, n), n - 1)]
+        return RootedDigraph(n, 0, {(perm[u], perm[v]) for u, v in arcs})
+
+    @staticmethod
+    def _assert_find_fresh_under(d, next_arc):
+        """Contract the arcs ``next_arc(g)`` names until it names None, each
+        tagged as a rule-5 step (whose tree is recomputed; the re-asks do
+        not depend on the rule). Before every step and after the last, the
+        carried answer is ``find_rule``'s on a fresh graph."""
+        red = _Reduction(d)
+        g = red.g
+        while True:
+            assert _on_ids(g, red.find()) == find_rule(LobInstance(g.snapshot(), 2))
+            arc = next_arc(g)
+            if arc is None:
+                return
+            red.apply(RuleApplication(5, (*arc, *arc), Contract(arc)))
+
+    def test_stale_rule_3_entries_are_skipped(self):
+        # each pinned graph fails when a heap entry whose middle still has
+        # a match is trusted without comparing its locus
+        for n, arcs, contractions in self.STALE_RULE_3:
+            self._assert_find_fresh_under(
+                RootedDigraph(n, 0, arcs),
+                lambda g, steps=iter(contractions): next(steps, None))
+
+    def test_random_contractions_keep_find_fresh(self):
+        rng = random.Random(0)
+
+        def random_arc(g):
+            arcs = sorted(a for a in g.arcs() if g.root not in a)
+            return rng.choice(arcs) if arcs else None
+
+        for _ in range(200):
+            self._assert_find_fresh_under(self._bipath_rich(rng), random_arc)
+
     def test_work_guard_on_planar_400(self, monkeypatch):
         # deterministic work: the rebuild-per-step driver makes 258
         # dominator passes and 1185 rule-4 reachability searches here; one
