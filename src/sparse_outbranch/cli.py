@@ -18,9 +18,9 @@ import math
 import os
 import sys
 import time
-from typing import Optional
+from typing import Callable, Optional
 
-from .digraph import is_connected
+from .digraph import UnreachableError
 from .generators import FAMILIES, generate
 from .instance_io import InstanceFile, load_instance, save_instance, serialize_instance
 from .iob_kernel import IobInstance, iob_report, kernelize_iob
@@ -58,17 +58,21 @@ def _budget(text: str) -> float:
     return value
 
 
-def _threshold(text: str) -> int:
-    """Type of ``kernelize-iob --threshold``: an integer, at least 2. Every
-    W vertex of a root-connected graph has a cover neighbor, so at 1 or
-    below all of W is heavy and no crown can fire."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """Type of an integer option that must be at least ``low``: 2 for
+    ``--threshold`` (at 1 all of W is heavy, since every W vertex has a
+    cover neighbor, and no crown can fire) and ``--max-n``, 1 for
+    ``--trials`` (at 0 a suite checks nothing and still passes)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _accept_constant(text: str) -> float:
@@ -244,12 +248,13 @@ def cmd_solve(args) -> int:
         mode = SolveMode.LEAF if inst.kind == "lob" else SolveMode.INTERNAL
     else:
         mode = SolveMode(args.mode)
-    if not is_connected(inst.graph):
+    t0 = time.monotonic()
+    try:
+        res = solve_branch_and_bound(inst.graph, None, mode, timeout=args.budget)
+    except UnreachableError:
         return _finish(args, {"command": "solve"}, "no",
                        "NO: vertex unreachable from root (no out-branching exists)",
                        reason="vertex unreachable from root")
-    t0 = time.monotonic()
-    res = solve_branch_and_bound(inst.graph, None, mode, timeout=args.budget)
     elapsed = time.monotonic() - t0
     report = {
         "command": "solve",
@@ -384,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--json")
     p.add_argument("--out")
-    p.add_argument("--threshold", type=_threshold, default=None,
+    p.add_argument("--threshold", type=_int_at_least(2), default=None,
                    help="degree threshold separating small/heavy remainder "
                         "vertices, at least 2 (default: twice the degeneracy, "
                         "at least 2)")
@@ -401,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run randomized verification suites")
     p.add_argument("--suite", default="all",
                    help="comma-separated suite names, or 'all'")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--trials", type=_int_at_least(1), default=None)
+    p.add_argument("--max-n", type=_int_at_least(2), default=None)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(fn=cmd_verify)
 

@@ -10,7 +10,8 @@ arc-branching search. The LEAF-mode branch and bound branches on vertex
 states (leaf, internal, undecided) instead, with dominator forcing, a
 packing bound and a greedy incumbent at each node (``_max_leaf_search``).
 Both searches run on explicit stacks, so their depth is not limited by the
-interpreter's recursion limit.
+interpreter's recursion limit, and both leave the incumbent, node count,
+deadline and stop to one loop, ``solve_branch_and_bound``.
 """
 
 from __future__ import annotations
@@ -79,11 +80,11 @@ class _Grower:
         return self.d.n - 1 - len(self.parent)
 
     def feasible(self) -> bool:
-        seen = self.attached.copy()
-        stack = [v for v in range(self.d.n) if seen[v]]
         todo = self.unattached()
         if todo == 0:
             return True
+        seen = self.attached.copy()
+        stack = [v for v in range(self.d.n) if seen[v]]
         out_arcs = self.out_arcs
         banned = self.banned
         while stack:
@@ -161,27 +162,15 @@ def enumerate_out_branchings(d: RootedDigraph) -> Iterator[OutBranching]:
 
 def brute_force_out_branchings(d: RootedDigraph) -> Iterator[OutBranching]:
     """Independent oracle: try every way of picking one in-arc per non-root
-    vertex and keep the acyclic ones. Exponential; for cross-checks only."""
+    vertex and keep the choices that ``OutBranching`` accepts, the acyclic
+    ones. Exponential; for cross-checks only."""
     nonroots = [v for v in range(d.n) if v != d.root]
-    for v in nonroots:
-        if not d.in_adj[v]:
-            return
     for combo in itertools.product(*(d.in_adj[v] for v in nonroots)):
-        parent = dict(zip(nonroots, combo))
-        ok = True
-        for v in nonroots:
-            steps = 0
-            u = v
-            while u != d.root:
-                u = parent[u]
-                steps += 1
-                if steps >= d.n:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield OutBranching(d.n, d.root, parent)
+        try:
+            t = OutBranching(d.n, d.root, dict(zip(nonroots, combo)))
+        except ValueError:  # the choice closes a cycle
+            continue
+        yield t
 
 
 def _leafy_branching(n: int, root: int,
@@ -214,10 +203,11 @@ def _leafy_branching(n: int, root: int,
 _UNDECIDED, _LEAF, _INTERNAL = 0, 1, 2
 
 
-def _max_leaf_search(d: RootedDigraph, best: int, witness: OutBranching,
-                     k: Optional[int], deadline: float) -> SolveResult:
+def _max_leaf_search(d: RootedDigraph, best: int, tick: Callable[[], None]
+                     ) -> Iterator[tuple[int, dict[int, int]]]:
     """LEAF-mode branch and bound over vertex states (leaf, internal,
-    undecided), on an explicit stack with a trail of state changes.
+    undecided), on an explicit stack with a trail of state changes. Ticks
+    per node; yields (leaf count, parent map) for each branching past best.
 
     For n >= 2, maxleaf(D) is the largest L, root excluded, for which
     D - out(L) still reaches every vertex from the root. At each node, on
@@ -244,17 +234,16 @@ def _max_leaf_search(d: RootedDigraph, best: int, witness: OutBranching,
     # one frame per open decision: (trail length before it, vertex, in the
     # internal branch)
     stack: list[tuple[int, int, bool]] = []
-    nodes = 0
     arcs_changed = True
 
     def decide(v: int, s: int) -> None:
         state[v] = s
         trail.append(v)
 
+    if n == 1:
+        return  # the seed, a lone leaf, is optimal
     while True:
-        nodes += 1
-        if time.monotonic() > deadline:
-            return SolveResult(best, witness, False, nodes)
+        tick()
         alive = True
         masked_out = [[] if s == _LEAF else out_adj[v]
                       for v, s in enumerate(state)]
@@ -272,9 +261,8 @@ def _max_leaf_search(d: RootedDigraph, best: int, witness: OutBranching,
                 parent = _leafy_branching(n, root, masked_out)
                 value = n - len(set(parent.values()))
                 if value > best:
-                    best, witness = value, OutBranching(n, root, parent)
-                    if k is not None and best >= k:
-                        return SolveResult(best, witness, False, nodes)
+                    best = value
+                    yield best, parent
         if alive:
             fed = [False] * n
             for u in range(n):
@@ -302,7 +290,7 @@ def _max_leaf_search(d: RootedDigraph, best: int, witness: OutBranching,
         while stack and stack[-1][2]:
             stack.pop()
         if not stack:
-            return SolveResult(best, witness, True, nodes)
+            return
         undo_to, v, _ = stack[-1]
         while len(trail) > undo_to:
             state[trail.pop()] = _UNDECIDED
@@ -314,46 +302,43 @@ def _max_leaf_search(d: RootedDigraph, best: int, witness: OutBranching,
 def solve_branch_and_bound(d: RootedDigraph, k: Optional[int],
                            mode: SolveMode,
                            timeout: float = 60.0) -> SolveResult:
-    """Exact optimum by branch and bound.
+    """Exact optimum by branch and bound from a breadth-first seed tree.
 
-    LEAF mode branches on vertex states (``_max_leaf_search``). INTERNAL
-    mode branches on arcs of a partial out-branching, with the optimistic
-    bound that counts every unattached vertex as internal. Both start from
-    a breadth-first seed tree. When ``k`` is given the search exits as soon
-    as a branching of value >= k is found (the result is then a decision
-    witness, not a proven optimum, so exact=False). A search still running
-    after ``timeout`` seconds returns its incumbent with exact=False.
-    ``nodes`` counts the search nodes visited.
+    LEAF mode branches on vertex states (``_max_leaf_search``), INTERNAL
+    mode on arcs (``_search``), pruning where even every unattached vertex
+    turning internal could not beat the incumbent. Both yield each better
+    branching and call ``tick()`` per node, so this loop alone stops them:
+    at a value >= ``k`` when k is given (a decision witness, exact=False),
+    at a node that starts after ``timeout`` seconds (the incumbent,
+    exact=False), or when they run out (the optimum, exact=True).
     """
     deadline = time.monotonic() + timeout
-    seed = bfs_out_branching(d)  # raises unless the root spans
-    best = _tree_value(seed, mode)
-    witness: Optional[OutBranching] = seed
+    witness = bfs_out_branching(d)  # raises unless the root spans
+    best = _tree_value(witness, mode)
     if k is not None and best >= k:
         return SolveResult(best, witness, exact=False)
-    if mode is SolveMode.LEAF:
-        if d.n == 1:
-            return SolveResult(best, witness, exact=True)
-        return _max_leaf_search(d, best, seed, k, deadline)
-
-    st = _Grower(d)
     nodes = 0
 
-    def prune() -> bool:
+    def tick() -> None:
         nonlocal nodes
         nodes += 1
         if time.monotonic() > deadline:
             raise BudgetExceeded("branch and bound timeout")
-        return st.internal + st.unattached() <= best
 
+    if mode is SolveMode.LEAF:
+        found = _max_leaf_search(d, best, tick)
+    else:
+        st = _Grower(d)
+
+        def prune() -> bool:  # a spanning node passes only by beating best
+            tick()
+            return st.internal + st.unattached() <= best
+        found = ((st.internal, st.parent) for _ in _search(st, prune))
     try:
-        for _ in _search(st, prune):
-            t = OutBranching(d.n, d.root, st.parent)
-            val = _tree_value(t, mode)
-            if val > best:
-                best, witness = val, t
-                if k is not None and best >= k:
-                    return SolveResult(best, witness, False, nodes)
+        for best, parent in found:
+            witness = OutBranching(d.n, d.root, parent)  # before ``parent`` changes
+            if k is not None and best >= k:
+                return SolveResult(best, witness, False, nodes)
     except BudgetExceeded:
         return SolveResult(best, witness, False, nodes)
     return SolveResult(best, witness, True, nodes)

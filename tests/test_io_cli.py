@@ -503,6 +503,22 @@ class TestCliPipelines:
         assert err.startswith("usage: ")
         assert f"argument --threshold: expected an integer >= 2, got '{value}'" in err
 
+    @pytest.mark.parametrize("option, value, low", [
+        ("--trials", "0", 1), ("--trials", "-3", 1), ("--trials", "2.5", 1),
+        ("--trials", "x", 1), ("--max-n", "1", 2), ("--max-n", "0", 2),
+        ("--max-n", "-1", 2), ("--max-n", "x", 2),
+    ])
+    def test_verify_counts_must_be_integers_of_at_least_their_floor(
+            self, capsys, option, value, low):
+        # at --trials 0 every suite checked nothing and still passed, and
+        # --max-n 1 left the local search an empty range of sizes
+        with pytest.raises(SystemExit) as exc:
+            self.run("verify", "--suite", "rules,crown", option, value)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument {option}: expected an integer >= {low}, got '{value}'" in err
+
     def test_threshold_two_is_accepted(self, tmp_path):
         inst = tmp_path / "t.iob"
         assert self.run("gen", "iob-twins", "--k", "8", "--seed", "3",

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 import time
 
 import pytest
@@ -332,15 +335,16 @@ class TestBranchAndBound:
         res = solve_branch_and_bound(red, None, SolveMode.LEAF, timeout=30)
         assert res.exact and res.best_value >= 5
 
-    def test_large_input_times_out_with_a_valid_witness(self):
+    @pytest.mark.parametrize("mode", list(SolveMode), ids=lambda m: m.value)
+    def test_large_input_times_out_with_a_valid_witness(self, mode):
         # 1500 vertices: deeper than the interpreter's recursion limit
         from sparse_outbranch.generators import gen_planar
         g = gen_planar(1500, 3, both_prob=0.3, keep_prob=0.6)
         with stack_headroom():
-            res = solve_branch_and_bound(g, None, SolveMode.LEAF, timeout=0.5)
+            res = solve_branch_and_bound(g, None, mode, timeout=0.5)
         assert not res.exact
         assert res.witness.is_valid_for(g)
-        assert res.best_value == res.witness.leaf_count()
+        assert res.best_value == _tree_value(res.witness, mode)
 
     def test_seed_tree_decides_without_search(self):
         d = RootedDigraph(4, 0, [(0, 1), (0, 2), (0, 3)])
@@ -439,3 +443,29 @@ class TestNodeCeilings:
         res = solve_branch_and_bound(g, None, SolveMode.INTERNAL)
         assert res.exact and res.best_value == 16
         assert 1 <= res.nodes <= 2000
+
+
+class TestPinnedDigest:
+    """Values, exactness, node counts and witnesses of the exact solver,
+    and the brute-force listings, on a seeded corpus: a change to how the
+    searches stop or how the brute force rejects cycles must leave every
+    one of them as it was."""
+
+    def test_solver_and_brute_force_digest(self):
+        rng = random.Random(2210)
+        records = []
+        for _ in range(256):
+            d = random_connected(rng, rng.randint(1, 14), rng.uniform(0, 0.4),
+                                 bidi=rng.choice((0.0, 0.5)))
+            if rng.random() < 0.5:
+                d = _relabelled(rng, d)
+            for mode in SolveMode:
+                for k in (None, 1, d.n // 2, d.n - 1, d.n):
+                    res = solve_branch_and_bound(d, k, mode)
+                    records.append([res.best_value, res.exact, res.nodes,
+                                    sorted(res.witness.parent.items())])
+            if d.n <= 7:
+                records.append([sorted(t.parent.items())
+                                for t in brute_force_out_branchings(d)])
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == "a01c63ef3b51bf5cfc73f10b6ee103fdfce2bceda83359eee86f4228c98ed9a9"
