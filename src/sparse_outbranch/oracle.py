@@ -228,6 +228,8 @@ def _max_leaf_search(d: RootedDigraph, best: int, tick: Callable[[], None]
       skips the dominator pass and the greedy.
     """
     n, root, out_adj, in_adj = d.n, d.root, d.out_adj, d.in_adj
+    if n == 1:
+        return  # the seed, a lone leaf, is optimal
     state = [_UNDECIDED] * n
     state[root] = _INTERNAL
     trail: list[int] = []
@@ -240,8 +242,6 @@ def _max_leaf_search(d: RootedDigraph, best: int, tick: Callable[[], None]
         state[v] = s
         trail.append(v)
 
-    if n == 1:
-        return  # the seed, a lone leaf, is optimal
     while True:
         tick()
         alive = True
