@@ -34,6 +34,8 @@ EXIT_ERROR = 1
 EXIT_YES = 10
 EXIT_NO = 20
 OUTCOME_EXIT = {"yes": EXIT_YES, "no": EXIT_NO, "reduced": EXIT_OK}
+# value types that both JSON encoders write alike, whatever the separators
+_SCALARS = {str, int, float, bool, type(None)}
 
 
 def _default_seed() -> int:
@@ -88,9 +90,24 @@ def _accept_constant(text: str) -> float:
 
 
 def _write_json(path: Optional[str], payload: dict) -> None:
+    """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline
+    to `path` ('-' for stdout). ``indent`` takes the pure-Python encoder,
+    so a top-level ``vertex_map`` of scalars, one entry per input vertex,
+    goes through the C encoder instead: its separators give the entries
+    the layout that ``indent`` gives them at that depth, and the entries
+    are spliced into the text of the rest of the report."""
     if path is None:
         return
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    vertex_map = payload.get("vertex_map")
+    if (isinstance(vertex_map, dict) and vertex_map
+            and set(map(type, vertex_map.values())) <= _SCALARS):
+        text = json.dumps({**payload, "vertex_map": {}}, indent=2, sort_keys=True)
+        entries = json.dumps(vertex_map, sort_keys=True, separators=(",\n    ", ": "))
+        # a line that opens with two spaces and a quote holds a top-level key
+        text = text.replace('\n  "vertex_map": {}',
+                            '\n  "vertex_map": {\n    ' + entries[1:-1] + "\n  }", 1)
+    else:
+        text = json.dumps(payload, indent=2, sort_keys=True)
     if path == "-":
         print(text)
     else:
@@ -226,16 +243,14 @@ def cmd_kernelize_iob(args) -> int:
     if isinstance(outcome, NoOutcome):
         return _finish(args, report, "no", f"NO: {outcome.reason}", reason=outcome.reason)
     reduced = outcome.instance
-    alive = list(range(f.graph.n))  # original ids of the kernel's vertices
-    for step in trace:
-        for r in reversed(step.removed):
-            del alive[r]
-    new_id = {x: i for i, x in enumerate(alive)}
+    new_id: list[Optional[int]] = [None] * f.graph.n
+    for i, x in enumerate(outcome.origin):
+        new_id[x] = i
     report["kernel"] = iob_report(reduced, outcome.classing)
-    report["vertex_map"] = {str(x): new_id.get(x) for x in range(f.graph.n)}
+    report["vertex_map"] = dict(zip(map(str, range(f.graph.n)), new_id))
     out_path = args.out or (args.file + ".kernel")
     comments = [f"kernel of {os.path.basename(args.file)}"]
-    comments += [f"map {x} {i}" for i, x in enumerate(alive)]
+    comments += [f"map {x} {i}" for i, x in enumerate(outcome.origin)]
     save_instance(out_path, "iob", reduced.graph, reduced.k, comments=comments)
     return _finish(args, report, "reduced",
                    f"REDUCED: {f.graph.n} -> {reduced.graph.n} vertices, written to {out_path}",

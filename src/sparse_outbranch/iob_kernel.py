@@ -93,15 +93,17 @@ def vc_or_solution(inst: IobInstance) -> Union[OutBranching, set[int]]:
     move away, so its child count never reaches two. The arc just used,
     and every later arc out of u, fails from then on, since u is no
     longer a leaf.
+
+    The child counts are those of the tree at hand, so the internal count
+    and the cover's internal set are read off them, and the swept tree is
+    built as an ``OutBranching`` only when it is the YES answer.
     """
     d = inst.graph
     tree = bfs_out_branching(d)
-    if tree.internal_count() >= inst.k:
+    n_children = list(map(len, tree.children))
+    if d.n - n_children.count(0) >= inst.k:
         return tree
     parent = dict(tree.parent)
-    n_children = [0] * d.n
-    for p in parent.values():
-        n_children[p] += 1
 
     # the root always keeps children, so leaf checks exclude it
     for u, heads in enumerate(d.out_adj):
@@ -113,14 +115,12 @@ def vc_or_solution(inst: IobInstance) -> Union[OutBranching, set[int]]:
                     n_children[u] += 1
                     break
 
-    tree = OutBranching(d.n, d.root, parent)
-    if tree.internal_count() >= inst.k:
-        return tree
-    internal = tree.internal()
+    if d.n - n_children.count(0) >= inst.k:
+        return OutBranching(d.n, d.root, parent)
+    internal = {v for v, count in enumerate(n_children) if count}
     blocked = {v for u, heads in enumerate(d.out_adj) if n_children[u] == 0
                for v in heads if n_children[v] == 0}
-    cover = internal | blocked | {d.root}
-    return cover
+    return internal | blocked | {d.root}
 
 
 @dataclass
@@ -513,7 +513,8 @@ def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None
     Each round makes one graph search, the local search's BFS tree, which
     raises ``UnreachableError`` when the root misses a vertex: that is the
     round's reachability test. Each round also makes one scan of W, the
-    classing's bucketing, which hands the crown pass its twin groups.
+    classing's bucketing, which hands the crown pass its twin groups, and
+    composes the id map of its removal into the kernel's ``origin``.
     """
     if threshold is None:
         threshold = max(2, 2 * degeneracy(inst.graph).d)
@@ -521,6 +522,7 @@ def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None
         raise ValueError(f"degree threshold must be at least 2, got {threshold}")
     trace = ReductionTrace()
     current = inst
+    origin = range(inst.graph.n)  # the input id of each vertex of current
     for _ in range(inst.graph.n + 1):
         try:
             found = vc_or_solution(current)
@@ -537,9 +539,11 @@ def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None
             for key, group in classing.classes.items():
                 if len(group) > 2 * (len(key) ** 2 + len(key)):
                     raise RuntimeError("retained class exceeds its structural bound")
-            return ReducedOutcome(current, classing), trace
+            return ReducedOutcome(current, classing, tuple(origin)), trace
         trace.steps.extend(steps)
-        current = IobInstance(remove_vertices(current.graph, dead)[0], current.k)
+        graph, mapping = remove_vertices(current.graph, dead)
+        origin = [x for x, new in zip(origin, mapping) if new is not None]
+        current = IobInstance(graph, current.k)
     raise RuntimeError("kernelization failed to reach a fixpoint")
 
 

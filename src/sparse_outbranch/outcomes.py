@@ -31,10 +31,12 @@ class ReducedOutcome:
     """A reduced instance; its trace is returned beside it. The iob kernel
     adds the ``NeighborhoodClassing`` of its last crown pass, which fired
     nothing; its modulator is that pass's vertex cover, and the report
-    reads it."""
+    reads it. It also adds ``origin``, the input id of each kernel vertex,
+    which the trace fixes too but only step by step."""
 
     instance: Any
     classing: Any = None
+    origin: Any = None
 
     status = "reduced"
 

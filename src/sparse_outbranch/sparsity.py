@@ -1,8 +1,11 @@
 """Degeneracy and neighborhood-diversity tooling for sparse graphs.
 
 Everything here works on the underlying undirected view of a digraph
-(degeneracy also on a raw adjacency list). Degeneracy comes from the classic
-iterated minimum-degree removal; the neighborhood classing buckets vertices
+(degeneracy also on a raw adjacency list). Degeneracy comes from the
+classic iterated minimum-degree removal, Matula and Beck's smallest-last
+ordering, run on a digraph's in-list plus out-list of each vertex; only a
+vertex with an anti-parallel pair has a neighbor twice there, so only
+such a vertex is deduplicated. The neighborhood classing buckets vertices
 outside a modulator X by their exact trace N(v) & X, splitting off the
 vertices whose trace is at least the chosen threshold as "heavy".
 """
@@ -11,17 +14,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import add
 from typing import Iterable, Sequence, Union
 
-from .digraph import RootedDigraph, underlying_adjacency
+from .digraph import RootedDigraph
 
-Adjacency = list  # list[set[int]]
+Adjacency = list  # list of each vertex's neighbors, no repeats (sets or lists)
 
 
-def _as_adjacency(g: Union[RootedDigraph, Adjacency]) -> list:
-    if isinstance(g, RootedDigraph):
-        return underlying_adjacency(g)
-    return g
+def _neighbor_lists(d: RootedDigraph) -> list[list[int]]:
+    """Each vertex's neighbors in the underlying simple graph: its in-list
+    plus its out-list. The two sorted lists share a vertex only through an
+    anti-parallel pair, which needs their ranges to overlap, so only a
+    vertex whose lists overlap is checked, and only one whose lists meet
+    is deduplicated."""
+    adj = list(map(add, d.in_adj, d.out_adj))
+    for v, (ins, outs) in enumerate(zip(d.in_adj, d.out_adj)):
+        if (ins and outs and ins[0] <= outs[-1] and outs[0] <= ins[-1]
+                and not set(ins).isdisjoint(outs)):
+            adj[v] = list(set(adj[v]))
+    return adj
 
 
 @dataclass(frozen=True)
@@ -31,10 +43,19 @@ class DegeneracyOrdering:
 
 
 def degeneracy(g: Union[RootedDigraph, Adjacency]) -> DegeneracyOrdering:
-    """Exact degeneracy via repeatedly removing a minimum-degree vertex;
-    the ordering lists vertices in removal order, so each has at most d
-    neighbors later in the ordering."""
-    adj = _as_adjacency(g)
+    """Exact degeneracy via repeatedly removing a minimum-degree vertex
+    (smallest-last, Matula and Beck, J. ACM 1983): the ordering lists
+    vertices in removal order, so each has at most d neighbors later in
+    it. On a ``RootedDigraph`` the peel reads each vertex's in-list plus
+    out-list (``_neighbor_lists``), not a set per vertex; any minimum-degree
+    order gives the same d, so only the order can differ from a peel of
+    ``underlying_adjacency``.
+
+    A bucket holds at most one entry per vertex and degree, since degrees
+    only fall; an entry whose degree is no longer its vertex's is stale,
+    and the entry of a removed vertex at its final degree was the one
+    popped, so the degree test alone skips stale entries."""
+    adj = _neighbor_lists(g) if isinstance(g, RootedDigraph) else g
     n = len(adj)
     deg = [len(a) for a in adj]
     buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
@@ -44,23 +65,24 @@ def degeneracy(g: Union[RootedDigraph, Adjacency]) -> DegeneracyOrdering:
     order: list[int] = []
     d = 0
     cursor = 0
-    while len(order) < n:
-        while cursor < len(buckets) and not buckets[cursor]:
-            cursor += 1
-        if cursor >= len(buckets):
-            raise RuntimeError("degeneracy bucket queue drained early")
-        cand = buckets[cursor].pop()
-        if removed[cand] or deg[cand] != cursor:
-            continue  # stale entry; the live one sits at deg[cand]
+    for _ in range(n):
+        while True:
+            while not buckets[cursor]:
+                cursor += 1
+            cand = buckets[cursor].pop()
+            if deg[cand] == cursor:
+                break
         removed[cand] = True
         order.append(cand)
-        d = max(d, cursor)
+        if cursor > d:
+            d = cursor
         for w in adj[cand]:
             if not removed[w]:
-                deg[w] -= 1
-                buckets[deg[w]].append(w)
-                if deg[w] < cursor:
-                    cursor = deg[w]
+                dw = deg[w] - 1
+                deg[w] = dw
+                buckets[dw].append(w)
+                if dw < cursor:
+                    cursor = dw
     return DegeneracyOrdering(tuple(order), d)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import sparse_outbranch
 from sparse_outbranch import instance_io
-from sparse_outbranch.cli import main
+from sparse_outbranch.cli import _write_json, main
 from sparse_outbranch.digraph import RootedDigraph
 from sparse_outbranch.generators import FAMILIES, generate
 from sparse_outbranch.instance_io import (
@@ -309,6 +309,92 @@ class TestLinearFit:
         assert c == pytest.approx(29 / 14)
         ss_res = sum((y - 29 / 14 * x) ** 2 for x, y in [(1, 2), (2, 3), (3, 7)])
         assert r2 == pytest.approx(1 - ss_res / 14.0)
+
+
+_ODD_STRINGS = ["", "plain", "naïve ümlaut", "日本語", "emoji \U0001f600", 'quote " back \\',
+                "tab\tnew\nline\r", "nul \x00 bell \x07", "\u2028\u2029", "</script>",
+                '\n  "vertex_map": {}']
+_ODD_NUMBERS = [0, -1, 2 ** 64 + 1, -(2 ** 70), 10 ** 30, 0.0, -0.0, 1.5, 1e300, -2.5e-300,
+                float("nan"), float("inf"), float("-inf"), True, False, None]
+
+
+def _random_value(rng, depth):
+    """A random JSON value: scalars from the odd lists above, and below
+    `depth` also dicts and lists, some of them empty."""
+    kind = rng.random()
+    if depth == 0 or kind < 0.5:
+        return rng.choice(_ODD_NUMBERS + _ODD_STRINGS + [rng.randrange(-10 ** 6, 10 ** 6)])
+    size = rng.choice((0, 1, 2, 3, 5))
+    if kind < 0.75:
+        return [_random_value(rng, depth - 1) for _ in range(size)]
+    return {rng.choice(_ODD_STRINGS) + str(i): _random_value(rng, depth - 1)
+            for i in range(size)}
+
+
+def _random_vertex_map(rng, n):
+    """A kernelize-iob ``vertex_map`` of n entries: str(x) -> kernel id or None."""
+    kept = iter(range(n))
+    return {str(x): None if rng.random() < 0.4 else next(kept) for x in range(n)}
+
+
+class TestWriteJson:
+    """``_write_json`` writes ``json.dumps(indent=2, sort_keys=True)`` and a
+    newline; a top-level ``vertex_map`` of scalars goes through the C
+    encoder and is spliced in, anything else takes ``json.dumps`` whole."""
+
+    @staticmethod
+    def expected(payload):
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_randomized_payloads(self, tmp_path, rng):
+        spliced = 0
+        for i in range(400):
+            payload = {rng.choice(_ODD_STRINGS) + str(j): _random_value(rng, 4)
+                       for j in range(rng.randint(0, 6))}
+            shape = i % 5
+            if shape == 0:
+                payload["vertex_map"] = _random_vertex_map(rng, rng.choice((1, 2, 1600)))
+            elif shape == 1:
+                payload["vertex_map"] = {rng.choice(_ODD_STRINGS) + str(j):
+                                         rng.choice(_ODD_NUMBERS + _ODD_STRINGS)
+                                         for j in range(rng.randint(1, 30))}
+            elif shape == 2:  # nested or empty: the whole payload takes json.dumps
+                payload["vertex_map"] = _random_value(rng, 3)
+            elif shape == 3:
+                payload = {"vertex_map": _random_vertex_map(rng, rng.randint(1, 50)),
+                           **{key: value for key, value in payload.items()
+                              if key < "vertex_map"}}
+            spliced += shape in (0, 1, 3)
+            path = tmp_path / f"{i}.json"
+            _write_json(str(path), payload)
+            assert path.read_text(encoding="utf-8") == self.expected(payload), payload
+        assert spliced >= 200
+
+    def test_vertex_maps_of_one_and_1600_entries(self, tmp_path, capsys, rng):
+        for n in (1, 1600):
+            payload = {"command": "kernelize-iob", "kernel": {"n": 1, "empty": {}},
+                       "timing": {"kernelize_s": 0.0}, "vertex_map": _random_vertex_map(rng, n),
+                       "warnings": []}
+            _write_json(str(tmp_path / "r.json"), payload)
+            assert (tmp_path / "r.json").read_text(encoding="utf-8") == self.expected(payload)
+            capsys.readouterr()
+            _write_json("-", payload)
+            assert capsys.readouterr().out == self.expected(payload)
+        _write_json(None, payload)
+        assert capsys.readouterr().out == ""
+
+    def test_kernelize_report_to_stdout(self, tmp_path, capsys):
+        inst = tmp_path / "big.iob"
+        assert main(["gen", "iob-twins", "--k", "128", "--d", "3", "--seed", "5",
+                     "--out", str(inst)]) == 0
+        capsys.readouterr()
+        assert main(["kernelize-iob", str(inst), "--json", "-"]) == 0
+        out = capsys.readouterr().out
+        text, verdict = out.rsplit("\n}\n", 1)
+        report = json.loads(text + "\n}")
+        assert len(report["vertex_map"]) == 1600
+        assert text + "\n}\n" == self.expected(report)
+        assert verdict.startswith("REDUCED: 1600 -> 296 vertices")
 
 
 class TestCliPipelines:

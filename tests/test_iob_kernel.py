@@ -142,6 +142,34 @@ def _vc_or_solution_sorted_arcs(inst):
     return tree.internal() | blocked | {d.root}
 
 
+def _vc_or_solution_two_trees(inst):
+    """The local search that built an ``OutBranching`` of the swept tree
+    whether or not it was the answer, and read the cover's internal set
+    off it, kept as the reference for ``iob_kernel.vc_or_solution``."""
+    d = inst.graph
+    tree = bfs_out_branching(d)
+    if tree.internal_count() >= inst.k:
+        return tree
+    parent = dict(tree.parent)
+    n_children = [0] * d.n
+    for p in parent.values():
+        n_children[p] += 1
+    for u, heads in enumerate(d.out_adj):
+        if n_children[u] == 0:
+            for v in heads:
+                if n_children[v] == 0 and n_children[parent[v]] >= 2:
+                    n_children[parent[v]] -= 1
+                    parent[v] = u
+                    n_children[u] += 1
+                    break
+    tree = OutBranching(d.n, d.root, parent)
+    if tree.internal_count() >= inst.k:
+        return tree
+    blocked = {v for u, heads in enumerate(d.out_adj) if n_children[u] == 0
+               for v in heads if n_children[v] == 0}
+    return tree.internal() | blocked | {d.root}
+
+
 def _classify_per_member(d, modulator, threshold):
     """The per-member bucketing that ``sparsity.classify_by_modulator``
     replaced, kept as the reference: (classes, heavy), one trace worked
@@ -233,6 +261,17 @@ def _vertex_map_per_step(n, trace):
     return mapping
 
 
+def _origin_by_trace_replay(n, trace):
+    """The input ids of the kernel's vertices as ``cli.cmd_kernelize_iob``
+    replayed them from the trace, one ``del`` per removed id, kept as the
+    reference for ``ReducedOutcome.origin``."""
+    alive = list(range(n))
+    for step in trace:
+        for r in reversed(step.removed):
+            del alive[r]
+    return tuple(alive)
+
+
 def _kernelize_iob_per_crown(inst):
     """The kernel loop that ran the rescanning local search, the classing
     and a new auxiliary graph after every single crown."""
@@ -308,6 +347,35 @@ class TestLocalSearch:
                         covers += 1
                         assert got == ref
         assert covers >= 300 and trees >= 300
+
+    def test_one_tree_matches_two_tree_reference(self):
+        # the swept tree is built only as a YES answer, and the cover's
+        # internal set is read off the child counts
+        rng = random.Random(2323)
+        covers = trees = swept_trees = 0
+        for i in range(300):
+            if i % 3 == 0:
+                d = random_connected(rng, rng.randint(2, 40), rng.uniform(0.02, 0.2),
+                                     bidi=rng.uniform(0, 0.4))
+            elif i % 3 == 1:
+                d = gen_degenerate(rng.randint(5, 120), rng.randint(1, 3),
+                                   rng.randrange(1 << 30))
+            else:
+                d = gen_iob_twins(rng.randint(2, 12), rng.randint(1, 3),
+                                  rng.randrange(1 << 30), twin_factor=rng.randint(1, 4))
+            bfs_internal = bfs_out_branching(d).internal_count()
+            for k in (rng.randint(1, 4), d.n // 3 + 1, bfs_internal + 1, d.n):
+                got = vc_or_solution(IobInstance(d, k))
+                ref = _vc_or_solution_two_trees(IobInstance(d, k))
+                if isinstance(ref, OutBranching):
+                    trees += 1
+                    swept_trees += k > bfs_internal
+                    assert isinstance(got, OutBranching) and got.parent == ref.parent
+                    assert got.internal_count() >= k
+                else:
+                    covers += 1
+                    assert isinstance(got, set) and got == ref
+        assert covers >= 300 and trees >= 300 and swept_trees >= 50
 
     def test_path_k3_solution(self):
         d = RootedDigraph(4, 0, [(0, 1), (1, 2), (2, 3)])
@@ -797,8 +865,8 @@ class TestCrownPass:
                 *_kernelize_iob_per_crown(inst), d.n)
 
     def test_cli_vertex_map_matches_per_step_composition(self, tmp_path):
-        # the CLI deletes each step's removed ranks from one list of
-        # original ids; composing the steps' full mappings gives the same
+        # the CLI inverts the kernel's origin, which composes each round's
+        # removal map; composing the steps' full mappings gives the same
         rng = random.Random(1111)
         composed = 0
         for i in range(20):
@@ -817,6 +885,46 @@ class TestCrownPass:
             assert json.loads(rep.read_text())["vertex_map"] == {
                 str(v): m for v, m in enumerate(mapping)}
             composed += len(trace) >= 2
+        assert composed >= 10
+
+    def test_origin_matches_trace_replay(self, rng, monkeypatch):
+        # the kernel composes each round's removal map into origin; the
+        # per-step replay of the trace gives the same input ids. A pass
+        # here seldom leaves the next one anything to fire, so half the
+        # runs fire only the first crown of each pass, one round a crown.
+        from sparse_outbranch import iob_kernel
+        real_pass, real_search = iob_kernel.crown_pass, iob_kernel.vc_or_solution
+        first_only = False
+        searches = 0
+
+        def crown_pass(d, classing):
+            steps, gone = real_pass(d, classing)
+            if first_only and steps:  # the first step's ranks are ids of d
+                return steps[:1], list(steps[0].removed)
+            return steps, gone
+
+        def counting(inst):
+            nonlocal searches
+            searches += 1
+            return real_search(inst)
+
+        monkeypatch.setattr(iob_kernel, "crown_pass", crown_pass)
+        monkeypatch.setattr(iob_kernel, "vc_or_solution", counting)
+        composed = 0
+        for i in range(40):
+            first_only = i % 2
+            k = rng.choice((4, 8, 16, 32))
+            g = gen_iob_twins(k, rng.randint(1, 3), rng.randrange(1 << 30),
+                              twin_factor=rng.randint(2, 4))
+            searches = 0
+            out, trace = kernelize_iob(IobInstance(g, k))
+            if not isinstance(out, ReducedOutcome):
+                continue
+            assert out.origin == _origin_by_trace_replay(g.n, trace)
+            assert len(out.origin) == out.instance.graph.n
+            mapping = _vertex_map_per_step(g.n, trace)
+            assert [mapping[x] for x in out.origin] == list(range(len(out.origin)))
+            composed += searches >= 3  # at least two rounds removed vertices
         assert composed >= 10
 
     def test_few_local_searches(self, monkeypatch):

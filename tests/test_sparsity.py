@@ -1,7 +1,7 @@
 import random
 
 from sparse_outbranch.digraph import RootedDigraph, underlying_adjacency
-from sparse_outbranch.generators import gen_planar
+from sparse_outbranch.generators import FAMILIES, generate, gen_planar
 from sparse_outbranch.sparsity import (
     class_count_bound_ok,
     classify_by_modulator,
@@ -67,6 +67,66 @@ class TestDegeneracy:
                 assert sum(1 for w in adj[v] if pos[w] > pos[v]) <= res.d
             m = sum(len(a) for a in adj) // 2
             assert m <= max(1, res.d) * n
+
+
+def _assert_peel_matches_set_reference(g):
+    """The peel of the merged in- and out-lists gives the d of the peel of
+    ``underlying_adjacency``'s sets, the set-based reference, and a valid
+    ordering: every vertex once, each with at most d neighbors after it
+    and some vertex with exactly d. Returns whether g has an anti-parallel
+    pair."""
+    got = degeneracy(g)
+    adj = underlying_adjacency(g)
+    assert got.d == degeneracy(adj).d
+    assert sorted(got.order) == list(range(g.n))
+    pos = {v: i for i, v in enumerate(got.order)}
+    later = [sum(1 for w in adj[v] if pos[w] > pos[v]) for v in range(g.n)]
+    assert max(later) == got.d
+    return any(g.has_arc(v, u) for u, v in g.arcs())
+
+
+def _with_reverse_arcs(rng, g, share):
+    """g plus the reverse of about `share` of its arcs, none into the root."""
+    extra = [(v, u) for u, v in g.arcs() if u != g.root and rng.random() < share]
+    return RootedDigraph(g.n, g.root, set(g.arcs()) | set(extra))
+
+
+class TestListPeel:
+    """``degeneracy`` of a ``RootedDigraph`` peels its in-list plus out-list
+    per vertex and deduplicates only the vertices with an anti-parallel
+    pair; ``degeneracy(underlying_adjacency(g))`` stays the reference."""
+
+    def test_every_family_with_and_without_reverse_arcs(self, rng):
+        anti = 0
+        for family in sorted(FAMILIES):
+            for _ in range(8):
+                g = generate(family, rng.randint(2, 150), rng.randint(2, 12),
+                             rng.randrange(1 << 30))
+                for h in (g, _with_reverse_arcs(rng, g, rng.uniform(0.1, 1.0))):
+                    anti += _assert_peel_matches_set_reference(h)
+        assert anti >= 8 * len(FAMILIES)
+
+    def test_planar_with_anti_parallel_pairs(self, rng):
+        anti = 0
+        for both_prob in (0.0, 0.1, 0.3, 0.6, 1.0):
+            for _ in range(6):
+                g = gen_planar(rng.randint(20, 300), rng.randrange(1 << 30),
+                               both_prob=both_prob, keep_prob=rng.uniform(0.4, 1.0))
+                anti += _assert_peel_matches_set_reference(g)
+        assert anti >= 20
+
+    def test_every_arc_anti_parallel(self):
+        # the root's out-arcs aside, every arc has its reverse: the lists
+        # of every other vertex hold each neighbor twice
+        for n in (2, 3, 5, 12, 40):
+            arcs = [(u, v) for u in range(n) for v in range(1, n)
+                    if u != v and (u == 0 or abs(u - v) <= 2)]
+            g = RootedDigraph(n, 0, arcs)
+            assert all(g.has_arc(v, u) for u, v in arcs if u != 0)
+            _assert_peel_matches_set_reference(g)
+        grid = gen_planar(200, seed=4, both_prob=1.0)
+        assert _assert_peel_matches_set_reference(grid)
+        assert degeneracy(grid).d == 3
 
 
 class TestArboricityRelation:
