@@ -116,8 +116,9 @@ class TestListPeel:
         assert anti >= 20
 
     def test_every_arc_anti_parallel(self):
-        # the root's out-arcs aside, every arc has its reverse: the lists
-        # of every other vertex hold each neighbor twice
+        # no arc enters the root, so its out-arcs aside every arc has its
+        # reverse: the lists of every other vertex hold each non-root
+        # neighbor twice
         for n in (2, 3, 5, 12, 40):
             arcs = [(u, v) for u in range(n) for v in range(1, n)
                     if u != v and (u == 0 or abs(u - v) <= 2)]
