@@ -340,8 +340,9 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     lob = args.family in ("planar", "bipath-chain")
+    d = 3 if args.d is None else args.d
     family_kwargs = {"planar": {"both_prob": 0.1, "keep_prob": 0.25},
-                     "bipath-chain": {}}.get(args.family, {"d": args.d or 3})
+                     "bipath-chain": {}}.get(args.family, {"d": d})
     rows = []
     fieldnames = ["family", "kind", "k", "rep", "seed", "n_input", "m_input",
                   "outcome", "n_out", "m_out", "cover_size", "elapsed_s"]

@@ -38,13 +38,13 @@ Arc = tuple[int, int]
 class RootedDigraph:
     """Simple digraph on vertices 0..n-1 with a root of in-degree 0.
 
-    ``out_adj`` and ``in_adj`` are sorted and hold exactly the arc set.
-    The constructor builds the set in one step, so a repeated arc shows as
-    a smaller set, and checks range, self-loop and the root as it appends
-    each arc. On any fault it rescans the input arc by arc, so it raises
-    for the first faulty arc in input order."""
+    The sorted ``out_adj`` and ``in_adj`` are the only record of the arcs.
+    The constructor finds a repeated arc in one step, as a set of the input
+    smaller than the input, and checks range, self-loop and the root as it
+    appends each arc. On any fault it rescans the input arc by arc, so it
+    raises for the first faulty arc in input order."""
 
-    __slots__ = ("n", "root", "out_adj", "in_adj", "_arcset", "_dom")
+    __slots__ = ("n", "root", "out_adj", "in_adj", "_dom")
 
     def __init__(self, n: int, root: int, arcs: Iterable[Arc]):
         if n <= 0:
@@ -56,8 +56,7 @@ class RootedDigraph:
         out_adj: list[list[int]] = [[] for _ in range(n)]
         in_adj: list[list[int]] = [[] for _ in range(n)]
         try:
-            arcset = set(arcs)
-            fault = len(arcset) != len(arcs)  # some arc repeats
+            fault = len(set(arcs)) != len(arcs)  # some arc repeats
             for u, v in arcs:
                 if not (0 <= u < n and 0 <= v < n) or u == v or v == root:
                     fault = True
@@ -67,7 +66,7 @@ class RootedDigraph:
         except (TypeError, ValueError):  # such as unhashable pairs
             fault = True
         if fault:  # rescan, arc by arc, to report the first fault
-            arcset, out_adj, in_adj = _checked_lists(n, root, arcs)
+            out_adj, in_adj = _checked_lists(n, root, arcs)
         for adj in out_adj:
             adj.sort()
         for adj in in_adj:
@@ -76,41 +75,44 @@ class RootedDigraph:
         self.root = root
         self.out_adj = out_adj
         self.in_adj = in_adj
-        self._arcset = arcset
         self._dom: Optional[Dominators] = None
 
     @property
     def m(self) -> int:
-        return len(self._arcset)
+        return sum(map(len, self.out_adj))
 
     def arcs(self) -> list[Arc]:
         """Every arc, in sorted order: the out-lists read in tail order."""
         return [(u, v) for u, adj in enumerate(self.out_adj) for v in adj]
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self._arcset
+        if not 0 <= u < self.n:  # a negative u must not index from the end
+            return False
+        adj = self.out_adj[u]
+        i = bisect_left(adj, v)
+        return i < len(adj) and adj[i] == v
 
     def with_arcs_removed(self, removed: Iterable[Arc]) -> "RootedDigraph":
         dead = set(removed)
         return RootedDigraph(self.n, self.root,
-                             (a for a in self._arcset if a not in dead))
+                             [a for a in self.arcs() if a not in dead])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, RootedDigraph)
                 and self.n == other.n
                 and self.root == other.root
-                and self._arcset == other._arcset)
+                and self.out_adj == other.out_adj)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.root, frozenset(self._arcset)))
+        return hash((self.n, self.root, tuple(map(tuple, self.out_adj))))
 
     def __repr__(self) -> str:
         return f"RootedDigraph(n={self.n}, root={self.root}, m={self.m})"
 
 
 def _checked_lists(n: int, root: int, arcs: Iterable[Arc]
-                   ) -> tuple[set[Arc], list[list[int]], list[list[int]]]:
-    """The arc set, out-lists and in-lists of `arcs`, checked one arc at a
+                   ) -> tuple[list[list[int]], list[list[int]]]:
+    """The out-lists and in-lists of `arcs`, checked one arc at a
     time in input order: raises for the first arc that is out of range, a
     self-loop, a repeat of an earlier arc or an arc into the root."""
     arcset: set[Arc] = set()
@@ -128,7 +130,7 @@ def _checked_lists(n: int, root: int, arcs: Iterable[Arc]
         arcset.add((u, v))
         out_adj[u].append(v)
         in_adj[v].append(u)
-    return arcset, out_adj, in_adj
+    return out_adj, in_adj
 
 
 class OutBranching:
@@ -207,12 +209,11 @@ class Dominators:
     Each reached vertex owns the interval of dominator-tree preorder numbers
     of its subtree, so ``dominates`` is an O(1) test. ``reached`` counts the
     vertices the root reaches; the cut sets cover that part of the graph.
-    ``cut_vertices`` is kept up to date by ``merge``; ``cut_edges`` is built
-    on first access from the in-adjacency the tree was computed on.
+    ``cut_vertices`` is kept up to date by ``merge``; ``cut_edges`` is
+    derived on each call from the in-lists of a graph the tree is valid for.
     """
 
-    __slots__ = ("reached", "cut_vertices", "_root", "_in_adj", "_pre",
-                 "_size", "_kids", "_cut_e")
+    __slots__ = ("reached", "cut_vertices", "_root", "_pre", "_size", "_kids")
 
     def __init__(self, n: int, root: int, out_adj: list[list[int]],
                  in_adj: list[list[int]]):
@@ -285,7 +286,6 @@ class Dominators:
             free[i] = pre[i] + 1
         self.reached = count
         self._root = root
-        self._in_adj = in_adj
         self._pre = [-1] * n
         self._size = [0] * n
         self._kids = [0] * n
@@ -296,21 +296,18 @@ class Dominators:
         # a non-root vertex is a cut-vertex when it is some vertex's
         # immediate dominator
         self.cut_vertices = {order[i] for i in range(1, count) if kids[i]}
-        self._cut_e: Optional[frozenset[Arc]] = None
 
-    @property
-    def cut_edges(self) -> frozenset[Arc]:
-        """(u, v) is a cut-edge when u is the only in-neighbor of v that v
-        does not dominate."""
-        if self._cut_e is None:
-            cut_e = []
-            for v, p in enumerate(self._pre):
-                if p > 0:  # reached, and not the root
-                    alive = [u for u in self._in_adj[v] if not self.dominates(v, u)]
-                    if len(alive) == 1:
-                        cut_e.append((alive[0], v))
-            self._cut_e = frozenset(cut_e)
-        return self._cut_e
+    def cut_edges(self, in_adj: list[list[int]]) -> frozenset[Arc]:
+        """The cut-edges of the graph whose in-lists are ``in_adj``, which
+        this tree must be valid for: (u, v) is a cut-edge when u is the only
+        in-neighbor of v that v does not dominate."""
+        cut_e = []
+        for v, p in enumerate(self._pre):
+            if p > 0:  # reached, and not the root
+                alive = [u for u in in_adj[v] if not self.dominates(v, u)]
+                if len(alive) == 1:
+                    cut_e.append((alive[0], v))
+        return frozenset(cut_e)
 
     def reaches(self, v: int) -> bool:
         """True when v is reachable from the root."""
@@ -330,7 +327,7 @@ class Dominators:
         leaves under one immediate dominator. The merged vertex takes the
         upper node's place and inherits the lower node's children. Whether a
         contraction is of this kind is the caller's to prove; the leaf case
-        is checked. Cut-edges are rebuilt on next access."""
+        is checked."""
         pre, size, kids = self._pre, self._size, self._kids
         keep, gone = min(a, b), max(a, b)
         if self.dominates(b, a):
@@ -357,7 +354,6 @@ class Dominators:
         else:
             self.cut_vertices.discard(keep)
         self.reached -= 1
-        self._cut_e = None
 
 
 def dominators(d: RootedDigraph) -> Dominators:
@@ -371,11 +367,11 @@ def dominators(d: RootedDigraph) -> Dominators:
 
 def cut_structure(d: RootedDigraph) -> tuple[set[int], frozenset[Arc]]:
     """Cut-vertices and cut-edges of a connected rooted digraph, read off
-    its dominator tree."""
+    its dominator tree; the cut-edges are derived anew on each call."""
     dom = dominators(d)
     if dom.reached != d.n:
         raise ValueError("cut structure requires a connected digraph")
-    return dom.cut_vertices, dom.cut_edges
+    return dom.cut_vertices, dom.cut_edges(d.in_adj)
 
 
 class LabelledDigraph(RootedDigraph):
@@ -392,7 +388,6 @@ class LabelledDigraph(RootedDigraph):
         self.root = d.root
         self.out_adj = [list(adj) for adj in d.out_adj]
         self.in_adj = [list(adj) for adj in d.in_adj]
-        self._arcset = set(d._arcset)
         self._dom = None
         self.labels = list(range(d.n))
 
@@ -404,31 +399,27 @@ class LabelledDigraph(RootedDigraph):
         """Delete ``arc`` and keep the dominator tree: the caller vouches
         that, for every vertex set C, the root reaches the same vertices
         while avoiding C before and after, as for the deletions of rules 4
-        and 6. Cut-edges are rebuilt on next access."""
+        and 6. Raises ValueError, and changes nothing, for an absent arc."""
         u, v = arc
-        self._arcset.remove(arc)
+        if not self.has_arc(u, v):
+            raise ValueError(f"arc ({u},{v}) not in graph")
         self.out_adj[u].remove(v)
         self.in_adj[v].remove(u)
-        if self._dom is not None:
-            self._dom._cut_e = None
 
     def contract(self, arc: Arc, merge_tree: bool) -> int:
         """Identify the endpoints of ``arc`` into the smaller label, dropping
         loops and parallel arcs, and return that label. With ``merge_tree``
         the dominator tree is updated by ``Dominators.merge``; otherwise it
-        is recomputed on next use."""
+        is recomputed on next use. Raises ValueError, and changes nothing,
+        for an absent arc."""
+        self.delete(arc)
         a, b = arc
-        self._arcset.remove(arc)
-        self.out_adj[a].remove(b)
-        self.in_adj[b].remove(a)
         keep, gone = min(a, b), max(a, b)
         for w in self.out_adj[gone]:
             self.in_adj[w].remove(gone)
-            self._arcset.remove((gone, w))
             self._add(keep, w)
         for w in self.in_adj[gone]:
             self.out_adj[w].remove(gone)
-            self._arcset.remove((w, gone))
             self._add(w, keep)
         self.out_adj[gone] = []
         self.in_adj[gone] = []
@@ -443,8 +434,7 @@ class LabelledDigraph(RootedDigraph):
         return keep
 
     def _add(self, u: int, v: int) -> None:
-        if u != v and (u, v) not in self._arcset:
-            self._arcset.add((u, v))
+        if u != v and not self.has_arc(u, v):
             insort(self.out_adj[u], v)
             insort(self.in_adj[v], u)
 
@@ -452,15 +442,13 @@ class LabelledDigraph(RootedDigraph):
         """The graph on current ids, with the dominator tree it carries."""
         rank = {v: i for i, v in enumerate(self.labels)}
         d = RootedDigraph(len(self.labels), rank[self.root],
-                          ((rank[u], rank[v]) for u, v in self._arcset))
+                          [(rank[u], rank[v]) for u, v in self.arcs()])
         if self._dom is not None:
             dom = d._dom = copy(self._dom)
-            dom._root, dom._in_adj = rank[dom._root], d.in_adj
+            dom._root = rank[dom._root]
             dom._pre, dom._size, dom._kids = (
                 [a[v] for v in self.labels] for a in (dom._pre, dom._size, dom._kids))
             dom.cut_vertices = {rank[v] for v in dom.cut_vertices}
-            if dom._cut_e is not None:
-                dom._cut_e = frozenset((rank[u], rank[v]) for u, v in dom._cut_e)
         return d
 
 
@@ -494,7 +482,7 @@ def contract_arc(d: RootedDigraph, arc: Arc) -> tuple[RootedDigraph, list[int]]:
     mapping = [x - (1 if x > gone else 0) for x in range(d.n)]
     mapping[gone] = mapping[keep]
     new_arcs = set()
-    for a, b in d._arcset:
+    for a, b in d.arcs():
         na, nb = mapping[a], mapping[b]
         if na != nb:
             new_arcs.add((na, nb))
@@ -525,7 +513,7 @@ def remove_vertices(d: RootedDigraph, drop: Iterable[int]) -> tuple[RootedDigrap
 def underlying_adjacency(d: RootedDigraph) -> list[set[int]]:
     """Adjacency sets of the underlying simple undirected graph."""
     adj: list[set[int]] = [set() for _ in range(d.n)]
-    for u, v in d._arcset:
+    for u, v in d.arcs():
         adj[u].add(v)
         adj[v].add(u)
     return adj

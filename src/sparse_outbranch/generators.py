@@ -198,16 +198,18 @@ FAMILIES = {
     "planar": lambda n, k, seed, **kw: gen_planar(n, seed, **kw),
     "degenerate": lambda n, k, seed, d=3, **kw: gen_degenerate(n, d, seed, **kw),
     "iob-twins": lambda n, k, seed, d=3, **kw: gen_iob_twins(k, d, seed, **kw),
-    "random": lambda n, k, seed, m=None, **kw: gen_random(n, m if m else 2 * n, seed, **kw),
+    "random": lambda n, k, seed, m=None, **kw: gen_random(n, 2 * n if m is None else m, seed, **kw),
 }
 
 
 def generate(family: str, n: int, k: int, seed: int, **kwargs) -> RootedDigraph:
     """The graph of ``family`` for these parameters. Raises ValueError for
-    an unknown family, n < 1, k < 0 or a degeneracy parameter d < 1."""
+    an unknown family, n < 1, k < 0, a degeneracy parameter d < 1 or an
+    arc count m < 0."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
-    for name, value, least in (("n", n, 1), ("k", k, 0), ("d", kwargs.get("d", 1), 1)):
+    for name, value, least in (("n", n, 1), ("k", k, 0), ("d", kwargs.get("d", 1), 1),
+                               ("m", kwargs.get("m", 0), 0)):
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
     g = FAMILIES[family](n, k, seed, **kwargs)

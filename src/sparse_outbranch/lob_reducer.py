@@ -358,7 +358,7 @@ class _Reduction:
         app = self.ask_rule_4()
         if app is not None:
             return app
-        return find_rule_5(g, dom.cut_edges)
+        return find_rule_5(g, dom.cut_edges(g.in_adj))
 
     def ask_rule_4(self) -> Optional[RuleApplication]:
         """``find_rule_4`` on the current graph, asking only the heads not

@@ -268,13 +268,12 @@ class TestDominators:
     @settings(max_examples=120, deadline=None)
     @given(small_digraphs(max_n=9))
     def test_lazy_cut_edges_match_bfs(self, d):
-        # cut-edges are built on first access, from the in-adjacency the
-        # tree was computed on
+        # cut-edges are derived when asked, from the in-lists of the graph
+        # the tree was computed on
         dom = Dominators(d.n, d.root, d.out_adj, d.in_adj)
         cut_v, cut_e = _cut_structure_bfs(d)
         assert dom.cut_vertices == cut_v
-        assert dom.cut_edges == cut_e
-        assert dom.cut_edges is dom.cut_edges
+        assert dom.cut_edges(d.in_adj) == cut_e
 
     def test_merge_rejects_a_pair_that_is_no_tree_edge(self):
         # 1 and 2 are siblings under the root, and 1 is not a leaf
@@ -292,7 +291,7 @@ class TestLabelledDigraph:
             d = _relabelled(rng, random_connected(rng, rng.randint(2, 15), 0.2, bidi=0.4))
             g = LabelledDigraph(d)
             while g.m:
-                u, v = rng.choice(sorted(g._arcset))
+                u, v = rng.choice(g.arcs())
                 ids = (g.rank(u), g.rank(v))
                 if rng.random() < 0.5 or (u == g.root and len(g.in_adj[v]) > 1):
                     g.delete((u, v))
@@ -320,11 +319,15 @@ class TestLabelledDigraph:
         assert dominators(g).reached == fresh.reached == 4
 
     def test_absent_arc_rejected(self):
-        g = LabelledDigraph(path3())
-        with pytest.raises(KeyError):
-            g.contract((0, 2), merge_tree=False)
-        with pytest.raises(KeyError):
-            g.delete((2, 1))
+        # path3's last vertex has no out-arcs, so give it one: an endpoint
+        # of -1 must not reach it by indexing from the end
+        g = LabelledDigraph(RootedDigraph(4, 0, [(0, 1), (1, 2), (2, 3), (3, 1)]))
+        before = g.arcs()
+        for u, v in [(0, 2), (2, 1), (-1, 1), (1, -1), (4, 1), (1, 4), (-1, 4)]:
+            for edit in (g.delete, lambda arc: g.contract(arc, merge_tree=False)):
+                with pytest.raises(ValueError, match=re.escape(f"arc ({u},{v}) not in graph")):
+                    edit((u, v))
+                assert g.arcs() == before
 
 
 def _private_neighbors(d, u):
@@ -441,17 +444,30 @@ def _remove_vertices_by_set(d, drop):
         if x not in dead:
             mapping[x] = nxt
             nxt += 1
-    new_arcs = {(mapping[a], mapping[b]) for a, b in d._arcset
+    new_arcs = {(mapping[a], mapping[b]) for a, b in d.arcs()
                 if a not in dead and b not in dead}
     return RootedDigraph(d.n - len(dead), mapping[d.root], new_arcs), mapping
 
 
 def _assert_matches_probing(d, n, root, arcs):
+    """``d`` against the probing constructor on ``arcs``: its lists,
+    ``arcs()``, and ``has_arc`` on every arc, on non-arcs (every ordered
+    pair up to n = 30, a seeded sample above) and on the ids -1 and n."""
     out_adj, in_adj, arcset = _probing_lists(n, root, arcs)
     assert d.out_adj == out_adj
     assert d.in_adj == in_adj
-    assert d._arcset == arcset
     assert d.arcs() == sorted(arcset)
+    assert all(d.has_arc(u, v) for u, v in arcset)
+    if n <= 30:
+        pairs = [(u, v) for u in range(n) for v in range(n)]
+    else:
+        rng = random.Random(n * 7919 + len(arcset))
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(4 * n)]
+    for u, v in pairs:
+        assert d.has_arc(u, v) == ((u, v) in arcset), (u, v)
+    for x in range(n):
+        for bad in (-1, n):
+            assert not d.has_arc(bad, x) and not d.has_arc(x, bad), (bad, x)
 
 
 def _family_graphs():
@@ -467,8 +483,8 @@ def _family_graphs():
 
 
 class TestConstructionEquivalence:
-    """The constructor, ``arcs()`` and ``remove_vertices`` against the
-    set-probing constructor, ``sorted(_arcset)`` and the set-built
+    """The constructor, ``arcs()``, ``has_arc`` and ``remove_vertices``
+    against the set-probing constructor, its own arc set and the set-built
     induced subgraph."""
 
     def test_generator_families_original_and_shuffled(self):
@@ -478,7 +494,7 @@ class TestConstructionEquivalence:
             for shuffled in (False, True):
                 if shuffled:
                     rng.shuffle(perm)
-                arcs = [(perm[u], perm[v]) for u, v in sorted(g._arcset)]
+                arcs = [(perm[u], perm[v]) for u, v in g.arcs()]
                 root = perm[g.root]
                 rng.shuffle(arcs)
                 for given in (arcs, set(arcs), iter(arcs), sorted(arcs)):
@@ -493,15 +509,23 @@ class TestConstructionEquivalence:
         for _ in range(60):
             d = _relabelled(rng, random_connected(rng, rng.randint(2, 25), 0.2, bidi=0.4))
             g = LabelledDigraph(d)
+            # the arcs on labels, edited here by hand as the reference
+            ref = set(d.arcs())
             while g.m:
-                u, v = rng.choice(sorted(g._arcset))
+                u, v = rng.choice(g.arcs())
+                ref.remove((u, v))
                 if rng.random() < 0.5 or (u == g.root and len(g.in_adj[v]) > 1):
                     g.delete((u, v))
                 else:
-                    g.contract((u, v), merge_tree=False)
-                _assert_matches_probing(g, g.n, g.root, g._arcset)
+                    keep = g.contract((u, v), merge_tree=False)
+                    gone = u + v - keep
+                    ref = {(keep if a == gone else a, keep if b == gone else b)
+                           for a, b in ref}
+                    ref = {(a, b) for a, b in ref if a != b}
+                # every pair is asked, so removed labels must answer False
+                _assert_matches_probing(g, g.n, g.root, ref)
                 snap = g.snapshot()
-                _assert_matches_probing(snap, snap.n, snap.root, snap._arcset)
+                _assert_matches_probing(snap, snap.n, snap.root, snap.arcs())
                 checked += 1
         assert checked >= 500
 
@@ -515,8 +539,7 @@ class TestConstructionEquivalence:
                 assert mapping == ref_mapping
                 assert (got.n, got.root) == (ref.n, ref.root)
                 assert got.out_adj == ref.out_adj and got.in_adj == ref.in_adj
-                assert got._arcset == ref._arcset
-                assert got.arcs() == sorted(ref._arcset)
+                assert got.arcs() == ref.arcs()
 
     FAULTS = {
         "out of range": ((0, 4), "arc (0,4) out of range"),

@@ -632,12 +632,31 @@ class TestCliPipelines:
         (["iob-twins", "--d", "0"], "d must be at least 1, got 0"),
         (["planar", "--n", "10", "--k", "-1"], "k must be at least 0, got -1"),
         (["planar", "--n", "0"], "n must be at least 1, got 0"),
+        (["random", "--n", "10", "--m", "-1"], "m must be at least 0, got -1"),
     ])
     def test_gen_bad_family_parameter_is_one_error_line(self, capsys, argv, message):
         assert self.run("gen", *argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_gen_random_keeps_m_zero(self, capsys):
+        # m = 0 once read as unset and wrote 2n arcs; now only the
+        # spanning overlay's n - 1 tree arcs are left
+        assert self.run("gen", "random", "--n", "10", "--m", "0", "--seed", "1") == 0
+        out = capsys.readouterr().out
+        assert "m=0" in out
+        assert "p lob 10 9 0 " in out
+
+    def test_bench_d_zero_is_one_error_line(self, tmp_path, capsys):
+        # d = 0 once read as unset and ran d = 3
+        csv_path = tmp_path / "b.csv"
+        assert self.run("bench", "--family", "degenerate", "--d", "0", "--k-min", "3",
+                        "--k-max", "3", "--reps", "1", "--csv", str(csv_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: d must be at least 1, got 0\n"
+        assert not csv_path.exists()
 
     def test_kernelize_rejects_a_lob_file(self, tmp_path, capsys):
         inst = tmp_path / "p.lob"

@@ -131,7 +131,7 @@ def _vc_or_solution_sorted_arcs(inst):
     n_children = [0] * d.n
     for p in parent.values():
         n_children[p] += 1
-    arcs = sorted(d._arcset)
+    arcs = d.arcs()
     for u, v in arcs:
         if n_children[u] == 0 and n_children[v] == 0 and n_children[parent[v]] >= 2:
             n_children[parent[v]] -= 1
@@ -312,7 +312,7 @@ class TestLocalSearch:
             perm = list(range(d.n))
             rng.shuffle(perm)
             for g in (d, RootedDigraph(d.n, perm[d.root],
-                                       [(perm[u], perm[v]) for u, v in d._arcset])):
+                                       [(perm[u], perm[v]) for u, v in d.arcs()])):
                 bfs_internal = bfs_out_branching(g).internal_count()
                 for k in (rng.randint(1, 4), g.n // 3 + 1, bfs_internal + 1, g.n):
                     got = vc_or_solution(IobInstance(g, k))
