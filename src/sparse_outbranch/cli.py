@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import json
 import math
 import os
@@ -21,7 +22,7 @@ import time
 from typing import Callable, Optional
 
 from .digraph import UnreachableError
-from .generators import FAMILIES, generate
+from .generators import FAMILIES, RANGES, generate
 from .instance_io import InstanceFile, load_instance, save_instance, serialize_instance
 from .iob_kernel import IobInstance, iob_report, kernelize_iob
 from .lob_analyzer import analyze
@@ -64,7 +65,8 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     """Type of an integer option that must be at least ``low``: 2 for
     ``--threshold`` (at 1 all of W is heavy, since every W vertex has a
     cover neighbor, and no crown can fire) and ``--max-n``, 1 for
-    ``--trials`` (at 0 a suite checks nothing and still passes)."""
+    ``--trials`` (at 0 a suite checks nothing and still passes), ``bench
+    --reps`` (at 0 only a header) and ``--scale`` (below 1 every n was 8)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -310,46 +312,37 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    kwargs = {}
-    if args.d is not None:
-        kwargs["d"] = args.d
-    if args.m is not None:
-        kwargs["m"] = args.m
-    if args.both_prob is not None:
-        kwargs["both_prob"] = args.both_prob
-    if args.keep_prob is not None:
-        kwargs["keep_prob"] = args.keep_prob
-    if args.twin_factor is not None:
-        kwargs["twin_factor"] = args.twin_factor
-    try:
-        g = generate(args.family, args.n, args.k, args.seed, **kwargs)
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    # the family options set on the command line; generate refuses the unread
+    params = {name: value for name, value in vars(args).items()
+              if name in RANGES.keys() - {"n", "k"} and value is not None}
+    g = generate(args.family, args.n, args.k, args.seed, **params)
     kind = args.kind or ("iob" if args.family == "iob-twins" else "lob")
-    comment = (f"family={args.family} n={args.n} k={args.k} seed={args.seed} "
-               + " ".join(f"{k}={v}" for k, v in sorted(kwargs.items()))).strip()
-    text = serialize_instance(kind, g, args.k, comments=[comment])
+    n = inspect.signature(FAMILIES[args.family]).parameters.get("n")
+    sized = [] if n is None else [f"n={n.default if args.n is None else args.n}"]
+    comment = " ".join([f"family={args.family}", *sized, f"k={args.k}", f"seed={args.seed}",
+                        *(f"{name}={value}" for name, value in sorted(params.items()))])
     if args.out in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.write(serialize_instance(kind, g, args.k, comments=[comment]))
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save_instance(args.out, kind, g, args.k, comments=[comment])
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
+    if args.k_max < args.k_min:
+        raise ValueError(f"--k-max {args.k_max} is below --k-min {args.k_min}")
     lob = args.family in ("planar", "bipath-chain")
-    d = 3 if args.d is None else args.d
-    family_kwargs = {"planar": {"both_prob": 0.1, "keep_prob": 0.25},
-                     "bipath-chain": {}}.get(args.family, {"d": d})
+    # the workload's own defaults: planar inputs sparser than gen's, d = 3
+    params = {"planar": {"both_prob": 0.1, "keep_prob": 0.25},
+              "bipath-chain": {}}.get(args.family, {"d": 3})
+    params.update({} if args.d is None else {"d": args.d})
+    reads_n = "n" in inspect.signature(FAMILIES[args.family]).parameters
     rows = []
-    fieldnames = ["family", "kind", "k", "rep", "seed", "n_input", "m_input",
-                  "outcome", "n_out", "m_out", "cover_size", "elapsed_s"]
     for k in range(args.k_min, args.k_max + 1):
         for rep in range(args.reps):
             seed = args.seed * 1_000_003 + 101 * k + rep
-            g = generate(args.family, max(8, args.scale * k), k, seed, **family_kwargs)
+            n = max(8, args.scale * k) if reads_n else None
+            g = generate(args.family, n, k, seed, **params)
             t0 = time.monotonic()
             outcome, _ = (reduce_to_fixpoint(LobInstance(g, k)) if lob
                           else kernelize_iob(IobInstance(g, k)))
@@ -365,7 +358,7 @@ def cmd_bench(args) -> int:
             rows.append(row)
     out = sys.stdout if args.csv in (None, "-") else open(args.csv, "w", newline="")
     try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames)
+        writer = csv.DictWriter(out, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     finally:
@@ -429,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded instance")
     p.add_argument("family", choices=sorted(FAMILIES))
-    p.add_argument("--n", type=int, default=20)
+    p.add_argument("--n", type=int, help="vertex count (default 20; iob-twins reads k instead)")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--kind", choices=["lob", "iob"], default=None)
@@ -446,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["planar", "bipath-chain", "degenerate", "iob-twins"])
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--scale", type=int, default=10,
+    p.add_argument("--reps", type=_int_at_least(1), default=3)
+    p.add_argument("--scale", type=_int_at_least(1), default=10,
                    help="input size per unit of k")
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--seed", type=int, default=_default_seed())

@@ -10,6 +10,7 @@ an explicit random seed.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from typing import Optional
@@ -46,14 +47,6 @@ def _spanning_overlay(rng: random.Random, n: int, arcs: set[tuple[int, int]],
                 frontier.append(w)
     if not all(seen):
         raise ValueError("underlying graph is disconnected")
-
-
-def gen_path(n: int) -> RootedDigraph:
-    return RootedDigraph(n, 0, [(i, i + 1) for i in range(n - 1)])
-
-
-def gen_star(n: int) -> RootedDigraph:
-    return RootedDigraph(n, 0, [(0, v) for v in range(1, n)])
 
 
 def gen_bipath_chain(length: int) -> RootedDigraph:
@@ -191,28 +184,41 @@ def gen_random(n: int, m: int, seed: int, bidi_prob: float = 0.0) -> RootedDigra
     return RootedDigraph(n, 0, arcs)
 
 
+# The least and greatest value of every parameter a family reads; NaN is in none.
+RANGES = {"n": (1, math.inf), "k": (0, math.inf), "d": (1, math.inf), "m": (0, math.inf),
+          "twin_factor": (1, math.inf), "both_prob": (0, 1), "keep_prob": (0, 1)}
+
+# Each family's signature is the one statement of what it reads, and of the defaults.
 FAMILIES = {
-    "path": lambda n, k, seed, **kw: gen_path(n),
-    "star": lambda n, k, seed, **kw: gen_star(n),
-    "bipath-chain": lambda n, k, seed, **kw: gen_bipath_chain(max(n - 1, 2)),
-    "planar": lambda n, k, seed, **kw: gen_planar(n, seed, **kw),
-    "degenerate": lambda n, k, seed, d=3, **kw: gen_degenerate(n, d, seed, **kw),
-    "iob-twins": lambda n, k, seed, d=3, **kw: gen_iob_twins(k, d, seed, **kw),
-    "random": lambda n, k, seed, m=None, **kw: gen_random(n, 2 * n if m is None else m, seed, **kw),
+    "path": lambda n=20: RootedDigraph(n, 0, [(i, i + 1) for i in range(n - 1)]),
+    "star": lambda n=20: RootedDigraph(n, 0, [(0, v) for v in range(1, n)]),
+    "bipath-chain": lambda n=20: gen_bipath_chain(max(n - 1, 2)),
+    "planar": lambda seed, n=20, both_prob=0.25, keep_prob=1.0:
+        gen_planar(n, seed, both_prob, keep_prob),
+    "degenerate": lambda seed, n=20, d=3, both_prob=0.3: gen_degenerate(n, d, seed, both_prob),
+    "iob-twins": lambda k, seed, d=3, twin_factor=12: gen_iob_twins(k, d, seed, twin_factor),
+    "random": lambda seed, n=20, m=None: gen_random(n, 2 * n if m is None else m, seed),
 }
 
 
-def generate(family: str, n: int, k: int, seed: int, **kwargs) -> RootedDigraph:
-    """The graph of ``family`` for these parameters. Raises ValueError for
-    an unknown family, n < 1, k < 0, a degeneracy parameter d < 1 or an
-    arc count m < 0."""
+def generate(family: str, n: Optional[int], k: int, seed: int, **params) -> RootedDigraph:
+    """The graph of ``family``; ``n=None`` or an absent keyword leaves the
+    family's default, and every family takes k, the instance's parameter,
+    and seed. Raises ValueError, naming the family and the parameter, for
+    an unknown family, a parameter it does not read or a value outside RANGES."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
-    for name, value, least in (("n", n, 1), ("k", k, 0), ("d", kwargs.get("d", 1), 1),
-                               ("m", kwargs.get("m", 0), 0)):
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
-    g = FAMILIES[family](n, k, seed, **kwargs)
+    reads = inspect.signature(FAMILIES[family]).parameters
+    given = {"k": k, **params, **({} if n is None else {"n": n})}
+    for name, value in given.items():
+        if name not in reads and name != "k":
+            raise ValueError(f"family {family!r} does not read {name}")
+        low, high = RANGES[name]
+        if not low <= value <= high:
+            bound = f"at least {low}" if high == math.inf else f"between {low} and {high}"
+            raise ValueError(f"family {family!r}: {name} must be {bound}, got {value}")
+    given["seed"] = seed
+    g = FAMILIES[family](**{name: given[name] for name in reads if name in given})
     if not is_connected(g):
         raise RuntimeError(f"family {family!r} generated a disconnected graph")
     return g

@@ -13,7 +13,7 @@ import sparse_outbranch
 from sparse_outbranch import instance_io
 from sparse_outbranch.cli import _write_json, main
 from sparse_outbranch.digraph import RootedDigraph
-from sparse_outbranch.generators import FAMILIES, generate
+from sparse_outbranch.generators import generate
 from sparse_outbranch.instance_io import (
     ParseError,
     parse_instance,
@@ -150,7 +150,9 @@ class TestBulkRead:
                                ("iob-twins", {"d": 3, "twin_factor": 3}), ("random", {})):
             for _ in range(4):
                 n, k = rng.randint(3, max_n), rng.randint(2, 12)
-                yield FAMILIES[family](n, k, rng.randrange(1 << 30), **kwargs), k
+                # iob-twins sizes itself from k and refuses an n
+                yield generate(family, None if family == "iob-twins" else n, k,
+                               rng.randrange(1 << 30), **kwargs), k
 
     def test_generator_families_original_and_shuffled(self):
         rng = random.Random(4040)
@@ -250,7 +252,7 @@ class TestBulkRead:
 def test_generate_rejects_a_disconnected_result(monkeypatch):
     from sparse_outbranch import generators
     monkeypatch.setitem(generators.FAMILIES, "path",
-                        lambda n, k, seed, **kw: RootedDigraph(3, 0, [(0, 1)]))
+                        lambda n: RootedDigraph(3, 0, [(0, 1)]))
     with pytest.raises(RuntimeError, match="disconnected"):
         generate("path", 3, 1, seed=0)
 
@@ -627,12 +629,12 @@ class TestCliPipelines:
         assert f"argument --accept-constant: expected a finite number > 0, got '{value}'" in err
 
     @pytest.mark.parametrize("argv, message", [
-        (["degenerate", "--d", "0"], "d must be at least 1, got 0"),
-        (["degenerate", "--d", "-1"], "d must be at least 1, got -1"),
-        (["iob-twins", "--d", "0"], "d must be at least 1, got 0"),
-        (["planar", "--n", "10", "--k", "-1"], "k must be at least 0, got -1"),
-        (["planar", "--n", "0"], "n must be at least 1, got 0"),
-        (["random", "--n", "10", "--m", "-1"], "m must be at least 0, got -1"),
+        (["degenerate", "--d", "0"], "family 'degenerate': d must be at least 1, got 0"),
+        (["degenerate", "--d", "-1"], "family 'degenerate': d must be at least 1, got -1"),
+        (["iob-twins", "--d", "0"], "family 'iob-twins': d must be at least 1, got 0"),
+        (["planar", "--n", "10", "--k", "-1"], "family 'planar': k must be at least 0, got -1"),
+        (["planar", "--n", "0"], "family 'planar': n must be at least 1, got 0"),
+        (["random", "--n", "10", "--m", "-1"], "family 'random': m must be at least 0, got -1"),
     ])
     def test_gen_bad_family_parameter_is_one_error_line(self, capsys, argv, message):
         assert self.run("gen", *argv) == 1
@@ -655,7 +657,32 @@ class TestCliPipelines:
                         "--k-max", "3", "--reps", "1", "--csv", str(csv_path)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: d must be at least 1, got 0\n"
+        assert captured.err == "error: family 'degenerate': d must be at least 1, got 0\n"
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--reps", "0"), ("--reps", "-1"), ("--scale", "0"), ("--scale", "-3"),
+        ("--scale", "x"),
+    ])
+    def test_bench_run_sizes_must_be_at_least_one(self, tmp_path, capsys, option, value):
+        # --reps 0 wrote only the header, and --scale -3 clamped every n to 8
+        csv_path = tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as exc:
+            self.run("bench", "--family", "iob-twins", option, value, "--csv", str(csv_path))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument {option}: expected an integer >= 1, got '{value}'" in err
+        assert not csv_path.exists()
+
+    def test_bench_k_max_below_k_min_is_one_error_line(self, tmp_path, capsys):
+        # it once wrote a CSV of only its header and exited 0
+        csv_path = tmp_path / "b.csv"
+        assert self.run("bench", "--family", "iob-twins", "--k-min", "5", "--k-max", "4",
+                        "--csv", str(csv_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --k-max 4 is below --k-min 5\n"
         assert not csv_path.exists()
 
     def test_kernelize_rejects_a_lob_file(self, tmp_path, capsys):

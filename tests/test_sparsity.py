@@ -100,7 +100,9 @@ class TestListPeel:
         anti = 0
         for family in sorted(FAMILIES):
             for _ in range(8):
-                g = generate(family, rng.randint(2, 150), rng.randint(2, 12),
+                n, k = rng.randint(2, 150), rng.randint(2, 12)
+                # iob-twins sizes itself from k and refuses an n
+                g = generate(family, None if family == "iob-twins" else n, k,
                              rng.randrange(1 << 30))
                 for h in (g, _with_reverse_arcs(rng, g, rng.uniform(0.1, 1.0))):
                     anti += _assert_peel_matches_set_reference(h)
