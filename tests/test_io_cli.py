@@ -629,18 +629,18 @@ class TestCliPipelines:
         assert f"argument --accept-constant: expected a finite number > 0, got '{value}'" in err
 
     @pytest.mark.parametrize("argv, message", [
-        (["degenerate", "--d", "0"], "family 'degenerate': d must be at least 1, got 0"),
-        (["degenerate", "--d", "-1"], "family 'degenerate': d must be at least 1, got -1"),
-        (["iob-twins", "--d", "0"], "family 'iob-twins': d must be at least 1, got 0"),
-        (["planar", "--n", "10", "--k", "-1"], "family 'planar': k must be at least 0, got -1"),
-        (["planar", "--n", "0"], "family 'planar': n must be at least 1, got 0"),
-        (["random", "--n", "10", "--m", "-1"], "family 'random': m must be at least 0, got -1"),
+        (["degenerate", "--d", "0"], "d must be at least 1, got 0"),
+        (["degenerate", "--d", "-1"], "d must be at least 1, got -1"),
+        (["iob-twins", "--d", "0"], "d must be at least 1, got 0"),
+        (["planar", "--n", "10", "--k", "-1"], "k must be at least 0, got -1"),
+        (["planar", "--n", "0"], "n must be at least 1, got 0"),
+        (["random", "--n", "10", "--m", "-1"], "m must be at least 0, got -1"),
     ])
     def test_gen_bad_family_parameter_is_one_error_line(self, capsys, argv, message):
         assert self.run("gen", *argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: family {argv[0]!r}: {message}\n"
 
     def test_gen_random_keeps_m_zero(self, capsys):
         # m = 0 once read as unset and wrote 2n arcs; now only the
