@@ -66,7 +66,7 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     ``--threshold`` (at 1 all of W is heavy, since every W vertex has a
     cover neighbor, and no crown can fire) and ``--max-n``, 1 for
     ``--trials`` (at 0 a suite checks nothing and still passes), ``bench
-    --reps`` (at 0 only a header) and ``--scale`` (below 1 every n was 8)."""
+    --reps`` (at 0 only a header) and ``--scale`` (below 1 every n is 8)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -312,7 +312,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    # the family options set on the command line; generate refuses the unread
+    # the family options set on the command line; generate refuses any the family does not read
     params = {name: value for name, value in vars(args).items()
               if name in RANGES.keys() - {"n", "k"} and value is not None}
     g = generate(args.family, args.n, args.k, args.seed, **params)
