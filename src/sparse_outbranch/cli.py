@@ -11,9 +11,7 @@ timing fields of reports.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import inspect
 import json
 import math
 import os
@@ -312,6 +310,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    import inspect
     # the family options set on the command line; generate refuses any the family does not read
     params = {name: value for name, value in vars(args).items()
               if name in RANGES.keys() - {"n", "k"} and value is not None}
@@ -329,6 +328,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import csv
+    import inspect
     if args.k_max < args.k_min:
         raise ValueError(f"--k-max {args.k_max} is below --k-min {args.k_min}")
     lob = args.family in ("planar", "bipath-chain")
@@ -337,11 +338,13 @@ def cmd_bench(args) -> int:
               "bipath-chain": {}}.get(args.family, {"d": 3})
     params.update({} if args.d is None else {"d": args.d})
     reads_n = "n" in inspect.signature(FAMILIES[args.family]).parameters
+    if args.scale is not None and not reads_n:
+        raise ValueError(f"family {args.family!r} does not read scale")
     rows = []
     for k in range(args.k_min, args.k_max + 1):
         for rep in range(args.reps):
             seed = args.seed * 1_000_003 + 101 * k + rep
-            n = max(8, args.scale * k) if reads_n else None
+            n = max(8, (args.scale or 10) * k) if reads_n else None
             g = generate(args.family, n, k, seed, **params)
             t0 = time.monotonic()
             outcome, _ = (reduce_to_fixpoint(LobInstance(g, k)) if lob
@@ -440,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, default=10)
     p.add_argument("--reps", type=_int_at_least(1), default=3)
-    p.add_argument("--scale", type=_int_at_least(1), default=10,
-                   help="input size per unit of k")
+    p.add_argument("--scale", type=_int_at_least(1), default=None,
+                   help="input size per unit of k (default 10; iob-twins reads k alone)")
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--csv", help="CSV output path (default stdout)")

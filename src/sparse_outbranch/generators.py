@@ -10,7 +10,6 @@ an explicit random seed.
 
 from __future__ import annotations
 
-import inspect
 import math
 import random
 from typing import Optional
@@ -187,12 +186,14 @@ def gen_random(n: int, m: int, seed: int, bidi_prob: float = 0.0) -> RootedDigra
 # The least and greatest value of every parameter a family reads; NaN is in none.
 RANGES = {"n": (1, math.inf), "k": (0, math.inf), "d": (1, math.inf), "m": (0, math.inf),
           "twin_factor": (1, math.inf), "both_prob": (0, 1), "keep_prob": (0, 1)}
+# A family's own range of a parameter: a bipath chain is the root and at least two more.
+FAMILY_RANGES = {("bipath-chain", "n"): (3, math.inf)}
 
 # Each family's signature is the one statement of what it reads, and of the defaults.
 FAMILIES = {
     "path": lambda n=20: RootedDigraph(n, 0, [(i, i + 1) for i in range(n - 1)]),
     "star": lambda n=20: RootedDigraph(n, 0, [(0, v) for v in range(1, n)]),
-    "bipath-chain": lambda n=20: gen_bipath_chain(max(n - 1, 2)),
+    "bipath-chain": lambda n=20: gen_bipath_chain(n - 1),
     "planar": lambda seed, n=20, both_prob=0.25, keep_prob=1.0:
         gen_planar(n, seed, both_prob, keep_prob),
     "degenerate": lambda seed, n=20, d=3, both_prob=0.3: gen_degenerate(n, d, seed, both_prob),
@@ -205,7 +206,9 @@ def generate(family: str, n: Optional[int], k: int, seed: int, **params) -> Root
     """The graph of ``family``; ``n=None`` or an absent keyword leaves the
     family's default, and every family takes k, the instance's parameter,
     and seed. Raises ValueError, naming the family and the parameter, for
-    an unknown family, a parameter it does not read or a value outside RANGES."""
+    an unknown family, a parameter it does not read or a value outside its
+    range (FAMILY_RANGES, else RANGES)."""
+    import inspect  # here, so that only gen and bench load it
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
     reads = inspect.signature(FAMILIES[family]).parameters
@@ -213,7 +216,7 @@ def generate(family: str, n: Optional[int], k: int, seed: int, **params) -> Root
     for name, value in given.items():
         if name not in reads and name != "k":
             raise ValueError(f"family {family!r} does not read {name}")
-        low, high = RANGES[name]
+        low, high = FAMILY_RANGES.get((family, name), RANGES[name])
         if not low <= value <= high:
             bound = f"at least {low}" if high == math.inf else f"between {low} and {high}"
             raise ValueError(f"family {family!r}: {name} must be {bound}, got {value}")

@@ -25,11 +25,11 @@ which path read a file.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, NamedTuple, Optional
 
 from .digraph import RootedDigraph
+from .outcomes import value_type
 
 
 class ParseError(ValueError):
@@ -38,13 +38,17 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass
-class InstanceFile:
-    kind: str  # "lob" | "iob"
-    graph: RootedDigraph
-    k: int
-    comments: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+@value_type
+class InstanceFile(NamedTuple("InstanceFile", [("kind", str), ("graph", RootedDigraph),
+                                               ("k", int), ("comments", list),
+                                               ("warnings", list)])):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, graph: RootedDigraph, k: int,
+                comments: Optional[list[str]] = None, warnings: Optional[list[str]] = None):
+        # kind is "lob" or "iob"; each file gets its own lists
+        return super().__new__(cls, kind, graph, k, [] if comments is None else comments,
+                               [] if warnings is None else warnings)
 
 
 # The line boundaries of ``str.splitlines`` other than "\n". In a text

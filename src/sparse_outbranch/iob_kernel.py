@@ -33,26 +33,15 @@ crown checks, and the tests' recursive matching checks the search.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from heapq import merge
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Union
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .digraph import (
-    OutBranching,
-    RootedDigraph,
-    UnreachableError,
-    bfs_out_branching,
-    remove_vertices,
-)
-from .outcomes import (
-    KernelOutcome,
-    NoOutcome,
-    ReducedOutcome,
-    ReductionTrace,
-    YesOutcome,
-)
+from .digraph import (OutBranching, RootedDigraph, UnreachableError, bfs_out_branching,
+                      remove_vertices)
+from .outcomes import (KernelOutcome, NoOutcome, ReducedOutcome, ReductionTrace,
+                       RootedInstance, YesOutcome, value_type)
 from .sparsity import NeighborhoodClassing, classify_by_modulator, degeneracy
 
 # left-side vertices of the auxiliary graph: ("u", x) for units,
@@ -62,14 +51,9 @@ LeftKey = tuple
 Partner = Hashable
 
 
-@dataclass(frozen=True)
-class IobInstance:
-    graph: RootedDigraph
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("k must be nonnegative")
+@value_type
+class IobInstance(RootedInstance):
+    __slots__ = ()
 
 
 def vc_or_solution(inst: IobInstance) -> Union[OutBranching, set[int]]:
@@ -123,8 +107,8 @@ def vc_or_solution(inst: IobInstance) -> Union[OutBranching, set[int]]:
     return internal | blocked | {d.root}
 
 
-@dataclass
-class AuxiliaryBipartite:
+@value_type
+class AuxiliaryBipartite(NamedTuple):
     w_vertices: frozenset[int]
     left_adj: dict[LeftKey, set[int]]   # left vertex -> W neighbors
     w_adj: dict[int, set[LeftKey]]      # W vertex -> left neighbors
@@ -155,8 +139,8 @@ def build_aux_graph(d: RootedDigraph, cover: set[int]) -> AuxiliaryBipartite:
     return AuxiliaryBipartite(w_set, left_adj, w_adj)
 
 
-@dataclass
-class CrownDecomposition:
+@value_type
+class CrownDecomposition(NamedTuple):
     c_m: frozenset[int]
     c_u: frozenset[int]
     h: frozenset[LeftKey]
@@ -299,8 +283,8 @@ def crown_in_class(b: AuxiliaryBipartite, members: set[int], hood: set[LeftKey]
     return crown
 
 
-@dataclass(frozen=True)
-class CrownStep:
+@value_type
+class CrownStep(NamedTuple):
     """Class key and sorted C_u in the ids of the graph before the crown.
     Removal keeps vertex order, so with that graph's vertex count they fix
     the step's old -> new id map (``remove_vertices``)."""
@@ -335,8 +319,8 @@ def small_degree_classes(d: RootedDigraph, cover: set[int], threshold: int
     return classify_by_modulator(d, cover, threshold)
 
 
-@dataclass(frozen=True)
-class TwinGroup:
+@value_type
+class TwinGroup(NamedTuple):
     """W-vertices with the same in-list and out-list, ascending. They have
     the same auxiliary neighborhood `keys` (``build_aux_graph``)."""
 
@@ -364,20 +348,22 @@ def twin_matching(groups: list[TwinGroup], hood: set[LeftKey]
     groups' next free members, and each group's count of matched members
     is brought up to date when the group is next asked."""
     key_groups: dict[LeftKey, list[int]] = {key: [] for key in hood}
-    for i, group in enumerate(groups):
-        for key in group.keys:
+    members_of = []
+    for i, (keys, members) in enumerate(groups):
+        members_of.append(members)
+        for key in keys:
             key_groups[key].append(i)
     used = [0] * len(groups)
 
     def partners(key: LeftKey) -> Iterator[tuple[int, int]]:
-        return merge(*(zip(repeat(i), groups[i].members) for i in key_groups[key]),
+        return merge(*(zip(repeat(i), members_of[i]) for i in key_groups[key]),
                      key=itemgetter(1))
 
     def first_free(key: LeftKey, match_w: dict) -> Optional[tuple[int, int]]:
         """(group index, member) of the least free partner of `key`."""
         best = None
         for i in key_groups[key]:
-            members = groups[i].members
+            members = members_of[i]
             while used[i] < len(members) and (i, members[used[i]]) in match_w:
                 used[i] += 1
             if used[i] < len(members) and (best is None or members[used[i]] < best[1]):

@@ -14,15 +14,11 @@ into an acceptance certificate for the instance's leaf target k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .digraph import (
-    RootedDigraph,
-    cut_structure,
-    split_lonely_branching,
-)
+from .digraph import RootedDigraph, cut_structure, split_lonely_branching
 from .lob_reducer import LobInstance, find_rule
+from .outcomes import value_type
 
 
 class StructureError(RuntimeError):
@@ -30,19 +26,18 @@ class StructureError(RuntimeError):
     a bug in the rule engine, not bad user data."""
 
 
-@dataclass(frozen=True)
-class Bag:
-    members: tuple[int, ...]  # original vertices, 1 or 2 of them
-    tail: int
-    head: int
+@value_type
+class Bag(NamedTuple("Bag", [("members", tuple), ("tail", int), ("head", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= len(self.members) <= 2:
+    def __new__(cls, members: tuple[int, ...], tail: int, head: int):
+        if not 1 <= len(members) <= 2:
             raise ValueError("bag must hold one or two vertices")
+        return super().__new__(cls, members, tail, head)
 
 
-@dataclass
-class ContractedGraph:
+@value_type
+class ContractedGraph(NamedTuple):
     graph: RootedDigraph       # the contracted digraph
     bag_of: list[Bag]          # contracted vertex -> bag of original vertices
     origin: list[int]          # original vertex -> contracted vertex
@@ -112,8 +107,8 @@ def isolated_vertices(dc: ContractedGraph,
     return iso
 
 
-@dataclass(frozen=True)
-class WeakBipath:
+@value_type
+class WeakBipath(NamedTuple):
     vertices: tuple[int, ...]  # u1..up in contracted-graph ids, p >= 3
 
     @property
@@ -128,8 +123,8 @@ class WeakBipath:
         return min(self.vertices, tuple(reversed(self.vertices)))
 
 
-@dataclass
-class BipathDecomposition:
+@value_type
+class BipathDecomposition(NamedTuple):
     seed_set: frozenset[int]
     paths: list[WeakBipath]
 
@@ -190,9 +185,7 @@ def decompose_bipaths(dc: ContractedGraph, seed: set[int]) -> BipathDecompositio
                     raise StructureError(
                         f"internal vertex {w} has out-neighbor {y} outside seed and path")
         path = WeakBipath(tuple(chain))
-        if path.canonical() != path.vertices:
-            path = WeakBipath(tuple(reversed(chain)))
-        paths.append(path)
+        paths.append(WeakBipath(path.canonical()))
     paths.sort(key=lambda p: p.canonical())
     covered = {w for p in paths for w in p.internals}
     if covered != set(side):
@@ -229,8 +222,8 @@ def classify_masters_slaves(dec: BipathDecomposition, dc: ContractedGraph
     return masters, slaves
 
 
-@dataclass(frozen=True)
-class LobCertificate:
+@value_type
+class LobCertificate(NamedTuple):
     k: int
     special_count: int
     isolated_count: int
@@ -253,14 +246,8 @@ class LobCertificate:
         return "yes" if self.accepted else "undecided"
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "special_count": self.special_count,
-            "isolated_count": self.isolated_count,
-            "slave_count": self.slave_count,
-            "implied_lower_bound": self.implied_lower_bound,
-            "decision": self.decision,
-        }
+        return {**self._asdict(), "implied_lower_bound": self.implied_lower_bound,
+                "decision": self.decision}
 
 
 def size_report(dc: ContractedGraph, dec: BipathDecomposition,
@@ -307,8 +294,8 @@ def size_report(dc: ContractedGraph, dec: BipathDecomposition,
     }
 
 
-@dataclass
-class LobAnalysis:
+@value_type
+class LobAnalysis(NamedTuple):
     contracted: ContractedGraph
     special: set[int]
     isolated: set[int]

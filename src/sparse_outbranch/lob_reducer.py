@@ -58,57 +58,43 @@ it runs on (``contract_arc``), so a wrong renumbering fails a later re-match.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .digraph import (
-    Arc,
-    Dominators,
-    LabelledDigraph,
-    RootedDigraph,
-    contract_arc,
-    cut_structure,
-    dominators,
-    heads_by_tail,
-    reachable,
-)
-from .outcomes import KernelOutcome, NoOutcome, ReducedOutcome, ReductionTrace
+from .digraph import (Arc, Dominators, LabelledDigraph, RootedDigraph, contract_arc,
+                      cut_structure, dominators, heads_by_tail, reachable)
+from .outcomes import (KernelOutcome, NoOutcome, ReducedOutcome, ReductionTrace,
+                       RootedInstance, value_type)
 
 
-@dataclass(frozen=True)
-class LobInstance:
-    graph: RootedDigraph
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("k must be nonnegative")
+@value_type
+class LobInstance(RootedInstance):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Contract:
+@value_type
+class Contract(NamedTuple):
     arc: Arc
 
     kind = "contract"
 
 
-@dataclass(frozen=True)
-class DeleteArc:
+@value_type
+class DeleteArc(NamedTuple):
     arc: Arc
 
     kind = "delete"
 
 
-@dataclass(frozen=True)
-class ResolveNo:
+@value_type
+class ResolveNo(NamedTuple):
     reason: str
 
     kind = "no"
 
 
-@dataclass(frozen=True)
-class RuleApplication:
+@value_type
+class RuleApplication(NamedTuple):
     rule_id: int
     locus: tuple[int, ...]
     action: Contract | DeleteArc | ResolveNo
@@ -303,7 +289,9 @@ class _Reduction:
     - Rule 3's match at u2, old or new, reads only the lists of u2, u3 and
       u4. An unchanged u2 stays proper internal and next to u3, and an
       unchanged u3 next to u4, so every middle whose match can move lies
-      within two proper-internal hops of a changed vertex; it re-asks those.
+      within two proper-internal hops of a changed vertex; it re-asks those,
+      reading ``_proper_internal`` only for in-lists of length two, and a
+      hop that finds none ends the walk.
       The carried matches sit in a heap keyed by locus, so the least one
       costs O(log n) a step rather than a scan of them all.
     - Rule 4 re-asks, besides the vertices never answered, the head of a
@@ -386,9 +374,13 @@ class _Reduction:
             self.ask4 |= {keep, *g.out_adj[keep]}
         self.ask2 |= changed
         self.ask3 |= changed
+        in_adj, out_adj = g.in_adj, g.out_adj
         for _ in range(2):
-            near = set().union(*(g.in_adj[x] + g.out_adj[x] for x in changed))
-            changed = {w for w in near if _proper_internal(g, w) is not None}
+            near = set().union(*(in_adj[x] + out_adj[x] for x in changed))
+            changed = {w for w in near
+                       if len(in_adj[w]) == 2 and _proper_internal(g, w) is not None}
+            if not changed:
+                break
             self.ask3 |= changed
         return on_ids
 

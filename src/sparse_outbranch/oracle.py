@@ -19,9 +19,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .digraph import (
     Dominators,
@@ -30,6 +29,7 @@ from .digraph import (
     bfs_out_branching,
     is_connected,
 )
+from .outcomes import value_type
 
 
 class BudgetExceeded(Exception):
@@ -45,8 +45,8 @@ class SolveMode(Enum):
     INTERNAL = "internal"
 
 
-@dataclass
-class SolveResult:
+@value_type
+class SolveResult(NamedTuple):
     best_value: int
     witness: Optional[OutBranching]
     exact: bool

@@ -8,26 +8,46 @@ return the replayable trace of what was done beside the outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Union
+from typing import Any, Iterable, NamedTuple, Union
 
 
-@dataclass(frozen=True)
-class YesOutcome:
+def value_type(cls: type) -> type:
+    """Make the NamedTuple `cls` a value type of the package: immutable,
+    unpackable, hashed as its field tuple, and equal only to a value of its
+    own type, never to a plain tuple or another type with the same fields."""
+    cls.__eq__ = lambda self, other: type(other) is type(self) and tuple.__eq__(self, other)
+    cls.__ne__ = lambda self, other: type(other) is not type(self) or tuple.__ne__(self, other)
+    cls.__hash__ = tuple.__hash__
+    return cls
+
+
+class RootedInstance(NamedTuple("RootedInstance", [("graph", Any), ("k", int)])):
+    """``LobInstance`` and ``IobInstance``: a ``RootedDigraph`` and a k >= 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, graph: Any, k: int):
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        return super().__new__(cls, graph, k)
+
+
+@value_type
+class YesOutcome(NamedTuple):
     certificate: Any = None
 
     status = "yes"
 
 
-@dataclass(frozen=True)
-class NoOutcome:
+@value_type
+class NoOutcome(NamedTuple):
     reason: str
 
     status = "no"
 
 
-@dataclass(frozen=True)
-class ReducedOutcome:
+@value_type
+class ReducedOutcome(NamedTuple):
     """A reduced instance; its trace is returned beside it. The iob kernel
     adds the ``NeighborhoodClassing`` of its last crown pass, which fired
     nothing; its modulator is that pass's vertex cover, and the report
@@ -44,13 +64,21 @@ class ReducedOutcome:
 KernelOutcome = Union[YesOutcome, NoOutcome, ReducedOutcome]
 
 
-@dataclass
 class ReductionTrace:
     """Ordered log of reduction steps. Each step records only what its
     rule did and renders to one text line; the old -> new vertex map of a
     contraction or removal is derived from the graph the step replays on."""
 
-    steps: list[Any] = field(default_factory=list)
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: Iterable[Any] = ()):
+        self.steps = list(steps)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.steps == other.steps
+
+    def __repr__(self) -> str:
+        return f"ReductionTrace(steps={self.steps!r})"
 
     def append(self, step: Any) -> None:
         self.steps.append(step)

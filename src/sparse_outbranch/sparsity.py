@@ -12,12 +12,12 @@ vertices whose trace is at least the chosen threshold as "heavy".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import add
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .digraph import RootedDigraph
+from .outcomes import value_type
 
 Adjacency = list  # list of each vertex's neighbors, no repeats (sets or lists)
 
@@ -36,8 +36,8 @@ def _neighbor_lists(d: RootedDigraph) -> list[list[int]]:
     return adj
 
 
-@dataclass(frozen=True)
-class DegeneracyOrdering:
+@value_type
+class DegeneracyOrdering(NamedTuple):
     order: tuple[int, ...]
     d: int
 
@@ -86,8 +86,8 @@ def degeneracy(g: Union[RootedDigraph, Adjacency]) -> DegeneracyOrdering:
     return DegeneracyOrdering(tuple(order), d)
 
 
-@dataclass
-class NeighborhoodClassing:
+@value_type
+class NeighborhoodClassing(NamedTuple):
     """The vertices outside the modulator X, by their trace N(v) & X.
 
     ``classes`` maps each sorted trace of fewer than ``threshold`` vertices
@@ -101,12 +101,6 @@ class NeighborhoodClassing:
     classes: dict[tuple[int, ...], list[int]]  # sorted trace -> members
     heavy: list[int]
     twins: dict[tuple[int, ...], list[tuple[int, ...]]]  # sorted trace -> twin groups
-
-    def class_count(self) -> int:
-        return len(self.classes)
-
-    def heavy_count(self) -> int:
-        return len(self.heavy)
 
 
 def classify_by_modulator(d: RootedDigraph, modulator: Iterable[int],
@@ -144,12 +138,12 @@ def classify_by_modulator(d: RootedDigraph, modulator: Iterable[int],
 def heavy_count_bound_ok(classing: NeighborhoodClassing) -> bool:
     """First counting bound:, with threshold 2p >= 2*grad_1, at most
     2p|X| vertices have heavy traces."""
-    return classing.heavy_count() <= classing.threshold * len(classing.modulator)
+    return len(classing.heavy) <= classing.threshold * len(classing.modulator)
 
 
 def class_count_bound_ok(classing: NeighborhoodClassing, p: int) -> bool:
     """Second counting bound: at most (4^p + 2p)|X| distinct small traces."""
-    return classing.class_count() <= (4 ** p + 2 * p) * len(classing.modulator)
+    return len(classing.classes) <= (4 ** p + 2 * p) * len(classing.modulator)
 
 
 def heavy_degree_sum_check(x_size: int, y_degrees: Sequence[int], d: int) -> bool:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .digraph import (
     OutBranching,
@@ -49,7 +48,7 @@ from .oracle import (
     enumerate_out_branchings,
     solve_branch_and_bound,
 )
-from .outcomes import ReducedOutcome
+from .outcomes import ReducedOutcome, value_type
 from .sparsity import (
     class_count_bound_ok,
     classify_by_modulator,
@@ -59,11 +58,13 @@ from .sparsity import (
 )
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    passed: bool
-    detail: dict = field(default_factory=dict)
+@value_type
+class SuiteResult(NamedTuple("SuiteResult", [("name", str), ("passed", bool), ("detail", dict)])):
+    __slots__ = ()
+
+    def __new__(cls, name: str, passed: bool, detail: Optional[dict] = None):
+        # each result gets its own detail
+        return super().__new__(cls, name, passed, {} if detail is None else detail)
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -101,6 +101,8 @@ class TestListPeel:
         for family in sorted(FAMILIES):
             for _ in range(8):
                 n, k = rng.randint(2, 150), rng.randint(2, 12)
+                if family == "bipath-chain":
+                    n = max(n, 3)  # below 3 the family built the graph of 3
                 # iob-twins sizes itself from k and refuses an n
                 g = generate(family, None if family == "iob-twins" else n, k,
                              rng.randrange(1 << 30))
