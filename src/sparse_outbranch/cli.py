@@ -46,47 +46,21 @@ def _default_seed() -> int:
             f"SPARSE_OUTBRANCH_SEED must be an integer, got {env!r}") from None
 
 
-def _budget(text: str) -> float:
-    """Type of every ``--budget``: a finite number of seconds, at least 0.
-    A NaN or infinite deadline never passes, so it would mean no budget."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number of seconds >= 0, got {text!r}")
-    return value
-
-
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """Type of an integer option that must be at least ``low``: 2 for
-    ``--threshold`` (at 1 all of W is heavy, since every W vertex has a
-    cover neighbor, and no crown can fire) and ``--max-n``, 1 for
-    ``--trials`` (at 0 a suite checks nothing and still passes), ``bench
-    --reps`` (at 0 only a header) and ``--scale`` (below 1 every n is 8)."""
-    def parse(text: str) -> int:
+def _number(low: float, kind: type = int, noun: str = "an integer",
+            above: bool = False) -> Callable[[str], float]:
+    """Type of a number option: ``kind`` of the text, below infinity and at
+    least ``low`` (above ``low`` when ``above``). Any other text, NaN
+    included, is a bad command line."""
+    def parse(text: str) -> float:
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            value = low - 1
-        if value < low:
+            value = math.nan
+        if not (low < value if above else low <= value) or not value < math.inf:
             raise argparse.ArgumentTypeError(
-                f"expected an integer >= {low}, got {text!r}")
+                f"expected {noun} {'>' if above else '>='} {low}, got {text!r}")
         return value
     return parse
-
-
-def _accept_constant(text: str) -> float:
-    """Type of ``reduce-lob --accept-constant``: a finite number above 0.
-    At 0 or below every reduced instance would pass c*k, and at NaN none."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
 
 
 def _write_json(path: Optional[str], payload: dict) -> None:
@@ -166,7 +140,7 @@ def _load(path: str, expect_kind: Optional[str] = None) -> InstanceFile:
     for w in inst.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if expect_kind is not None and inst.kind != expect_kind:
-        raise SystemExit(f"error: expected a {expect_kind} instance, got {inst.kind}")
+        raise ValueError(f"expected a {expect_kind} instance, got {inst.kind}")
     return inst
 
 
@@ -296,9 +270,7 @@ def cmd_verify(args) -> int:
     names = list(verify_mod.SUITES) if args.suite == "all" else args.suite.split(",")
     for name in names:
         if name not in verify_mod.SUITES:
-            print(f"error: unknown suite {name!r}; available: "
-                  f"{', '.join(verify_mod.SUITES)}", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError(f"unknown suite {name!r}; available: {', '.join(verify_mod.SUITES)}")
     results = verify_mod.run_suites(names, trials=args.trials,
                                     max_n=args.max_n, seed=args.seed)
     ok = True
@@ -383,17 +355,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kernelization toolkit for rooted out-branching problems "
                     "on sparse digraphs.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a NaN or infinite deadline never passes, so it would mean no budget
+    budget = _number(0, float, "a finite number of seconds")
 
     p = sub.add_parser("reduce-lob", help="apply the leaf-out-branching reduction rules")
     p.add_argument("file")
     p.add_argument("--json", help="write a JSON report here ('-' for stdout)")
     p.add_argument("--dot", help="write a colored DOT rendering of the reduced graph")
     p.add_argument("--out", help="path for the reduced instance file")
-    p.add_argument("--accept-constant", type=_accept_constant, default=None,
+    # at 0 or below every reduced instance would pass c*k, and at NaN none
+    p.add_argument("--accept-constant", type=_number(0, float, "a finite number", above=True),
+                   default=None,
                    help="accept when the reduced size exceeds this constant times k")
     p.add_argument("--solve-max-n", type=int, default=12,
                    help="solve reduced cores up to this size exactly")
-    p.add_argument("--budget", type=_budget, default=60.0,
+    p.add_argument("--budget", type=budget, default=60.0,
                    help="time budget for the exact solve, seconds")
     p.set_defaults(fn=cmd_reduce_lob)
 
@@ -401,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--json")
     p.add_argument("--out")
-    p.add_argument("--threshold", type=_int_at_least(2), default=None,
+    # at 1 all of W is heavy, since every W vertex has a cover neighbor,
+    # and no crown can fire
+    p.add_argument("--threshold", type=_number(2), default=None,
                    help="degree threshold separating small/heavy remainder "
                         "vertices, at least 2 (default: twice the degeneracy, "
                         "at least 2)")
@@ -410,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance exactly by branch and bound")
     p.add_argument("file")
     p.add_argument("--mode", choices=["leaf", "internal", "auto"], default="auto")
-    p.add_argument("--budget", type=_budget, default=60.0,
+    p.add_argument("--budget", type=budget, default=60.0,
                    help="time budget for the exact solve, seconds")
     p.add_argument("--json")
     p.set_defaults(fn=cmd_solve)
@@ -418,16 +396,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run randomized verification suites")
     p.add_argument("--suite", default="all",
                    help="comma-separated suite names, or 'all'")
-    p.add_argument("--trials", type=_int_at_least(1), default=None)
-    p.add_argument("--max-n", type=_int_at_least(2), default=None)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    # at --trials 0 a suite checks nothing and still passes; --max-n 1
+    # leaves the local search an empty range of sizes
+    p.add_argument("--trials", type=_number(1), default=None)
+    p.add_argument("--max-n", type=_number(2), default=None)
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a seeded instance")
     p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("--n", type=int, help="vertex count (default 20; iob-twins reads k instead)")
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--kind", choices=["lob", "iob"], default=None)
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--d", type=int, default=None, help="degeneracy parameter")
@@ -442,33 +422,29 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["planar", "bipath-chain", "degenerate", "iob-twins"])
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--reps", type=_int_at_least(1), default=3)
-    p.add_argument("--scale", type=_int_at_least(1), default=None,
+    # at --reps 0 only a header, and below --scale 1 every n is 8
+    p.add_argument("--reps", type=_number(1), default=3)
+    p.add_argument("--scale", type=_number(1), default=None,
                    help="input size per unit of k (default 10; iob-twins reads k alone)")
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--csv", help="CSV output path (default stdout)")
     p.set_defaults(fn=cmd_bench)
     return parser
 
 
-@functools.lru_cache(maxsize=8)
-def _parser_for(env_seed: Optional[str]) -> argparse.ArgumentParser:
-    """The parser whose ``--seed`` defaults come from ``env_seed``, the
-    raw ``SPARSE_OUTBRANCH_SEED``; a value that fails to build is never
-    cached, so it fails again on every call."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser_for(os.environ.get("SPARSE_OUTBRANCH_SEED")).parse_args(argv)
+        seed = _default_seed()  # read on every call, so a bad value fails every command
+        args = _parser().parse_args(argv)
+        if getattr(args, "seed", 0) is None:
+            args.seed = seed
         return args.fn(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return EXIT_ERROR
-        raise
     except (ValueError, OSError, RuntimeError) as exc:
         # RuntimeError covers lob_analyzer.StructureError, the reducers'
         # missing fixpoint and broken contract checks

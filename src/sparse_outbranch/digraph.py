@@ -162,9 +162,6 @@ class OutBranching:
         self.parent = dict(parent)
         self.children = children
 
-    def internal(self) -> set[int]:
-        return {v for v in range(self.n) if self.children[v]}
-
     def leaf_count(self) -> int:
         return sum(1 for v in range(self.n) if not self.children[v])
 

@@ -14,7 +14,7 @@ into an acceptance certificate for the instance's leaf target k.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .digraph import RootedDigraph, cut_structure, split_lonely_branching
 from .lob_reducer import LobInstance, find_rule
@@ -90,12 +90,9 @@ def special_vertices(dc: ContractedGraph) -> set[int]:
     return special_vertex_set(dc.graph)
 
 
-def isolated_vertices(dc: ContractedGraph,
-                      special: Optional[set[int]] = None) -> set[int]:
+def isolated_vertices(dc: ContractedGraph, special: set[int]) -> set[int]:
     """Non-special size-2 bags whose tail sends no original arc into any
-    special bag."""
-    if special is None:
-        special = special_vertices(dc)
+    of the ``special`` bags."""
     iso: set[int] = set()
     d = dc.original
     for v in range(dc.graph.n):

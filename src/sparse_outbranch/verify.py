@@ -191,16 +191,15 @@ def verify_oracle(trials: int = 300, seed: int = 0) -> SuiteResult:
                         "violations": violations})
 
 
-def _reduced_planar_corpus(count: int, max_core: int, seed: int,
-                           max_input: int = 26) -> list[LobInstance]:
-    """Reduced instances from small sparse planar inputs whose cores stay
-    within the oracle's reach."""
+def _reduced_planar_corpus(count: int, max_core: int, seed: int) -> list[LobInstance]:
+    """Reduced instances from small sparse planar inputs, of 6 to 26
+    vertices, whose cores stay within the oracle's reach."""
     rng = random.Random(seed)
     corpus: list[LobInstance] = []
     attempts = 0
     while len(corpus) < count and attempts < 60 * count:
         attempts += 1
-        n = rng.randint(6, max_input)
+        n = rng.randint(6, 26)
         g = gen_planar(n, rng.randrange(1 << 30),
                        both_prob=rng.uniform(0.0, 0.5),
                        keep_prob=rng.uniform(0.15, 0.5))

@@ -739,6 +739,14 @@ class TestCliPipelines:
     def test_verify_cli(self):
         assert self.run("verify", "--suite", "oracle", "--trials", "20") == 0
 
+    @pytest.mark.parametrize("suites", ["nosuch", "rules,nosuch"])
+    def test_verify_unknown_suite_is_one_error_line(self, capsys, suites):
+        # checked before any suite runs, so nothing reaches stdout
+        from sparse_outbranch.verify import SUITES
+        assert self.run("verify", "--suite", suites) == 1
+        assert capsys.readouterr() == (
+            "", f"error: unknown suite 'nosuch'; available: {', '.join(SUITES)}\n")
+
     def test_accept_constant_rule(self, tmp_path):
         inst = tmp_path / "big.lob"
         assert self.run("gen", "planar", "--n", "80", "--k", "1", "--seed", "6",
@@ -754,13 +762,12 @@ class TestCliPipelines:
         assert self.run("solve", str(inst)) == 20
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
+        argv = ["gen", "planar", "--n", "30", "--k", "2", "--out"]
         monkeypatch.setenv("SPARSE_OUTBRANCH_SEED", "77")
-        out1 = tmp_path / "e1.lob"
-        # parser default is captured at build time, so invoke a fresh parser
-        from sparse_outbranch.cli import build_parser
-        args = build_parser().parse_args(["gen", "planar", "--n", "30",
-                                          "--k", "2", "--out", str(out1)])
-        assert args.seed == 77
+        assert self.run(*argv, str(tmp_path / "env.lob")) == 0
+        monkeypatch.delenv("SPARSE_OUTBRANCH_SEED")
+        assert self.run(*argv, str(tmp_path / "arg.lob"), "--seed", "77") == 0
+        assert (tmp_path / "env.lob").read_bytes() == (tmp_path / "arg.lob").read_bytes()
 
     def test_gen_identical_across_hash_seeds(self):
         # the README's contract: same seed, byte-identical artifact, in
@@ -815,15 +822,15 @@ class TestCliPipelines:
 
 
 class TestParserReuse:
-    """``main`` builds one parser per value of SPARSE_OUTBRANCH_SEED, which
-    it reads on every call; a value that does not parse is never cached."""
+    """``main`` builds one parser per process and reads
+    SPARSE_OUTBRANCH_SEED on every call."""
 
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
         from sparse_outbranch import cli
-        cli._parser_for.cache_clear()
+        cli._parser.cache_clear()
         yield
-        cli._parser_for.cache_clear()
+        cli._parser.cache_clear()
 
     def test_one_build_per_env_value(self, tmp_path, monkeypatch):
         from sparse_outbranch import cli
@@ -837,7 +844,7 @@ class TestParserReuse:
         for value in ("5", "5", "5", "6", "5", "6"):
             monkeypatch.setenv("SPARSE_OUTBRANCH_SEED", value)
             assert main(["gen", "path", "--n", "4", "--out", out]) == 0
-        assert builds == ["5", "6"]
+        assert builds == ["5"]
 
     def test_env_seed_change_between_calls(self, tmp_path, monkeypatch):
         outs = {}

@@ -114,7 +114,8 @@ def _vc_or_solution_rescan(inst):
     if tree.internal_count() >= inst.k:
         return tree
     blocked = {v for u, v in d.arcs() if n_children[u] == 0 and n_children[v] == 0}
-    return tree.internal() | blocked | {d.root}
+    internal = {v for v in range(d.n) if tree.children[v]}
+    return internal | blocked | {d.root}
 
 
 def _vc_or_solution_sorted_arcs(inst):
@@ -141,7 +142,8 @@ def _vc_or_solution_sorted_arcs(inst):
     if tree.internal_count() >= inst.k:
         return tree
     blocked = {v for u, v in arcs if n_children[u] == 0 and n_children[v] == 0}
-    return tree.internal() | blocked | {d.root}
+    internal = {v for v in range(d.n) if tree.children[v]}
+    return internal | blocked | {d.root}
 
 
 def _classify_per_member(d, modulator, threshold):
@@ -330,7 +332,7 @@ class TestLocalSearch:
         d = RootedDigraph(4, 0, [(0, 1), (1, 2), (2, 3)])
         res = vc_or_solution(IobInstance(d, 3))
         assert isinstance(res, OutBranching)
-        assert res.internal() == {0, 1, 2}
+        assert [v for v in range(4) if res.children[v]] == [0, 1, 2]
 
     def test_path_k4_cover(self):
         d = RootedDigraph(4, 0, [(0, 1), (1, 2), (2, 3)])

@@ -1,7 +1,10 @@
 """Every module-level function and class of the package, and every public
 method, is referenced somewhere else in the package. Names the benchmark
 tracer wraps and documented entry points are exempt. Re-exports in
-``__init__`` and other imports do not count as references."""
+``__init__`` and other imports do not count as references. A method counts
+as referenced only where an attribute of its name is called or passed as
+an argument, so an unrelated attribute that shares its name does not keep
+it; a property counts on any attribute read."""
 
 import ast
 import importlib.util
@@ -24,36 +27,47 @@ def _traced_names() -> set[str]:
     return {fn for fns in tracer.LAYERS.values() for fn in fns}
 
 
-def definitions(tree: ast.Module, filename: str) -> list[tuple[str, str]]:
-    """(name, where) for module-level functions and classes and for the
-    public methods of module-level classes."""
+def definitions(tree: ast.Module, filename: str) -> list[tuple[str, str, bool]]:
+    """(name, where, method) for module-level functions and classes and
+    for the public methods of module-level classes; ``method`` is false
+    for a property, which is read rather than called."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            found.append((node.name, f"{filename}:{node.lineno}"))
+            found.append((node.name, f"{filename}:{node.lineno}", False))
         if isinstance(node, ast.ClassDef):
-            found += [(f.name, f"{filename}:{f.lineno}") for f in node.body
+            found += [(f.name, f"{filename}:{f.lineno}",
+                       not any(isinstance(d, ast.Name) and d.id == "property"
+                               for d in f.decorator_list))
+                      for f in node.body
                       if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
     return found
 
 
-def references(tree: ast.Module) -> set[str]:
-    """Names read as a bare name or as an attribute."""
-    refs = set()
+def references(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Names read as a bare name or as an attribute, and the attribute
+    names that are called or passed as an argument."""
+    read, called = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            refs.add(node.id)
+            read.add(node.id)
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
-    return refs
+            read.add(node.attr)
+        elif isinstance(node, ast.Call):
+            called.update(a.attr for a in [node.func, *node.args,
+                                           *(kw.value for kw in node.keywords)]
+                          if isinstance(a, ast.Attribute))
+    return read, called
 
 
 def unreferenced(sources: dict[str, str], exempt: set[str]) -> list[str]:
     trees = {name: ast.parse(text, name) for name, text in sources.items()}
-    refs = set().union(*(references(t) for t in trees.values()))
+    refs = [references(t) for t in trees.values()]
+    read = set().union(*(r for r, _ in refs))
+    called = set().union(*(c for _, c in refs))
     return [f"{where}: {name}" for filename, tree in sorted(trees.items())
-            for name, where in definitions(tree, filename)
-            if name not in refs and name not in exempt]
+            for name, where, method in definitions(tree, filename)
+            if name not in (called if method else read) and name not in exempt]
 
 
 def test_detector_flags_unreferenced_names():
@@ -64,10 +78,21 @@ def test_detector_flags_unreferenced_names():
                  "    def get(self):\n        return used()\n"
                  "    def gone(self):\n        pass\n"
                  "    def _private(self):\n        pass\n"
-                 "def traced():\n    pass\n"),
-        "b.py": "from .a import Box, dead\nBox().get()\n",
+                 "def traced():\n    pass\n"
+                 "class Tree:\n"
+                 "    def internal(self):\n        pass\n"
+                 "    def passed(self):\n        pass\n"
+                 "    @property\n    def size(self):\n        return 0\n"),
+        # Grower's attribute shares the name of Tree.internal, never called
+        "b.py": ("from .a import Box, Tree, dead\nBox().get()\n"
+                 "class Grower:\n"
+                 "    def __init__(self, tree):\n"
+                 "        self.internal = {tree.size}\n"
+                 "        sorted([tree], key=Tree.passed)\n"
+                 "Grower(Tree()).internal.clear()\n"),
     }
-    assert unreferenced(sources, {"traced"}) == ["a.py:3: dead", "a.py:8: gone"]
+    assert unreferenced(sources, {"traced"}) == [
+        "a.py:3: dead", "a.py:8: gone", "a.py:15: internal"]
 
 
 def test_package_has_no_dead_code():
