@@ -20,7 +20,7 @@ import time
 from typing import Callable, Optional
 
 from .digraph import UnreachableError
-from .generators import FAMILIES, RANGES, generate
+from .generators import FAMILIES, RANGES, family_reads, generate
 from .instance_io import InstanceFile, load_instance, save_instance, serialize_instance
 from .iob_kernel import IobInstance, iob_report, kernelize_iob
 from .lob_analyzer import analyze
@@ -268,28 +268,22 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify as verify_mod
     names = list(verify_mod.SUITES) if args.suite == "all" else args.suite.split(",")
-    for name in names:
-        if name not in verify_mod.SUITES:
-            raise ValueError(f"unknown suite {name!r}; available: {', '.join(verify_mod.SUITES)}")
-    results = verify_mod.run_suites(names, trials=args.trials,
-                                    max_n=args.max_n, seed=args.seed)
-    ok = True
+    results = verify_mod.run_suites(names, args.trials, args.max_n, args.seed)
     for res in results:
         print(res.summary())
-        ok = ok and res.passed
+    ok = all(res.passed for res in results)
     print("ALL SUITES PASS" if ok else "SUITE FAILURES PRESENT")
     return EXIT_OK if ok else EXIT_ERROR
 
 
 def cmd_gen(args) -> int:
-    import inspect
     # the family options set on the command line; generate refuses any the family does not read
     params = {name: value for name, value in vars(args).items()
               if name in RANGES.keys() - {"n", "k"} and value is not None}
     g = generate(args.family, args.n, args.k, args.seed, **params)
     kind = args.kind or ("iob" if args.family == "iob-twins" else "lob")
-    n = inspect.signature(FAMILIES[args.family]).parameters.get("n")
-    sized = [] if n is None else [f"n={n.default if args.n is None else args.n}"]
+    reads = family_reads(args.family)
+    sized = [f"n={reads['n'] if args.n is None else args.n}"] if "n" in reads else []
     comment = " ".join([f"family={args.family}", *sized, f"k={args.k}", f"seed={args.seed}",
                         *(f"{name}={value}" for name, value in sorted(params.items()))])
     if args.out in (None, "-"):
@@ -301,7 +295,6 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     import csv
-    import inspect
     if args.k_max < args.k_min:
         raise ValueError(f"--k-max {args.k_max} is below --k-min {args.k_min}")
     lob = args.family in ("planar", "bipath-chain")
@@ -309,7 +302,7 @@ def cmd_bench(args) -> int:
     params = {"planar": {"both_prob": 0.1, "keep_prob": 0.25},
               "bipath-chain": {}}.get(args.family, {"d": 3})
     params.update({} if args.d is None else {"d": args.d})
-    reads_n = "n" in inspect.signature(FAMILIES[args.family]).parameters
+    reads_n = "n" in family_reads(args.family)
     if args.scale is not None and not reads_n:
         raise ValueError(f"family {args.family!r} does not read scale")
     rows = []

@@ -202,16 +202,23 @@ FAMILIES = {
 }
 
 
+def family_reads(family: str) -> dict:
+    """Each parameter that ``family`` reads, with its default (None for k
+    and seed, which have none). Raises ValueError for an unknown family."""
+    import inspect  # here, so that only gen and bench load it
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
+    return {name: None if param.default is param.empty else param.default
+            for name, param in inspect.signature(FAMILIES[family]).parameters.items()}
+
+
 def generate(family: str, n: Optional[int], k: int, seed: int, **params) -> RootedDigraph:
     """The graph of ``family``; ``n=None`` or an absent keyword leaves the
     family's default, and every family takes k, the instance's parameter,
     and seed. Raises ValueError, naming the family and the parameter, for
     an unknown family, a parameter it does not read or a value outside its
     range (FAMILY_RANGES, else RANGES)."""
-    import inspect  # here, so that only gen and bench load it
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
-    reads = inspect.signature(FAMILIES[family]).parameters
+    reads = family_reads(family)
     given = {"k": k, **params, **({} if n is None else {"n": n})}
     for name, value in given.items():
         if name not in reads and name != "k":

@@ -191,9 +191,9 @@ def verify_oracle(trials: int = 300, seed: int = 0) -> SuiteResult:
                         "violations": violations})
 
 
-def _reduced_planar_corpus(count: int, max_core: int, seed: int) -> list[LobInstance]:
-    """Reduced instances from small sparse planar inputs, of 6 to 26
-    vertices, whose cores stay within the oracle's reach."""
+def _reduced_planar_corpus(count: int, seed: int) -> list[LobInstance]:
+    """Reduced instances of at most 12 vertices, within the oracle's reach,
+    from small sparse planar inputs of 6 to 26 vertices."""
     rng = random.Random(seed)
     corpus: list[LobInstance] = []
     attempts = 0
@@ -204,7 +204,7 @@ def _reduced_planar_corpus(count: int, max_core: int, seed: int) -> list[LobInst
                        both_prob=rng.uniform(0.0, 0.5),
                        keep_prob=rng.uniform(0.15, 0.5))
         out, _ = reduce_to_fixpoint(LobInstance(g, rng.randint(1, 4)))
-        if isinstance(out, ReducedOutcome) and out.instance.graph.n <= max_core:
+        if isinstance(out, ReducedOutcome) and out.instance.graph.n <= 12:
             corpus.append(out.instance)
     if len(corpus) < count:
         raise RuntimeError(f"could not build corpus: {len(corpus)}/{count}")
@@ -242,14 +242,14 @@ def _isolated_bag_instance(chain_len: int = 5) -> LobInstance:
     return LobInstance(RootedDigraph(nxt, 0, arcs), 1)
 
 
-def verify_bounds(instances: int = 300, max_core: int = 12, seed: int = 0) -> SuiteResult:
+def verify_bounds(instances: int = 300, seed: int = 0) -> SuiteResult:
     """The three certificate lower bounds hold against oracle maxleaf on
     reduced planar cores, plus constructed multi-bipath instances where
     the slave count is positive."""
-    corpus = _reduced_planar_corpus(instances, max_core, seed)
+    corpus = _reduced_planar_corpus(instances, seed)
     for npaths in (3, 4, 5, 6):
         corpus.append(_parallel_bipath_instance(npaths))
-        if 5 + 2 * npaths <= max_core + 2:
+        if 5 + 2 * npaths <= 14:  # its vertices, at most the core bound plus 2
             corpus.append(_parallel_bipath_instance(npaths, seg=2))
     corpus.append(_isolated_bag_instance(3))
     corpus.append(_isolated_bag_instance(5))
@@ -286,12 +286,12 @@ def verify_bounds(instances: int = 300, max_core: int = 12, seed: int = 0) -> Su
                         "slaves_seen": sl_total})
 
 
-def verify_structure(instances: int = 300, max_core: int = 12, seed: int = 0) -> SuiteResult:
+def verify_structure(instances: int = 300, seed: int = 0) -> SuiteResult:
     """Structural lemmas on reduced cores: bags of size <= 2, cut-edge
     heads of in-degree 1, linked bags with exactly one arc each way
     landing on tails, decomposition properties over random seeds, and the
     10|O|+6 hard-bipath length bound."""
-    corpus = _reduced_planar_corpus(instances, max_core, seed)
+    corpus = _reduced_planar_corpus(instances, seed)
     for npaths in (3, 5):
         corpus.append(_parallel_bipath_instance(npaths))
     corpus.append(_isolated_bag_instance(5))
@@ -445,21 +445,19 @@ def verify_crown(firings: int = 500, max_n: int = 9, seed: int = 0) -> SuiteResu
                        {"firings": fired, "violations": violations})
 
 
-def verify_iob_kernel_size(ks=(4, 6, 8, 10, 12, 14, 16), degeneracies=(2, 3),
-                           reps: int = 3, seed: int = 0,
-                           min_r2: float = 0.6) -> SuiteResult:
-    """Kernelize the twin-heavy degenerate family and check the size
-    accounting: cover <= 2k-1, every retained class within its structural
-    bound (asserted inside the kernelizer), and a per-degeneracy linear
-    fit of final size against k."""
+def verify_iob_kernel_size(seed: int = 0) -> SuiteResult:
+    """Kernelize the twin-heavy family at d = 2, 3, three inputs for each
+    even k from 4 to 16, and check the size accounting: cover <= 2k-1,
+    every retained class within its structural bound (asserted inside the
+    kernelizer), and a per-d linear fit of size against k, R^2 >= 0.6."""
     rng = random.Random(seed)
     violations = 0
     detail: dict = {}
     runs = 0
-    for d in degeneracies:
+    for d in (2, 3):
         xs, ys = [], []
-        for k in ks:
-            for rep in range(reps):
+        for k in range(4, 17, 2):
+            for rep in range(3):
                 g = gen_iob_twins(k, d, rng.randrange(1 << 30))
                 out, _ = kernelize_iob(IobInstance(g, k))
                 runs += 1
@@ -473,28 +471,25 @@ def verify_iob_kernel_size(ks=(4, 6, 8, 10, 12, 14, 16), degeneracies=(2, 3),
         slope, _, r2 = linear_fit(xs, ys)
         detail[f"slope_d{d}"] = round(slope, 2)
         detail[f"r2_d{d}"] = round(r2, 3)
-        if r2 < min_r2:
+        if r2 < 0.6:
             violations += 1
     detail.update({"runs": runs, "violations": violations})
     return SuiteResult("iob-kernel-size", violations == 0, detail)
 
 
-def verify_lob_kernel_size(ks=tuple(range(2, 11)), reps: int = 3, seed: int = 0,
-                           scale: int = 10, timeout: float = 30.0) -> SuiteResult:
+def verify_lob_kernel_size(seed: int = 0, timeout: float = 30.0) -> SuiteResult:
     """Empirical stand-in for the linear-kernel theorem: reduced size
     against oracle maxleaf fits a line through the origin with high R^2
-    over sparse planar inputs sized by k. Every core must be solved
-    exactly within ``timeout``; an inexact one fails the suite."""
+    over sparse planar inputs of 10k vertices, three for k = 2..10. Every
+    core must be solved exactly within ``timeout``; an inexact one fails."""
     rng = random.Random(seed)
-    keeps = (0.2, 0.25, 0.3)
+    ks = range(2, 11)
     points = []
     inexact = 0
     violations = 0
     for k in ks:
-        for rep in range(reps):
-            n = max(8, scale * k)
-            g = gen_planar(n, rng.randrange(1 << 30), both_prob=0.1,
-                           keep_prob=keeps[rep % len(keeps)])
+        for keep in (0.2, 0.25, 0.3):
+            g = gen_planar(10 * k, rng.randrange(1 << 30), both_prob=0.1, keep_prob=keep)
             out, _ = reduce_to_fixpoint(LobInstance(g, k))
             if not isinstance(out, ReducedOutcome):
                 violations += 1
@@ -519,11 +514,12 @@ def verify_lob_kernel_size(ks=tuple(range(2, 11)), reps: int = 3, seed: int = 0,
                         "max_ratio": round(ratio_max, 3)})
 
 
-def verify_counting(graphs: int = 30, seed: int = 0, p: int = 3) -> SuiteResult:
+def verify_counting(graphs: int = 30, seed: int = 0) -> SuiteResult:
     """Counting lemmas on planar corpora: the heavy-degree sum bound on
     bipartite views (with exact degeneracy) and both neighborhood-
     diversity bounds at p = 3."""
     rng = random.Random(seed)
+    p = 3
     violations = 0
     checks = 0
     for _ in range(graphs):
@@ -556,36 +552,38 @@ def verify_counting(graphs: int = 30, seed: int = 0, p: int = 3) -> SuiteResult:
                         "violations": violations})
 
 
+# Each suite: its function, the keywords that --trials t sets (None where
+# the suite reads no --trials), and whether --max-n sets its max_n.
 SUITES = {
-    "rules": verify_rules,
-    "oracle": verify_oracle,
-    "bounds": verify_bounds,
-    "structure": verify_structure,
-    "local-search": verify_local_search,
-    "crown": verify_crown,
-    "iob-kernel-size": verify_iob_kernel_size,
-    "lob-kernel-size": verify_lob_kernel_size,
-    "counting": verify_counting,
+    "rules": (verify_rules, lambda t: {"trials": t}, True),
+    "oracle": (verify_oracle, lambda t: {"trials": max(10, t // 3)}, False),
+    "bounds": (verify_bounds, lambda t: {"instances": t}, False),
+    "structure": (verify_structure, lambda t: {"instances": t}, False),
+    "local-search": (verify_local_search, lambda t: {"trials": t}, True),
+    "crown": (verify_crown, lambda t: {"firings": t}, True),
+    "iob-kernel-size": (verify_iob_kernel_size, None, False),
+    "lob-kernel-size": (verify_lob_kernel_size, None, False),
+    "counting": (verify_counting, lambda t: {"graphs": max(5, t // 30)}, False),
 }
 
 
 def run_suites(names, trials=None, max_n=None, seed=0) -> list[SuiteResult]:
-    """Run the named suites (or all) with optional effort overrides."""
-    results = []
+    """Run the named suites, --trials and --max-n set as SUITES says. Raises
+    ValueError before any runs for an unknown name or an unread option."""
     for name in names:
-        fn = SUITES[name]
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
+    calls = []
+    for name in names:
+        fn, trials_kwargs, reads_max_n = SUITES[name]
         kwargs = {"seed": seed}
-        if trials is not None and name in ("rules", "local-search"):
-            kwargs["trials"] = trials
-        if trials is not None and name == "oracle":
-            kwargs["trials"] = max(10, trials // 3)
-        if trials is not None and name in ("bounds", "structure"):
-            kwargs["instances"] = trials
-        if trials is not None and name == "crown":
-            kwargs["firings"] = trials
-        if trials is not None and name == "counting":
-            kwargs["graphs"] = max(5, trials // 30)
-        if max_n is not None and name in ("rules", "local-search", "crown"):
+        if trials is not None:
+            if trials_kwargs is None:
+                raise ValueError(f"suite {name!r} does not read --trials")
+            kwargs.update(trials_kwargs(trials))
+        if max_n is not None:
+            if not reads_max_n:
+                raise ValueError(f"suite {name!r} does not read --max-n")
             kwargs["max_n"] = max_n
-        results.append(fn(**kwargs))
-    return results
+        calls.append((fn, kwargs))
+    return [fn(**kwargs) for fn, kwargs in calls]

@@ -29,7 +29,7 @@ def test_criterion_1_rule_soundness_sweep():
 def test_criterion_2_lower_bound_certificates():
     # >= 300 reduced planar cores with n <= 12: oracle maxleaf dominates
     # ceil(sp/60), ceil(iso/180), and the slave count; zero violations
-    res = V.verify_bounds(instances=300, max_core=12, seed=202)
+    res = V.verify_bounds(instances=300, seed=202)
     assert res.detail["instances"] >= 300
     report(2, res)
 
@@ -37,7 +37,7 @@ def test_criterion_2_lower_bound_certificates():
 def test_criterion_3_structural_lemmas():
     # same corpus: bag sizes, head in-degrees, linked-bag arc counts,
     # decomposition properties, 10|O|+6 length bound; zero violations
-    res = V.verify_structure(instances=300, max_core=12, seed=202)
+    res = V.verify_structure(instances=300, seed=202)
     assert res.detail["instances"] >= 300
     report(3, res)
 
@@ -58,18 +58,19 @@ def test_criterion_5_crown_equivalence():
 
 
 def test_criterion_6_iob_kernel_size():
-    # degenerate families d in {2,3}: cover <= 2k-1 and class bounds
-    # asserted per run; the size-vs-k fit is reported
-    res = V.verify_iob_kernel_size(ks=(4, 6, 8, 10, 12, 14, 16),
-                                   degeneracies=(2, 3), reps=3, seed=606)
+    # degenerate families d in {2,3}, k = 4, 6, ..., 16, three runs each:
+    # cover <= 2k-1 and class bounds asserted per run; the size-vs-k fit
+    # is reported
+    res = V.verify_iob_kernel_size(seed=606)
+    assert res.detail["runs"] == 2 * 7 * 3
     report(6, res)
 
 
 def test_criterion_7_lob_kernel_size():
     # planar family over k = 2..10: reduced size vs oracle maxleaf fits a
-    # line through the origin with R^2 >= 0.9 at desk scale
-    res = V.verify_lob_kernel_size(ks=tuple(range(2, 11)), reps=3, seed=707,
-                                   scale=10, timeout=45.0)
+    # line through the origin with R^2 >= 0.9 at desk scale (n = 10k,
+    # three inputs per k)
+    res = V.verify_lob_kernel_size(seed=707, timeout=45.0)
     assert res.detail.get("r2", 0) >= 0.9
     report(7, res)
 
@@ -77,7 +78,7 @@ def test_criterion_7_lob_kernel_size():
 def test_criterion_8_counting_lemmas():
     # planar corpora at p = 3: heavy-degree sum bound and both
     # neighborhood-diversity bounds; zero violations
-    res = V.verify_counting(graphs=30, seed=808, p=3)
+    res = V.verify_counting(graphs=30, seed=808)
     report(8, res)
 
 

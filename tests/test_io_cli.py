@@ -747,6 +747,62 @@ class TestCliPipelines:
         assert capsys.readouterr() == (
             "", f"error: unknown suite 'nosuch'; available: {', '.join(SUITES)}\n")
 
+    @pytest.fixture
+    def suite_calls(self, monkeypatch):
+        """Each verify suite replaced by one that records the keywords it is
+        called with, after checking that they bind to the real suite."""
+        import inspect
+        from sparse_outbranch import verify
+        calls = []
+
+        def recorder(name, fn):
+            def run(**kwargs):
+                inspect.signature(fn).bind(**kwargs)
+                calls.append((name, kwargs))
+                return verify.SuiteResult(name, True)
+            return run
+        for name, (fn, *reads) in list(verify.SUITES.items()):
+            monkeypatch.setitem(verify.SUITES, name, (recorder(name, fn), *reads))
+        return calls
+
+    @pytest.mark.parametrize("suite, argv, expected", [
+        ("rules", ["--trials", "90", "--max-n", "7"], {"trials": 90, "max_n": 7}),
+        ("oracle", ["--trials", "90"], {"trials": 30}),
+        ("oracle", ["--trials", "12"], {"trials": 10}),
+        ("bounds", ["--trials", "90"], {"instances": 90}),
+        ("structure", ["--trials", "90"], {"instances": 90}),
+        ("local-search", ["--trials", "90", "--max-n", "7"], {"trials": 90, "max_n": 7}),
+        ("crown", ["--trials", "90", "--max-n", "7"], {"firings": 90, "max_n": 7}),
+        ("counting", ["--trials", "300"], {"graphs": 10}),
+        ("counting", ["--trials", "90"], {"graphs": 5}),
+        ("iob-kernel-size", [], {}),
+        ("lob-kernel-size", [], {}),
+    ])
+    def test_verify_options_reach_their_parameters(self, suite_calls, suite, argv, expected):
+        assert self.run("verify", "--suite", suite, "--seed", "4", *argv) == 0
+        assert suite_calls == [(suite, {"seed": 4, **expected})]
+
+    @pytest.mark.parametrize("suites, argv, refused", [
+        ("iob-kernel-size", ["--trials", "12"], "iob-kernel-size' does not read --trials"),
+        ("lob-kernel-size", ["--trials", "12"], "lob-kernel-size' does not read --trials"),
+        ("oracle", ["--max-n", "5"], "oracle' does not read --max-n"),
+        ("bounds", ["--max-n", "5"], "bounds' does not read --max-n"),
+        ("structure", ["--max-n", "5"], "structure' does not read --max-n"),
+        ("iob-kernel-size", ["--max-n", "5"], "iob-kernel-size' does not read --max-n"),
+        ("lob-kernel-size", ["--max-n", "5"], "lob-kernel-size' does not read --max-n"),
+        ("counting", ["--max-n", "5"], "counting' does not read --max-n"),
+        ("all", ["--trials", "12"], "iob-kernel-size' does not read --trials"),
+        ("all", ["--max-n", "5"], "oracle' does not read --max-n"),
+        ("oracle,bounds", ["--trials", "12", "--max-n", "2"], "oracle' does not read --max-n"),
+        ("rules,crown,counting", ["--max-n", "5"], "counting' does not read --max-n"),
+    ])
+    def test_verify_refuses_an_option_a_suite_does_not_read(
+            self, capsys, suite_calls, suites, argv, refused):
+        # checked for every suite before any runs, so nothing reaches stdout
+        assert self.run("verify", "--suite", suites, *argv) == 1
+        assert capsys.readouterr() == ("", f"error: suite '{refused}\n")
+        assert suite_calls == []
+
     def test_accept_constant_rule(self, tmp_path):
         inst = tmp_path / "big.lob"
         assert self.run("gen", "planar", "--n", "80", "--k", "1", "--seed", "6",

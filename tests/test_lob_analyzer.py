@@ -124,6 +124,15 @@ class TestIsolatedVertices:
         assert len(ana.isolated) == 0
         assert any(len(b.members) == 2 for b in ana.contracted.bag_of)
 
+    def test_reads_the_special_set_it_is_given(self):
+        # the pendant's bag sends an arc into hub 3's bag, which is special
+        # in the graph but not in an empty set
+        dc = build_contracted(pendant_chain_instance(3, (1,)).graph)
+        assert dc.bag_of[5].members == (5, 8)
+        assert isolated_vertices(dc, special_vertices(dc)) == set()
+        assert isolated_vertices(dc, set()) == {5}
+        assert isolated_vertices(dc, {5}) == set()
+
 
 class TestDecomposition:
     def test_whole_graph_seed_gives_no_paths(self):
