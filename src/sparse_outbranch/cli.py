@@ -268,10 +268,12 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify as verify_mod
     names = list(verify_mod.SUITES) if args.suite == "all" else args.suite.split(",")
-    results = verify_mod.run_suites(names, args.trials, args.max_n, args.seed)
-    for res in results:
-        print(res.summary())
-    ok = all(res.passed for res in results)
+    ok = True
+    # each line is printed as its suite finishes, so a suite that raises
+    # leaves the lines of those before it
+    for res in verify_mod.run_suites(names, args.trials, args.max_n, args.seed):
+        print(res.summary(), flush=True)
+        ok = ok and res.passed
     print("ALL SUITES PASS" if ok else "SUITE FAILURES PRESENT")
     return EXIT_OK if ok else EXIT_ERROR
 

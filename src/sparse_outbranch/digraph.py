@@ -162,6 +162,22 @@ class OutBranching:
         self.parent = dict(parent)
         self.children = children
 
+    @classmethod
+    def trusted(cls, root: int, parent: list[int]) -> OutBranching:
+        """The tree of a parent list, -1 at the root, that the caller
+        vouches is a spanning out-branching: the constructor's checks do
+        not run. Children come in ascending order."""
+        tree = cls.__new__(cls)
+        children: list[list[int]] = [[] for _ in parent]
+        for v, p in enumerate(parent):
+            if p >= 0:
+                children[p].append(v)
+        tree.n = len(parent)
+        tree.root = root
+        tree.parent = {v: p for v, p in enumerate(parent) if p >= 0}
+        tree.children = children
+        return tree
+
     def leaf_count(self) -> int:
         return sum(1 for v in range(self.n) if not self.children[v])
 
@@ -520,19 +536,32 @@ class UnreachableError(ValueError):
     """The root does not reach every vertex."""
 
 
-def bfs_out_branching(d: RootedDigraph) -> OutBranching:
-    """Breadth-first spanning out-branching; raises ``UnreachableError``
-    unless the root reaches every vertex."""
-    parent: dict[int, int] = {}
-    seen = [False] * d.n
-    seen[d.root] = True
+def bfs_parents(d: RootedDigraph) -> tuple[list[int], list[int]]:
+    """Breadth-first spanning out-branching on plain lists: the parent of
+    each vertex (-1 at the root) and its child count. Raises
+    ``UnreachableError`` unless the root reaches every vertex. -1 also
+    marks a vertex not yet found; the root is its own parent until the end."""
+    out_adj = d.out_adj
+    parent = [-1] * d.n
+    n_children = [0] * d.n
+    parent[d.root] = d.root
     found = [d.root]
-    for u in found:
-        for w in d.out_adj[u]:
-            if not seen[w]:
-                seen[w] = True
+    for u in found:  # also visits what is appended meanwhile
+        kids = 0
+        for w in out_adj[u]:
+            if parent[w] < 0:
                 parent[w] = u
                 found.append(w)
-    if len(parent) != d.n - 1:
+                kids += 1
+        n_children[u] = kids
+    if len(found) != d.n:
         raise UnreachableError("graph is not connected from the root")
-    return OutBranching(d.n, d.root, parent)
+    parent[d.root] = -1
+    return parent, n_children
+
+
+def bfs_out_branching(d: RootedDigraph) -> OutBranching:
+    """Breadth-first spanning out-branching (``bfs_parents``); raises
+    ``UnreachableError`` unless the root reaches every vertex. The tree is
+    valid by construction, so it skips the constructor's checks."""
+    return OutBranching.trusted(d.root, bfs_parents(d)[0])

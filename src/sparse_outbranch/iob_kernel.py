@@ -38,8 +38,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .digraph import (OutBranching, RootedDigraph, UnreachableError, bfs_out_branching,
-                      remove_vertices)
+from .digraph import OutBranching, RootedDigraph, UnreachableError, bfs_parents, remove_vertices
 from .outcomes import (KernelOutcome, NoOutcome, ReducedOutcome, ReductionTrace,
                        RootedInstance, YesOutcome, value_type)
 from .sparsity import NeighborhoodClassing, classify_by_modulator, degeneracy
@@ -78,18 +77,19 @@ def vc_or_solution(inst: IobInstance) -> Union[OutBranching, set[int]]:
     and every later arc out of u, fails from then on, since u is no
     longer a leaf.
 
-    The child counts are those of the tree at hand, so the internal count
-    and the cover's internal set are read off them, and the swept tree is
-    built as an ``OutBranching`` only when it is the YES answer.
+    The search works on the lists of ``bfs_parents``: the internal count
+    and the cover's internal set are read off the child counts, and a tree
+    is built only for a YES. A YES at the first exit wraps the BFS tree
+    without the constructor's checks, as ``bfs_out_branching`` does; the
+    swept tree goes through the checked constructor.
     """
     d = inst.graph
-    tree = bfs_out_branching(d)
-    n_children = list(map(len, tree.children))
+    parent, n_children = bfs_parents(d)
     if d.n - n_children.count(0) >= inst.k:
-        return tree
-    parent = dict(tree.parent)
+        return OutBranching.trusted(d.root, parent)
 
-    # the root always keeps children, so leaf checks exclude it
+    # the root always keeps children, so leaf checks exclude it; no arc
+    # enters the root, so every v below has a parent
     for u, heads in enumerate(d.out_adj):
         if n_children[u] == 0:
             for v in heads:
@@ -100,7 +100,7 @@ def vc_or_solution(inst: IobInstance) -> Union[OutBranching, set[int]]:
                     break
 
     if d.n - n_children.count(0) >= inst.k:
-        return OutBranching(d.n, d.root, parent)
+        return OutBranching(d.n, d.root, {v: p for v, p in enumerate(parent) if p >= 0})
     internal = {v for v, count in enumerate(n_children) if count}
     blocked = {v for u, heads in enumerate(d.out_adj) if n_children[u] == 0
                for v in heads if n_children[v] == 0}
@@ -450,7 +450,15 @@ def crown_pass(d: RootedDigraph, classing: NeighborhoodClassing
     ranks among the vertices that the earlier steps left: x less the ids
     in `gone` below it. The ranks of a step take one bisection each, and
     its removed ids join `gone` in one merge (``list.sort`` of two sorted
-    runs), so no rank map is rebuilt per crown."""
+    runs), so no rank map is rebuilt per crown.
+
+    A class that cannot fire is skipped before any key set of its groups
+    is built. A twin group with in-list I and out-list O has exactly
+    |I|·(1+|O|) keys, a unit per x in I and a pair per (x, y) in I × O
+    (``TwinGroup.of``). The class's neighborhood is the union of its
+    groups' keys, so it is at least the largest such count, and a class
+    no larger than twice that count is no larger than twice its
+    neighborhood."""
     cover = classing.modulator
     firsts = [group[0] for groups in classing.twins.values() for group in groups]
     uncovered = [(u, v) for u in firsts + classing.heavy
@@ -459,9 +467,14 @@ def crown_pass(d: RootedDigraph, classing: NeighborhoodClassing
         raise ValueError("not a vertex cover: arc ({},{}) uncovered".format(*min(uncovered)))
     steps: list[CrownStep] = []
     gone: list[int] = []
+    in_adj, out_adj = d.in_adj, d.out_adj
     for key in sorted(classing.classes):
         members = classing.classes[key]
-        groups = [TwinGroup.of(d, group) for group in classing.twins[key]]
+        twins = classing.twins[key]
+        if len(members) <= 2 * max(len(in_adj[group[0]]) * (1 + len(out_adj[group[0]]))
+                                   for group in twins):
+            continue
+        groups = [TwinGroup.of(d, group) for group in twins]
         hood = set().union(*(group.keys for group in groups))
         if len(members) <= 2 * len(hood):
             continue
@@ -496,11 +509,12 @@ def kernelize_iob(inst: IobInstance, threshold: Optional[int] = None
     vertex of a connected graph has a cover neighbor and no crown could
     fire.
 
-    Each round makes one graph search, the local search's BFS tree, which
-    raises ``UnreachableError`` when the root misses a vertex: that is the
-    round's reachability test. Each round also makes one scan of W, the
-    classing's bucketing, which hands the crown pass its twin groups, and
-    composes the id map of its removal into the kernel's ``origin``.
+    Each round makes one graph search, the local search's BFS
+    (``bfs_parents``), which raises ``UnreachableError`` when the root
+    misses a vertex: that is the round's reachability test. Each round
+    also makes one scan of W, the classing's bucketing, which hands the
+    crown pass its twin groups, and composes the id map of its removal
+    into the kernel's ``origin``.
     """
     if threshold is None:
         threshold = max(2, 2 * degeneracy(inst.graph).d)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .digraph import (
     OutBranching,
@@ -567,9 +567,10 @@ SUITES = {
 }
 
 
-def run_suites(names, trials=None, max_n=None, seed=0) -> list[SuiteResult]:
-    """Run the named suites, --trials and --max-n set as SUITES says. Raises
-    ValueError before any runs for an unknown name or an unread option."""
+def run_suites(names, trials=None, max_n=None, seed=0) -> Iterator[SuiteResult]:
+    """The named suites' results, each suite run when its result is asked
+    for, --trials and --max-n set as SUITES says. Raises ValueError at the
+    call, before any suite runs, for an unknown name or an unread option."""
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
@@ -586,4 +587,4 @@ def run_suites(names, trials=None, max_n=None, seed=0) -> list[SuiteResult]:
                 raise ValueError(f"suite {name!r} does not read --max-n")
             kwargs["max_n"] = max_n
         calls.append((fn, kwargs))
-    return [fn(**kwargs) for fn, kwargs in calls]
+    return (fn(**kwargs) for fn, kwargs in calls)

@@ -6,7 +6,8 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
-from sparse_outbranch.digraph import RootedDigraph, is_connected, underlying_adjacency
+from sparse_outbranch.digraph import (OutBranching, RootedDigraph, UnreachableError, is_connected,
+                                      underlying_adjacency)
 
 
 @st.composite
@@ -45,6 +46,26 @@ def random_connected(rng: random.Random, n: int, density: float = 0.3,
     d = RootedDigraph(n, 0, arcs)
     assert is_connected(d)
     return d
+
+
+def bfs_out_branching_checked(d: RootedDigraph) -> OutBranching:
+    """The breadth-first branching that built a parent map and handed it to
+    the checked ``OutBranching`` constructor, kept as the reference for
+    ``digraph.bfs_parents`` and the unchecked tree of
+    ``digraph.bfs_out_branching``."""
+    parent = {}
+    seen = [False] * d.n
+    seen[d.root] = True
+    found = [d.root]
+    for u in found:
+        for w in d.out_adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = u
+                found.append(w)
+    if len(parent) != d.n - 1:
+        raise UnreachableError("graph is not connected from the root")
+    return OutBranching(d.n, d.root, parent)
 
 
 def euler_bound_holds(d: RootedDigraph) -> bool:

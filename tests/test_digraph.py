@@ -11,7 +11,9 @@ from sparse_outbranch.digraph import (
     LabelledDigraph,
     OutBranching,
     RootedDigraph,
+    UnreachableError,
     bfs_out_branching,
+    bfs_parents,
     contract_arc,
     cut_structure,
     dominators,
@@ -24,7 +26,7 @@ from sparse_outbranch.oracle import solve_branch_and_bound, SolveMode
 
 from sparse_outbranch.generators import gen_bipath_chain, gen_planar, generate
 
-from conftest import euler_bound_holds, random_connected, small_digraphs
+from conftest import bfs_out_branching_checked, euler_bound_holds, random_connected, small_digraphs
 
 
 def path3():
@@ -603,7 +605,51 @@ class TestRemoveVertices:
             remove_vertices(path3(), {0})
 
 
+def _family_graphs_and_shuffled(rng):
+    """Each graph of ``_family_graphs``, which covers every generator
+    family, and a copy with its ids shuffled, so the root is not always 0."""
+    for g in _family_graphs():
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        yield g
+        yield RootedDigraph(g.n, perm[g.root], [(perm[u], perm[v]) for u, v in g.arcs()])
+
+
 class TestBfsBranching:
+    def test_matches_checked_reference_on_every_family(self):
+        spanned = 0
+        for d in _family_graphs_and_shuffled(random.Random(5757)):
+            try:
+                ref = bfs_out_branching_checked(d)
+            except UnreachableError:
+                continue
+            t = bfs_out_branching(d)
+            assert (t.n, t.root) == (ref.n, ref.root)
+            assert t.parent == ref.parent and t.children == ref.children
+            parent, n_children = bfs_parents(d)
+            assert parent == [ref.parent.get(v, -1) for v in range(d.n)]
+            assert n_children == list(map(len, ref.children))
+            spanned += 1
+        assert spanned >= 40
+
+    def test_unreachable_raises_as_the_reference(self):
+        # cutting every arc into one vertex leaves it unreachable
+        rng = random.Random(5858)
+        raised = 0
+        for d in _family_graphs_and_shuffled(rng):
+            if d.n < 2:
+                continue
+            v = rng.choice([x for x in range(d.n) if x != d.root])
+            g = d.with_arcs_removed([(u, v) for u in d.in_adj[v]])
+            with pytest.raises(UnreachableError) as ref:
+                bfs_out_branching_checked(g)
+            for search in (bfs_out_branching, bfs_parents):
+                with pytest.raises(UnreachableError) as got:
+                    search(g)
+                assert str(got.value) == str(ref.value)
+            raised += 1
+        assert raised >= 50
+
     def test_spans(self):
         d = RootedDigraph(4, 0, [(0, 1), (0, 2), (1, 3), (2, 3)])
         t = bfs_out_branching(d)

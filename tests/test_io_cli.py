@@ -803,6 +803,32 @@ class TestCliPipelines:
         assert capsys.readouterr() == ("", f"error: suite '{refused}\n")
         assert suite_calls == []
 
+    def test_verify_keeps_the_lines_of_suites_before_one_that_raises(
+            self, capsys, monkeypatch):
+        # each result line is printed when its suite finishes; the suite
+        # that raises ends verify with one error line, and no later suite runs
+        from sparse_outbranch import verify
+        ran = []
+
+        def passing(name):
+            def run(**kwargs):
+                ran.append(name)
+                return verify.SuiteResult(name, True, {"checked": 3})
+            return run
+
+        def raising(**kwargs):
+            ran.append("crown")
+            raise RuntimeError("oracle budget exceeded in crown check")
+
+        for name, fn in (("rules", passing("rules")), ("crown", raising),
+                         ("oracle", passing("oracle"))):
+            monkeypatch.setitem(verify.SUITES, name, (fn, *verify.SUITES[name][1:]))
+        assert self.run("verify", "--suite", "rules,crown,oracle") == 1
+        assert capsys.readouterr() == (
+            "[PASS] rules: checked=3\n",
+            "error: oracle budget exceeded in crown check\n")
+        assert ran == ["rules", "crown"]
+
     def test_accept_constant_rule(self, tmp_path):
         inst = tmp_path / "big.lob"
         assert self.run("gen", "planar", "--n", "80", "--k", "1", "--seed", "6",

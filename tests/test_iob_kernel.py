@@ -1,5 +1,7 @@
 import json
 import random
+from bisect import bisect_left
+from itertools import chain
 
 import pytest
 
@@ -45,7 +47,7 @@ from sparse_outbranch.outcomes import (
 )
 from sparse_outbranch.sparsity import NeighborhoodClassing, classify_by_modulator, degeneracy
 
-from conftest import random_connected
+from conftest import bfs_out_branching_checked, random_connected
 
 
 def max_internal(d):
@@ -85,7 +87,7 @@ def _vc_or_solution_rescan(inst):
     d = inst.graph
     if not is_connected(d):
         raise ValueError("local search requires a connected instance")
-    tree = bfs_out_branching(d)
+    tree = bfs_out_branching_checked(d)
     if tree.internal_count() >= inst.k:
         return tree
     parent = dict(tree.parent)
@@ -125,7 +127,7 @@ def _vc_or_solution_sorted_arcs(inst):
     kept as the reference for the out-list sweeps of
     ``iob_kernel.vc_or_solution`` and for its one tree."""
     d = inst.graph
-    tree = bfs_out_branching(d)
+    tree = bfs_out_branching_checked(d)
     if tree.internal_count() >= inst.k:
         return tree
     parent = dict(tree.parent)
@@ -143,6 +145,33 @@ def _vc_or_solution_sorted_arcs(inst):
         return tree
     blocked = {v for u, v in arcs if n_children[u] == 0 and n_children[v] == 0}
     internal = {v for v in range(d.n) if tree.children[v]}
+    return internal | blocked | {d.root}
+
+
+def _vc_or_solution_checked_tree(inst):
+    """The local search that built and checked the BFS tree as an
+    ``OutBranching`` in every round, and copied its parent map to sweep,
+    kept as the reference for ``iob_kernel.vc_or_solution``, which works
+    on the lists of ``bfs_parents``."""
+    d = inst.graph
+    tree = bfs_out_branching_checked(d)
+    n_children = list(map(len, tree.children))
+    if d.n - n_children.count(0) >= inst.k:
+        return tree
+    parent = dict(tree.parent)
+    for u, heads in enumerate(d.out_adj):
+        if n_children[u] == 0:
+            for v in heads:
+                if n_children[v] == 0 and n_children[parent[v]] >= 2:
+                    n_children[parent[v]] -= 1
+                    parent[v] = u
+                    n_children[u] += 1
+                    break
+    if d.n - n_children.count(0) >= inst.k:
+        return OutBranching(d.n, d.root, parent)
+    internal = {v for v, count in enumerate(n_children) if count}
+    blocked = {v for u, heads in enumerate(d.out_adj) if n_children[u] == 0
+               for v in heads if n_children[v] == 0}
     return internal | blocked | {d.root}
 
 
@@ -248,6 +277,39 @@ def _origin_by_trace_replay(n, trace):
     return tuple(alive)
 
 
+def _crown_pass_every_class(d, classing):
+    """The crown pass that built every class's twin groups and their key
+    sets before its size test, kept as the reference for
+    ``iob_kernel.crown_pass``, which passes over a class that its largest
+    group's key count shows cannot fire."""
+    cover = classing.modulator
+    firsts = [group[0] for groups in classing.twins.values() for group in groups]
+    uncovered = [(u, v) for u in firsts + classing.heavy
+                 for v in d.out_adj[u] if v not in cover]
+    if uncovered:
+        raise ValueError("not a vertex cover: arc ({},{}) uncovered".format(*min(uncovered)))
+    steps = []
+    gone = []
+    for key in sorted(classing.classes):
+        members = classing.classes[key]
+        groups = [TwinGroup.of(d, group) for group in classing.twins[key]]
+        hood = set().union(*(group.keys for group in groups))
+        if len(members) <= 2 * len(hood):
+            continue
+        if not cover.isdisjoint(members):
+            raise ValueError("class members must lie inside W")
+        kept = twin_crown(groups, hood)
+        left_hood = set().union(*(group.keys for group, n in zip(groups, kept) if n))
+        if sum(kept) > len(left_hood):
+            raise RuntimeError(f"class {key} keeps more members than neighbors after its crown")
+        removed = sorted(chain.from_iterable(group.members[n:] for group, n in zip(groups, kept)))
+        ranks = [x - bisect_left(gone, x) for x in (*key, *removed)]
+        steps.append(CrownStep(tuple(ranks[:len(key)]), tuple(ranks[len(key):])))
+        gone += removed
+        gone.sort()
+    return steps, gone
+
+
 def _kernelize_iob_per_crown(inst):
     """The kernel loop that ran the rescanning local search, the classing
     and a new auxiliary graph after every single crown."""
@@ -270,19 +332,25 @@ def _kernelize_iob_per_crown(inst):
 
 
 class TestLocalSearch:
+    @staticmethod
+    def corpus(rng, count):
+        """The local-search inputs: random connected, degenerate and
+        iob-twins graphs in turn."""
+        for i in range(count):
+            if i % 3 == 0:
+                yield random_connected(rng, rng.randint(2, 40), rng.uniform(0.02, 0.2),
+                                       bidi=rng.uniform(0, 0.4))
+            elif i % 3 == 1:
+                yield gen_degenerate(rng.randint(5, 120), rng.randint(1, 3),
+                                     rng.randrange(1 << 30))
+            else:
+                yield gen_iob_twins(rng.randint(2, 12), rng.randint(1, 3),
+                                    rng.randrange(1 << 30), twin_factor=rng.randint(1, 4))
+
     def test_forward_pass_matches_rescan_reference(self):
         rng = random.Random(4242)
         differences = covers = trees = 0
-        for i in range(420):
-            if i % 3 == 0:
-                d = random_connected(rng, rng.randint(2, 40), rng.uniform(0.02, 0.2),
-                                     bidi=rng.uniform(0, 0.4))
-            elif i % 3 == 1:
-                d = gen_degenerate(rng.randint(5, 120), rng.randint(1, 3),
-                                   rng.randrange(1 << 30))
-            else:
-                d = gen_iob_twins(rng.randint(2, 12), rng.randint(1, 3),
-                                  rng.randrange(1 << 30), twin_factor=rng.randint(1, 4))
+        for d in self.corpus(rng, 420):
             for k in (rng.randint(1, 4), d.n // 3 + 1, d.n):
                 got = vc_or_solution(IobInstance(d, k))
                 ref = _vc_or_solution_rescan(IobInstance(d, k))
@@ -301,16 +369,7 @@ class TestLocalSearch:
         # many YES trees are swept ones, built from the child counts
         rng = random.Random(4343)
         covers = trees = swept = 0
-        for i in range(300):
-            if i % 3 == 0:
-                d = random_connected(rng, rng.randint(2, 40), rng.uniform(0.02, 0.2),
-                                     bidi=rng.uniform(0, 0.4))
-            elif i % 3 == 1:
-                d = gen_degenerate(rng.randint(5, 120), rng.randint(1, 3),
-                                   rng.randrange(1 << 30))
-            else:
-                d = gen_iob_twins(rng.randint(2, 12), rng.randint(1, 3),
-                                  rng.randrange(1 << 30), twin_factor=rng.randint(1, 4))
+        for d in self.corpus(rng, 300):
             perm = list(range(d.n))
             rng.shuffle(perm)
             for g in (d, RootedDigraph(d.n, perm[d.root],
@@ -327,6 +386,31 @@ class TestLocalSearch:
                         covers += 1
                         assert isinstance(got, set) and got == ref
         assert covers >= 300 and trees >= 300 and swept >= 50
+
+    def test_lists_match_checked_tree_reference(self):
+        # k at the BFS tree's internal count is a YES at the first exit,
+        # one above it a swept YES or a cover
+        rng = random.Random(4444)
+        first = swept = covers = 0
+        for d in self.corpus(rng, 300):
+            perm = list(range(d.n))
+            rng.shuffle(perm)
+            for g in (d, RootedDigraph(d.n, perm[d.root],
+                                       [(perm[u], perm[v]) for u, v in d.arcs()])):
+                bfs_internal = bfs_out_branching(g).internal_count()
+                for k in (rng.randint(1, 4), g.n // 3 + 1, bfs_internal, bfs_internal + 1, g.n):
+                    got = vc_or_solution(IobInstance(g, k))
+                    ref = _vc_or_solution_checked_tree(IobInstance(g, k))
+                    if isinstance(ref, OutBranching):
+                        assert isinstance(got, OutBranching)
+                        assert (got.n, got.root) == (ref.n, ref.root)
+                        assert got.parent == ref.parent and got.children == ref.children
+                        first += k <= bfs_internal
+                        swept += k > bfs_internal
+                    else:
+                        assert isinstance(got, set) and got == ref
+                        covers += 1
+        assert first >= 300 and swept >= 50 and covers >= 300
 
     def test_path_k3_solution(self):
         d = RootedDigraph(4, 0, [(0, 1), (1, 2), (2, 3)])
@@ -916,7 +1000,7 @@ class TestCrownPass:
             return real(inst)
 
         for module in (digraph, iob_kernel):
-            for name in ("reachable", "bfs_out_branching"):
+            for name in ("reachable", "bfs_out_branching", "bfs_parents"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(getattr(module, name)))
         real = iob_kernel.vc_or_solution
@@ -924,6 +1008,98 @@ class TestCrownPass:
         out, trace = kernelize_iob(IobInstance(gen_iob_twins(64, 3, seed=1), 64))
         assert isinstance(out, ReducedOutcome) and len(trace) >= 20
         assert rounds >= 2 and searches == rounds
+
+
+class TestNoRecheckedWork:
+    """kernelize-iob builds no tree for a round that is not a YES, and no
+    key set for a class that cannot fire."""
+
+    def test_crown_pass_matches_every_class_reference(self, monkeypatch):
+        from sparse_outbranch import iob_kernel
+        real = iob_kernel.crown_pass
+        passes = fired = skipped = classes = 0
+
+        def both(d, classing):
+            nonlocal passes, fired, skipped, classes
+            got = real(d, classing)
+            assert got == _crown_pass_every_class(d, classing)
+            passes += 1
+            fired += len(got[0])
+            classes += len(classing.classes)
+            skipped += sum(len(members) <= 2 * max(
+                len(d.in_adj[group[0]]) * (1 + len(d.out_adj[group[0]]))
+                for group in classing.twins[key])
+                for key, members in classing.classes.items())
+            return got
+
+        monkeypatch.setattr(iob_kernel, "crown_pass", both)
+        rng = random.Random(6262)
+        for i in range(60):
+            if i % 3:
+                k = rng.choice((4, 8, 16, 32))
+                g = gen_iob_twins(k, rng.randint(1, 3), rng.randrange(1 << 30),
+                                  twin_factor=rng.randint(1, 4))
+            else:
+                g = gen_degenerate(rng.randint(30, 300), rng.randint(1, 3),
+                                   rng.randrange(1 << 30))
+                k = rng.randint(2, 40)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = RootedDigraph(g.n, perm[g.root], [(perm[u], perm[v]) for u, v in g.arcs()])
+            kernelize_iob(IobInstance(g, k))
+        # classes passed over, fired, and built but left by the full size test
+        assert passes >= 80 and skipped >= 350 and fired >= 150
+        assert classes - skipped - fired >= 40
+
+    def test_work_guards(self, monkeypatch):
+        # a checked tree per round made 2 constructions here, and
+        # building the groups of every class 160 calls
+        counts = {"trees": 0, "groups": 0}
+        real_init, real_of = OutBranching.__init__, TwinGroup.of.__func__
+
+        def counting_init(self, *args):
+            counts["trees"] += 1
+            real_init(self, *args)
+
+        def counting_of(cls, *args):
+            counts["groups"] += 1
+            return real_of(cls, *args)
+
+        monkeypatch.setattr(OutBranching, "__init__", counting_init)
+        monkeypatch.setattr(TwinGroup, "of", classmethod(counting_of))
+        out, trace = kernelize_iob(IobInstance(gen_iob_twins(64, 3, seed=1), 64))
+        assert isinstance(out, ReducedOutcome) and len(trace) >= 20
+        assert counts["trees"] == 0
+        assert counts["groups"] <= 82
+
+    @pytest.mark.parametrize("size, fires", [(8, False), (9, True)])
+    def test_class_bound_is_tight(self, monkeypatch, size, fires):
+        # one twin group below the cover {0, 1, 2}, each twin with in-list
+        # (1, 2) and out-list (2,): 2 * (1 + 1) = 4 keys, so the class
+        # fires from 2 * 4 + 1 members on; one that cannot fire builds no
+        # group
+        arcs = [(0, 1), (0, 2)]
+        for w in range(3, 3 + size):
+            arcs += [(1, w), (2, w), (w, 2)]
+        d = RootedDigraph(3 + size, 0, arcs)
+        classing = classify_by_modulator(d, {0, 1, 2}, 3)
+        assert classing.twins == {(1, 2): [tuple(range(3, 3 + size))]}
+        real_of = TwinGroup.of.__func__
+        built = []
+
+        def counting_of(cls, g, members):
+            group = real_of(cls, g, members)
+            built.append(len(group.keys))
+            return group
+
+        monkeypatch.setattr(TwinGroup, "of", classmethod(counting_of))
+        steps, gone = crown_pass(d, classing)
+        if fires:
+            assert built == [4]
+            assert steps == [CrownStep((1, 2), tuple(range(7, 3 + size)))]
+            assert gone == list(range(7, 3 + size))
+        else:
+            assert built == [] and steps == [] and gone == []
 
 
 class TestOneBucketing:
