@@ -216,73 +216,85 @@ def is_connected(d: RootedDigraph) -> bool:
     return len(reachable(d, d.root)) == d.n
 
 
+def immediate_dominators(n: int, root: int, out_adj: list[list[int]],
+                         in_adj: list[list[int]]) -> tuple[list[int], list[int]]:
+    """(order, idom): the vertices the root reaches in DFS preorder, and
+    the immediate dominator of each as an index into ``order`` (0 for the
+    root itself). Every idom[i] < i. Takes adjacency lists rather than a
+    graph, so a caller can pass a view with some arcs masked out without
+    building a RootedDigraph."""
+    # Semidominators by Lengauer-Tarjan's link-eval with iterative path
+    # compression, then immediate dominators by nearest common ancestor
+    # (SEMI-NCA). Work is in DFS preorder numbers.
+    num = [-1] * n
+    num[root] = 0
+    order = [root]
+    parent = [0]
+    stack = [(0, iter(out_adj[root]))]
+    while stack:
+        i, it = stack[-1]
+        for w in it:
+            if num[w] < 0:
+                num[w] = len(order)
+                parent.append(i)
+                stack.append((len(order), iter(out_adj[w])))
+                order.append(w)
+                break
+        else:
+            stack.pop()
+    count = len(order)
+    semi = list(range(count))
+    label = list(range(count))
+    anc = [-1] * count
+    path: list[int] = []
+    for i in range(count - 1, 0, -1):
+        s = i
+        for u in in_adj[order[i]]:
+            j = num[u]
+            if j > i:
+                # u is already linked: eval(j), compressing its path
+                v = j
+                while anc[anc[v]] >= 0:
+                    path.append(v)
+                    v = anc[v]
+                while path:
+                    v = path.pop()
+                    a = anc[v]
+                    if semi[label[a]] < semi[label[v]]:
+                        label[v] = label[a]
+                    anc[v] = anc[a]
+                j = semi[label[j]]
+            if 0 <= j < s:
+                s = j
+        semi[i] = s
+        anc[i] = parent[i]
+    idom = [0] * count
+    for i in range(1, count):
+        a = parent[i]
+        while a > semi[i]:
+            a = idom[a]
+        idom[i] = a
+    return order, idom
+
+
 class Dominators:
     """Dominator tree of a rooted digraph, with the cut structure it yields.
 
-    Each reached vertex owns the interval of dominator-tree preorder numbers
-    of its subtree, so ``dominates`` is an O(1) test. ``reached`` counts the
-    vertices the root reaches; the cut sets cover that part of the graph.
-    ``cut_vertices`` is kept up to date by ``merge``; ``cut_edges`` is
-    derived on each call from the in-lists of a graph the tree is valid for.
+    Built on ``immediate_dominators``: each reached vertex owns the interval
+    of dominator-tree preorder numbers of its subtree, so ``dominates`` is
+    an O(1) test. ``reached`` counts the vertices the root reaches; the cut
+    sets cover that part of the graph. ``cut_vertices`` is kept up to date
+    by ``merge``; ``cut_edges`` is derived on each call from the in-lists of
+    a graph the tree is valid for. A caller that needs only the reach and
+    the cut vertices reads them from ``immediate_dominators`` directly.
     """
 
     __slots__ = ("reached", "cut_vertices", "_root", "_pre", "_size", "_kids")
 
     def __init__(self, n: int, root: int, out_adj: list[list[int]],
                  in_adj: list[list[int]]):
-        # Takes adjacency lists rather than a graph, so a caller can pass a
-        # view with some arcs masked out without building a RootedDigraph.
-        # Semidominators by Lengauer-Tarjan's link-eval with iterative path
-        # compression, then immediate dominators by nearest common ancestor
-        # (SEMI-NCA). Work is in DFS preorder numbers.
-        num = [-1] * n
-        num[root] = 0
-        order = [root]
-        parent = [0]
-        stack = [(0, iter(out_adj[root]))]
-        while stack:
-            i, it = stack[-1]
-            for w in it:
-                if num[w] < 0:
-                    num[w] = len(order)
-                    parent.append(i)
-                    stack.append((len(order), iter(out_adj[w])))
-                    order.append(w)
-                    break
-            else:
-                stack.pop()
+        order, idom = immediate_dominators(n, root, out_adj, in_adj)
         count = len(order)
-        semi = list(range(count))
-        label = list(range(count))
-        anc = [-1] * count
-        path: list[int] = []
-        for i in range(count - 1, 0, -1):
-            s = i
-            for u in in_adj[order[i]]:
-                j = num[u]
-                if j > i:
-                    # u is already linked: eval(j), compressing its path
-                    v = j
-                    while anc[anc[v]] >= 0:
-                        path.append(v)
-                        v = anc[v]
-                    while path:
-                        v = path.pop()
-                        a = anc[v]
-                        if semi[label[a]] < semi[label[v]]:
-                            label[v] = label[a]
-                        anc[v] = anc[a]
-                    j = semi[label[j]]
-                if 0 <= j < s:
-                    s = j
-            semi[i] = s
-            anc[i] = parent[i]
-        idom = [0] * count
-        for i in range(1, count):
-            a = parent[i]
-            while a > semi[i]:
-                a = idom[a]
-            idom[i] = a
         # idom[i] < i, so sizes and child counts accumulate bottom-up and
         # preorder slots can be handed out top-down without walking the tree
         size = [1] * count

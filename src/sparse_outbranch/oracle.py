@@ -7,8 +7,9 @@ brute force used to cross-check the enumeration, and a branch-and-bound
 solver for kernelized instances that are too big to enumerate.
 Enumeration and the INTERNAL-mode branch and bound share one iterative
 arc-branching search. The LEAF-mode branch and bound branches on vertex
-states (leaf, internal, undecided) instead, with dominator forcing, a
-packing bound and a greedy incumbent at each node (``_max_leaf_search``).
+states (leaf, internal, undecided) instead, with dominator forcing after
+each leaf decision, a packing bound at each node, and a greedy incumbent
+only where that bound leaves room for one (``_max_leaf_search``).
 Both searches run on explicit stacks, so their depth is not limited by the
 interpreter's recursion limit, and both leave the incumbent, node count,
 deadline and stop to one loop, ``solve_branch_and_bound``.
@@ -23,10 +24,10 @@ from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .digraph import (
-    Dominators,
     OutBranching,
     RootedDigraph,
     bfs_out_branching,
+    immediate_dominators,
     is_connected,
 )
 from .outcomes import value_type
@@ -203,6 +204,31 @@ def _leafy_branching(n: int, root: int,
 _UNDECIDED, _LEAF, _INTERNAL = 0, 1, 2
 
 
+def _packing_bound(root: int, internal: list[int], out_adj: list[list[int]],
+                   masked_in: list[list[int]]) -> int:
+    """Most leaves of a spanning out-branching of D' (in-lists
+    ``masked_in``) in which every vertex of ``internal`` is internal. Each
+    non-root vertex that no vertex of ``internal`` feeds takes its parent
+    from its own in-neighbours, so p such vertices with pairwise disjoint
+    in-neighbourhoods, packed greedily from the smallest, force p more
+    internal vertices: the bound is n - |internal| - p."""
+    n = len(masked_in)
+    fed = [False] * n
+    for u in internal:
+        for w in out_adj[u]:
+            fed[w] = True
+    needs = sorted((ins for w, ins in enumerate(masked_in)
+                    if w != root and not fed[w]), key=len)
+    taken = [False] * n
+    packed = 0
+    for ins in needs:
+        if not any(taken[u] for u in ins):
+            for u in ins:
+                taken[u] = True
+            packed += 1
+    return n - len(internal) - packed
+
+
 def _max_leaf_search(d: RootedDigraph, best: int, tick: Callable[[], None]
                      ) -> Iterator[tuple[int, dict[int, int]]]:
     """LEAF-mode branch and bound over vertex states (leaf, internal,
@@ -210,19 +236,26 @@ def _max_leaf_search(d: RootedDigraph, best: int, tick: Callable[[], None]
     per node; yields (leaf count, parent map) for each branching past best.
 
     For n >= 2, maxleaf(D) is the largest L, root excluded, for which
-    D - out(L) still reaches every vertex from the root. At each node, on
-    D' = D - out(L) held as masked adjacency lists:
+    D - out(L) still reaches every vertex from the root. Sinks join L once,
+    at the root; they mask no arc. Each node holds D' = D - out(L) as
+    masked adjacency lists: the root reads the graph's own lists, a leaf
+    branch copies its parent's lists with out(v) masked, and an internal
+    branch reuses the lists saved on its stack frame, since only leaf
+    states mask arcs. At each node:
 
-    - one dominator pass; if D' misses a vertex the node is infeasible.
-      Deleting arcs only adds dominance, so every cut vertex of D' is
-      internal in every descendant: it and the root are forced internal;
-    - an undecided vertex with no out-arcs joins L for free;
-    - a greedy leafy out-branching of D' raises the incumbent;
-    - every non-root vertex needs an internal parent. A vertex that no
-      internal vertex feeds takes it from its in-neighbours outside L, all
-      undecided, so p such vertices with pairwise disjoint in-neighbourhoods
-      force p more internal vertices. The node is pruned when
-      n - |internal| - p <= best;
+    - after a leaf decision, one dominator pass (``immediate_dominators``);
+      if D' misses a vertex the node is infeasible. Deleting arcs only adds
+      dominance, so every cut vertex of D' is internal in every descendant:
+      it and the root are forced internal;
+    - every non-root vertex needs an internal parent, so the node is pruned
+      when its packing bound (``_packing_bound``) is at most best;
+    - after a leaf decision, and only where that bound exceeds best, a
+      greedy leafy out-branching of D' raises the incumbent. Where the
+      bound is at most best the greedy cannot win: a tree that keeps every
+      internal vertex internal is within the bound, and one that makes an
+      internal-branch vertex u a leaf (take the first such u on the
+      stack) lies in u's leaf branch, which was searched to the end before
+      u's internal branch opened;
     - otherwise branch on the undecided vertex of largest out-degree: leaf
       first, then internal. The internal branch leaves D' as it was, so it
       skips the dominator pass and the greedy.
@@ -230,12 +263,14 @@ def _max_leaf_search(d: RootedDigraph, best: int, tick: Callable[[], None]
     n, root, out_adj, in_adj = d.n, d.root, d.out_adj, d.in_adj
     if n == 1:
         return  # the seed, a lone leaf, is optimal
-    state = [_UNDECIDED] * n
+    state = [_UNDECIDED if outs else _LEAF for outs in out_adj]
     state[root] = _INTERNAL
+    by_degree = sorted(range(n), key=lambda u: -len(out_adj[u]))
+    masked_out, masked_in = out_adj, in_adj
     trail: list[int] = []
     # one frame per open decision: (trail length before it, vertex, in the
-    # internal branch)
-    stack: list[tuple[int, int, bool]] = []
+    # internal branch, the masked lists of the node that branched)
+    stack: list[tuple[int, int, bool, list[list[int]], list[list[int]]]] = []
     arcs_changed = True
 
     def decide(v: int, s: int) -> None:
@@ -245,56 +280,42 @@ def _max_leaf_search(d: RootedDigraph, best: int, tick: Callable[[], None]
     while True:
         tick()
         alive = True
-        masked_out = [[] if s == _LEAF else out_adj[v]
-                      for v, s in enumerate(state)]
-        masked_in = [[u for u in ins if state[u] != _LEAF] for ins in in_adj]
         if arcs_changed:
-            dom = Dominators(n, root, masked_out, masked_in)
-            alive = dom.reached == n
+            order, idom = immediate_dominators(n, root, masked_out, masked_in)
+            alive = len(order) == n
             if alive:
-                for v in dom.cut_vertices:
-                    if state[v] == _UNDECIDED:
-                        decide(v, _INTERNAL)
-                for v in range(n):
-                    if state[v] == _UNDECIDED and not out_adj[v]:
-                        decide(v, _LEAF)
+                for a in set(idom[1:]):  # the cut vertices, and the root
+                    if state[order[a]] == _UNDECIDED:
+                        decide(order[a], _INTERNAL)
+        if alive:
+            internal = [u for u in range(n) if state[u] == _INTERNAL]
+            bound = _packing_bound(root, internal, out_adj, masked_in)
+            if arcs_changed and bound > best:
                 parent = _leafy_branching(n, root, masked_out)
                 value = n - len(set(parent.values()))
                 if value > best:
                     best = value
                     yield best, parent
-        if alive:
-            fed = [False] * n
-            for u in range(n):
-                if state[u] == _INTERNAL:
-                    for w in out_adj[u]:
-                        fed[w] = True
-            needs = sorted((ins for w, ins in enumerate(masked_in)
-                            if w != root and not fed[w]), key=len)
-            taken = [False] * n
-            packed = 0
-            for ins in needs:
-                if not any(taken[u] for u in ins):
-                    for u in ins:
-                        taken[u] = True
-                    packed += 1
-            alive = n - state.count(_INTERNAL) - packed > best
+            alive = bound > best
         if alive:
             # the bound exceeds best, so some vertex is still undecided
-            v = max((u for u in range(n) if state[u] == _UNDECIDED),
-                    key=lambda u: len(out_adj[u]))
-            stack.append((len(trail), v, False))
+            v = next(u for u in by_degree if state[u] == _UNDECIDED)
+            stack.append((len(trail), v, False, masked_out, masked_in))
             decide(v, _LEAF)
+            masked_out, masked_in = masked_out.copy(), masked_in.copy()
+            masked_out[v] = []
+            for w in out_adj[v]:
+                masked_in[w] = [u for u in masked_in[w] if u != v]
             arcs_changed = True
             continue
         while stack and stack[-1][2]:
             stack.pop()
         if not stack:
             return
-        undo_to, v, _ = stack[-1]
+        undo_to, v, _, masked_out, masked_in = stack[-1]
         while len(trail) > undo_to:
             state[trail.pop()] = _UNDECIDED
-        stack[-1] = (undo_to, v, True)
+        stack[-1] = (undo_to, v, True, masked_out, masked_in)
         decide(v, _INTERNAL)
         arcs_changed = False
 

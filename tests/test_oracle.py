@@ -2,14 +2,18 @@ import hashlib
 import json
 import random
 import time
+from unittest import mock
 
 import pytest
 
+from sparse_outbranch import oracle
 from sparse_outbranch.digraph import (
+    Dominators,
     OutBranching,
     RootedDigraph,
     bfs_out_branching,
     cut_structure,
+    is_connected,
 )
 from sparse_outbranch.lob_reducer import LobInstance, apply_rule_6, find_rule_6
 from sparse_outbranch.oracle import (
@@ -18,6 +22,10 @@ from sparse_outbranch.oracle import (
     SolveMode,
     SolveResult,
     _Grower,
+    _INTERNAL,
+    _LEAF,
+    _UNDECIDED,
+    _leafy_branching,
     _search,
     _tree_value,
     brute_force_out_branchings,
@@ -141,6 +149,90 @@ def _arc_branch_and_bound(d, k, mode, max_nodes=None):
     except BudgetExceeded:
         return SolveResult(best, witness, exact=False)
     return SolveResult(best, witness, exact=True)
+
+
+def _max_leaf_search_reference(d, best, tick):
+    """The LEAF-mode vertex-state search as it was before it kept its
+    masked lists across nodes and ran the greedy only where it could win,
+    kept as the reference for its values, exactness, node counts and
+    witnesses: at every node it rebuilds both masked lists, and after every
+    leaf decision it makes a full ``Dominators`` pass and runs the greedy."""
+    n, root, out_adj, in_adj = d.n, d.root, d.out_adj, d.in_adj
+    if n == 1:
+        return  # the seed, a lone leaf, is optimal
+    state = [_UNDECIDED] * n
+    state[root] = _INTERNAL
+    trail: list[int] = []
+    # one frame per open decision: (trail length before it, vertex, in the
+    # internal branch)
+    stack: list[tuple[int, int, bool]] = []
+    arcs_changed = True
+
+    def decide(v: int, s: int) -> None:
+        state[v] = s
+        trail.append(v)
+
+    while True:
+        tick()
+        alive = True
+        masked_out = [[] if s == _LEAF else out_adj[v]
+                      for v, s in enumerate(state)]
+        masked_in = [[u for u in ins if state[u] != _LEAF] for ins in in_adj]
+        if arcs_changed:
+            dom = Dominators(n, root, masked_out, masked_in)
+            alive = dom.reached == n
+            if alive:
+                for v in dom.cut_vertices:
+                    if state[v] == _UNDECIDED:
+                        decide(v, _INTERNAL)
+                for v in range(n):
+                    if state[v] == _UNDECIDED and not out_adj[v]:
+                        decide(v, _LEAF)
+                parent = _leafy_branching(n, root, masked_out)
+                value = n - len(set(parent.values()))
+                if value > best:
+                    best = value
+                    yield best, parent
+        if alive:
+            fed = [False] * n
+            for u in range(n):
+                if state[u] == _INTERNAL:
+                    for w in out_adj[u]:
+                        fed[w] = True
+            needs = sorted((ins for w, ins in enumerate(masked_in)
+                            if w != root and not fed[w]), key=len)
+            taken = [False] * n
+            packed = 0
+            for ins in needs:
+                if not any(taken[u] for u in ins):
+                    for u in ins:
+                        taken[u] = True
+                    packed += 1
+            alive = n - state.count(_INTERNAL) - packed > best
+        if alive:
+            # the bound exceeds best, so some vertex is still undecided
+            v = max((u for u in range(n) if state[u] == _UNDECIDED),
+                    key=lambda u: len(out_adj[u]))
+            stack.append((len(trail), v, False))
+            decide(v, _LEAF)
+            arcs_changed = True
+            continue
+        while stack and stack[-1][2]:
+            stack.pop()
+        if not stack:
+            return
+        undo_to, v, _ = stack[-1]
+        while len(trail) > undo_to:
+            state[trail.pop()] = _UNDECIDED
+        stack[-1] = (undo_to, v, True)
+        decide(v, _INTERNAL)
+        arcs_changed = False
+
+
+def _reference_leaf_solve(d, k=None):
+    """``solve_branch_and_bound`` in LEAF mode over the reference search."""
+    with mock.patch.object(oracle, "_max_leaf_search", _max_leaf_search_reference):
+        return solve_branch_and_bound(d, k, SolveMode.LEAF)
 
 
 def optimum(d, mode):
@@ -443,6 +535,219 @@ class TestNodeCeilings:
         res = solve_branch_and_bound(g, None, SolveMode.INTERNAL)
         assert res.exact and res.best_value == 16
         assert 1 <= res.nodes <= 2000
+
+
+def _budgeted_leaf_search(search, d, max_nodes):
+    """(best_value, exact, nodes, witness items) of a LEAF search driven
+    from the seed tree as ``solve_branch_and_bound`` drives it, with a
+    node budget in place of the deadline."""
+    witness = bfs_out_branching(d).parent
+    best = d.n - len(set(witness.values()))
+    nodes = 0
+
+    def tick():
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise BudgetExceeded("node budget")
+
+    try:
+        for best, parent in search(d, best, tick):
+            witness = dict(parent)
+    except BudgetExceeded:
+        return best, False, nodes, sorted(witness.items())
+    return best, True, nodes, sorted(witness.items())
+
+
+def _probe_core(k, seed):
+    """ROADMAP item 2's probe core at k (keep 0.25): its seed is the one
+    ``random.Random(707)`` draws for it there."""
+    from sparse_outbranch.generators import gen_planar
+    from sparse_outbranch.lob_reducer import reduce_to_fixpoint
+    g = gen_planar(10 * k, seed, both_prob=0.1, keep_prob=0.25)
+    return reduce_to_fixpoint(LobInstance(g, k))[0].instance.graph
+
+
+def _reduced_random_core(n, seed):
+    """The leaf-reduced core of ``gen_random(n, 1.6 n, seed)``."""
+    from sparse_outbranch.generators import gen_random
+    from sparse_outbranch.lob_reducer import reduce_to_fixpoint
+    g = gen_random(n, int(1.6 * n), seed, bidi_prob=0.1)
+    return reduce_to_fixpoint(LobInstance(g, 3))[0].instance.graph
+
+
+def _result_key(res):
+    return res.best_value, res.exact, res.nodes, sorted(res.witness.parent.items())
+
+
+class TestSearchMatchesReference:
+    """The LEAF search against ``_max_leaf_search_reference``: the same
+    values, exactness, node counts and witnesses, so keeping the masked
+    lists, reading cut vertices from ``immediate_dominators`` and skipping
+    the greedy where the node's bound prunes changed nothing they decide."""
+
+    def test_pinned_digest_corpus(self):
+        rng = random.Random(2210)  # TestPinnedDigest's generator
+        for _ in range(256):
+            d = random_connected(rng, rng.randint(1, 14), rng.uniform(0, 0.4),
+                                 bidi=rng.choice((0.0, 0.5)))
+            if rng.random() < 0.5:
+                d = _relabelled(rng, d)
+            for k in (None, 1, d.n // 2, d.n - 1, d.n):
+                assert (_result_key(solve_branch_and_bound(d, k, SolveMode.LEAF))
+                        == _result_key(_reference_leaf_solve(d, k)))
+
+    def test_criterion_7_cores(self):
+        from sparse_outbranch.generators import gen_planar
+        from sparse_outbranch.lob_reducer import reduce_to_fixpoint
+        rng = random.Random(707)
+        cores = 0
+        for k in range(2, 11):
+            for keep in (0.2, 0.25, 0.3):
+                g = gen_planar(10 * k, rng.randrange(1 << 30), both_prob=0.1, keep_prob=keep)
+                core = reduce_to_fixpoint(LobInstance(g, k))[0].instance.graph
+                res = solve_branch_and_bound(core, None, SolveMode.LEAF)
+                assert res.exact and res.nodes <= 51
+                assert _result_key(res) == _result_key(_reference_leaf_solve(core))
+                cores += 1
+        assert cores == 27
+
+    def test_reduced_planar_degenerate_and_random_cores(self, rng):
+        from sparse_outbranch.generators import gen_degenerate, gen_planar, gen_random
+        from sparse_outbranch.lob_reducer import reduce_to_fixpoint
+        from sparse_outbranch.outcomes import ReducedOutcome
+        compared = {"planar": 0, "degenerate": 0, "random": 0}
+        exact = 0
+        while sum(compared.values()) < 210:
+            kind = list(compared)[sum(compared.values()) % 3]
+            n, seed = rng.randint(20, 130), rng.randrange(1 << 30)
+            if kind == "planar":
+                g = gen_planar(n, seed, both_prob=0.1,
+                               keep_prob=rng.choice((0.2, 0.25, 0.3)))
+            elif kind == "degenerate":
+                g = gen_degenerate(n, 2, seed, both_prob=0.1)
+            else:
+                g = gen_random(n, int(1.6 * n), seed, bidi_prob=0.1)
+            if not is_connected(g):
+                continue
+            out, _ = reduce_to_fixpoint(LobInstance(g, 3))
+            if not isinstance(out, ReducedOutcome) or out.instance.graph.n > 150:
+                continue
+            core = out.instance.graph
+            new = _budgeted_leaf_search(oracle._max_leaf_search, core, 300)
+            assert new == _budgeted_leaf_search(_max_leaf_search_reference, core, 300)
+            compared[kind] += 1
+            exact += new[1]
+        assert exact >= 150
+
+    @pytest.mark.parametrize("k, seed, n", [(20, 1003653086, 130), (40, 591326475, 271)])
+    def test_probe_cores(self, k, seed, n):
+        core = _probe_core(k, seed)
+        assert core.n == n
+        res = solve_branch_and_bound(core, None, SolveMode.LEAF)
+        assert res.exact
+        assert _result_key(res) == _result_key(_reference_leaf_solve(core))
+
+    @pytest.mark.parametrize("n, seed", [(47, 308118888), (44, 382428329)])
+    def test_greedy_cannot_win_where_the_bound_prunes(self, n, seed):
+        # On these two random cores, found by a seeded search, the greedy
+        # tree at some node has more leaves than the node's packing bound:
+        # it makes a vertex an internal branch decided a leaf. The reference
+        # runs the greedy at every leaf decision; the search skips it where
+        # the bound is at most best, and no skipped greedy would have won.
+        core = _reduced_random_core(n, seed)
+        node, bounds = 0, {}
+        real_bound = oracle._packing_bound
+
+        def bound(*args):
+            bounds[node] = real_bound(*args)
+            return bounds[node]
+
+        def tick():
+            nonlocal node
+            node += 1
+
+        start = bfs_out_branching(core).leaf_count()
+        with mock.patch.object(oracle, "_packing_bound", bound):
+            found = [value for value, _ in oracle._max_leaf_search(core, start, tick)]
+        incumbent, greedy = start, {}  # node: (greedy value, incumbent before it)
+
+        def leafy(*args):
+            parent = oracle._leafy_branching(*args)
+            greedy[node] = (core.n - len(set(parent.values())), incumbent)
+            return parent
+
+        node, raised = 0, []
+        with mock.patch.dict(globals(), {"_leafy_branching": leafy}):
+            for incumbent, _ in _max_leaf_search_reference(core, start, tick):
+                raised.append(incumbent)
+        assert raised == found
+        assert any(value > bounds[i] for i, (value, _) in greedy.items())
+        assert all(value <= was for i, (value, was) in greedy.items() if bounds[i] <= was)
+
+
+class TestLeafSearchWork:
+    """What the LEAF search does on ROADMAP item 2's k = 40 probe core
+    (271 vertices, optimum 209 in 681 nodes). Before the masked lists were
+    kept across nodes, it built them at every node, made a full
+    ``Dominators`` pass with interval arrays after every leaf decision and
+    ran the greedy 341 times."""
+
+    @staticmethod
+    def _solve_counting(core):
+        work = {"greedy": 0, "intervals": 0, "dominator_lists": [], "bound_lists": []}
+        real_init, real_idom = Dominators.__init__, oracle.immediate_dominators
+        real_bound = oracle._packing_bound
+
+        def leafy(*args):
+            work["greedy"] += 1
+            return _leafy_branching(*args)
+
+        def init(self, *args):
+            work["intervals"] += 1
+            real_init(self, *args)
+
+        def idom(n, root, out_adj, in_adj):
+            work["dominator_lists"].append((out_adj, in_adj))
+            return real_idom(n, root, out_adj, in_adj)
+
+        def bound(root, internal, out_adj, masked_in):
+            work["bound_lists"].append(masked_in)
+            return real_bound(root, internal, out_adj, masked_in)
+
+        with mock.patch.object(oracle, "_leafy_branching", leafy), \
+                mock.patch.object(Dominators, "__init__", init), \
+                mock.patch.object(oracle, "immediate_dominators", idom), \
+                mock.patch.object(oracle, "_packing_bound", bound):
+            res = solve_branch_and_bound(core, None, SolveMode.LEAF)
+        return res, work
+
+    def test_probe_core(self):
+        core = _probe_core(40, 591326475)
+        assert (core.n, core.m) == (271, 359)
+        res, work = self._solve_counting(core)
+        assert (res.best_value, res.exact, res.nodes) == (209, True, 681)
+        assert work["greedy"] <= 264
+        assert work["intervals"] == 0
+        passes = work["dominator_lists"]
+        # the root reads the graph's own lists; every other node reads the
+        # lists its own leaf decision built, or, on an internal branch, the
+        # lists of the node that branched
+        assert passes[0][0] is core.out_adj and passes[0][1] is core.in_adj
+        built = {id(ins) for _, ins in passes}
+        assert len(built) == len(passes)
+        assert all(id(ins) in built for ins in work["bound_lists"])
+        assert len(work["bound_lists"]) > len(passes)
+
+    def test_node_ceilings_core(self):
+        from sparse_outbranch.generators import gen_planar
+        from sparse_outbranch.lob_reducer import reduce_to_fixpoint
+        g = gen_planar(60, seed=33, both_prob=0.1, keep_prob=0.25)
+        core = reduce_to_fixpoint(LobInstance(g, 5))[0].instance.graph
+        res, work = self._solve_counting(core)
+        assert (core.n, res.best_value, res.nodes) == (41, 31, 17)
+        assert work["greedy"] <= 6  # 9 when it ran after every leaf decision
+        assert work["intervals"] == 0
 
 
 class TestPinnedDigest:
