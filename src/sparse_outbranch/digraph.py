@@ -189,18 +189,24 @@ class OutBranching:
                 and all(d.has_arc(p, v) for v, p in self.parent.items()))
 
 
+def _check_vertex(d: RootedDigraph, v: int) -> None:
+    if not 0 <= v < d.n:
+        raise ValueError(f"vertex {v} out of range")
+
+
 def reachable(d: RootedDigraph, start: int,
               removed_vertices: Iterable[int] = ()) -> set[int]:
     """Vertices reachable from ``start`` by directed paths that avoid the
-    removed vertices. ``start`` itself is always included."""
-    if not 0 <= start < d.n:
-        raise ValueError(f"vertex {start} out of range")
+    removed vertices. ``start`` itself is always included. Raises
+    ValueError for an id that is not a vertex of ``d``."""
+    _check_vertex(d, start)
     dead_v = set(removed_vertices)
     if start in dead_v:
         raise ValueError("start vertex is removed")
     seen = [False] * d.n
     seen[start] = True
     for v in dead_v:
+        _check_vertex(d, v)
         seen[v] = True  # mark removed so the search never enters them
     found = [start]
     for u in found:  # also visits what is appended meanwhile
@@ -518,8 +524,11 @@ def contract_arc(d: RootedDigraph, arc: Arc) -> tuple[RootedDigraph, list[int]]:
 
 def remove_vertices(d: RootedDigraph, drop: Iterable[int]) -> tuple[RootedDigraph, list[Optional[int]]]:
     """Induced subgraph on the complement of ``drop``, with old->new mapping
-    (None for removed vertices)."""
+    (None for removed vertices). Raises ValueError for an id that is not
+    a vertex of ``d``."""
     dead = set(drop)
+    for v in dead:
+        _check_vertex(d, v)
     if d.root in dead:
         raise ValueError("cannot remove the root")
     mapping: list[Optional[int]] = [None] * d.n

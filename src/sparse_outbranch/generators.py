@@ -48,6 +48,18 @@ def _spanning_overlay(rng: random.Random, n: int, arcs: set[tuple[int, int]],
         raise ValueError("underlying graph is disconnected")
 
 
+def _orient(rng: random.Random, arcs: set[tuple[int, int]], u: int, v: int,
+            both_prob: float) -> None:
+    """Add the edge uv both ways with probability ``both_prob``, else one
+    way, each with probability 1/2; no arc enters the root 0."""
+    both = rng.random() < both_prob
+    forward = both or rng.random() < 0.5
+    if forward and v != 0:
+        arcs.add((u, v))
+    if (both or not forward) and u != 0:
+        arcs.add((v, u))
+
+
 def gen_bipath_chain(length: int) -> RootedDigraph:
     """Root feeding both ends of a bidirectional chain of ``length``
     vertices; the proper-bipath contraction fires repeatedly on it."""
@@ -98,16 +110,7 @@ def gen_planar(n: int, seed: int, both_prob: float = 0.25,
         for v in sorted(adj[u]):
             if u >= v or rng.random() > keep_prob:
                 continue
-            if rng.random() < both_prob:
-                if v != 0:
-                    arcs.add((u, v))
-                if u != 0:
-                    arcs.add((v, u))
-            elif rng.random() < 0.5:
-                if v != 0:
-                    arcs.add((u, v))
-            elif u != 0:
-                arcs.add((v, u))
+            _orient(rng, arcs, u, v, both_prob)
     _spanning_overlay(rng, n, arcs, adj)
     return RootedDigraph(n, 0, arcs)
 
@@ -123,14 +126,7 @@ def gen_degenerate(n: int, d: int, seed: int, both_prob: float = 0.3) -> RootedD
         picks = pool[:min(d, v)]
         arcs.add((picks[0], v))
         for w in picks[1:]:
-            if rng.random() < both_prob:
-                arcs.add((w, v))
-                if w != 0:
-                    arcs.add((v, w))
-            elif rng.random() < 0.5:
-                arcs.add((w, v))
-            elif w != 0:
-                arcs.add((v, w))
+            _orient(rng, arcs, w, v, both_prob)
     return RootedDigraph(n, 0, arcs)
 
 

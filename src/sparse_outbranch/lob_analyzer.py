@@ -3,13 +3,9 @@
 Builds the contracted graph (lonely cut-edges collapsed into bags of size
 at most two), identifies special and isolated vertices, decomposes the
 remainder into weak bipaths, classifies parallel hard bipaths into masters
-and slaves, and turns the three lower bounds
-
-    maxleaf >= |special| / 60
-    maxleaf >= |isolated| / 180
-    maxleaf >= #slaves
-
-into an acceptance certificate for the instance's leaf target k.
+and slaves, and turns the three lower bounds on maxleaf that their counts
+imply (``LobCertificate``) into an acceptance certificate for the
+instance's leaf target k.
 """
 
 from __future__ import annotations
@@ -71,9 +67,10 @@ def build_contracted(d: RootedDigraph, check: bool = True) -> ContractedGraph:
     return ContractedGraph(g, bags, origin, d)
 
 
-def special_vertex_set(g: RootedDigraph) -> set[int]:
-    """Vertices of in-degree at least 3 or with an incoming arc whose
-    reverse is absent."""
+def special_vertices(dc: ContractedGraph) -> set[int]:
+    """Contracted vertices of in-degree at least 3 or with an incoming arc
+    whose reverse is absent."""
+    g = dc.graph
     out: set[int] = set()
     for v in range(g.n):
         if len(g.in_adj[v]) >= 3:
@@ -84,10 +81,6 @@ def special_vertex_set(g: RootedDigraph) -> set[int]:
                 out.add(v)
                 break
     return out
-
-
-def special_vertices(dc: ContractedGraph) -> set[int]:
-    return special_vertex_set(dc.graph)
 
 
 def isolated_vertices(dc: ContractedGraph, special: set[int]) -> set[int]:
@@ -106,7 +99,7 @@ def isolated_vertices(dc: ContractedGraph, special: set[int]) -> set[int]:
 
 @value_type
 class WeakBipath(NamedTuple):
-    vertices: tuple[int, ...]  # u1..up in contracted-graph ids, p >= 3
+    vertices: tuple[int, ...]  # u1..up in contracted-graph ids, p >= 3, u1 < up
 
     @property
     def extremities(self) -> tuple[int, int]:
@@ -115,9 +108,6 @@ class WeakBipath(NamedTuple):
     @property
     def internals(self) -> tuple[int, ...]:
         return self.vertices[1:-1]
-
-    def canonical(self) -> tuple[int, ...]:
-        return min(self.vertices, tuple(reversed(self.vertices)))
 
 
 @value_type
@@ -138,7 +128,7 @@ def decompose_bipaths(dc: ContractedGraph, seed: set[int]) -> BipathDecompositio
     if missing:
         raise ValueError(f"seed set misses root/special vertices: {sorted(missing)}")
 
-    side: dict[int, tuple[int, int]] = {}
+    side: dict[int, list[int]] = {}  # the two chain neighbours
     for v in range(g.n):
         if v in seed:
             continue
@@ -146,47 +136,34 @@ def decompose_bipaths(dc: ContractedGraph, seed: set[int]) -> BipathDecompositio
         if len(ins) != 2 or any(not g.has_arc(v, u) for u in ins):
             raise StructureError(
                 f"vertex {v} outside the seed is not weak-bipath internal")
-        side[v] = (ins[0], ins[1])
+        side[v] = ins
+
+    visited: set[int] = set()
+
+    def walk(prev: int, nxt: int) -> list[int]:
+        """The chain from ``nxt``, which leaves ``prev``, to its first seed vertex."""
+        out = [nxt]
+        while nxt not in seed:
+            if nxt in visited:
+                raise StructureError("bidirectional cycle outside the seed set")
+            visited.add(nxt)
+            a, b = side[nxt]
+            prev, nxt = nxt, (a if b == prev else b)
+            out.append(nxt)
+        return out
 
     paths: list[WeakBipath] = []
-    visited: set[int] = set()
     for v in sorted(side):
         if v in visited:
             continue
-        # walk to one end of the chain of non-seed vertices
-        chain = [v]
         visited.add(v)
-        for direction in (0, 1):
-            prev = v
-            nxt = side[v][direction]
-            while nxt not in seed:
-                if nxt in visited:
-                    raise StructureError("bidirectional cycle outside the seed set")
-                visited.add(nxt)
-                if direction == 0:
-                    chain.insert(0, nxt)
-                else:
-                    chain.append(nxt)
-                a, b = side[nxt]
-                prev, nxt = nxt, (a if b == prev else b)
-            if direction == 0:
-                chain.insert(0, nxt)
-            else:
-                chain.append(nxt)
-        u1, up = chain[0], chain[-1]
-        if u1 == up:
-            raise StructureError(f"weak bipath with coinciding extremities at {u1}")
-        for w in chain[1:-1]:
-            for y in g.out_adj[w]:
-                if y not in seed and y not in chain:
-                    raise StructureError(
-                        f"internal vertex {w} has out-neighbor {y} outside seed and path")
-        path = WeakBipath(tuple(chain))
-        paths.append(WeakBipath(path.canonical()))
-    paths.sort(key=lambda p: p.canonical())
-    covered = {w for p in paths for w in p.internals}
-    if covered != set(side):
-        raise StructureError("internal vertices do not partition the non-seed set")
+        left, right = walk(v, side[v][0]), walk(v, side[v][1])
+        if left[-1] == right[-1]:
+            raise StructureError(f"weak bipath with coinciding extremities at {left[-1]}")
+        if left[-1] > right[-1]:  # each path runs from its smaller extremity
+            left, right = right, left
+        paths.append(WeakBipath((*reversed(left), v, *right)))
+    paths.sort()
     return BipathDecomposition(frozenset(seed), paths)
 
 
@@ -213,7 +190,7 @@ def classify_masters_slaves(dec: BipathDecomposition, dc: ContractedGraph
     masters: list[WeakBipath] = []
     slaves: list[WeakBipath] = []
     for key in sorted(groups, key=lambda k: (sorted(k[0]), sorted(k[1]))):
-        members = sorted(groups[key], key=lambda p: p.canonical())
+        members = sorted(groups[key])
         masters.extend(members[:2])
         slaves.extend(members[2:])
     return masters, slaves
@@ -221,22 +198,32 @@ def classify_masters_slaves(dec: BipathDecomposition, dc: ContractedGraph
 
 @value_type
 class LobCertificate(NamedTuple):
+    """The counts behind the lower bounds maxleaf >= |special| / 60,
+    maxleaf >= |isolated| / 180 and maxleaf >= #slaves."""
+
     k: int
     special_count: int
     isolated_count: int
     slave_count: int
 
+    def _counted(self) -> tuple[tuple[int, int], ...]:
+        """(count, how many of it guarantee one leaf) for each bound."""
+        return ((self.special_count, 60), (self.isolated_count, 180),
+                (self.slave_count, 1))
+
+    @property
+    def implied_bounds(self) -> tuple[int, ...]:
+        """The lower bound ceil(count / factor) on maxleaf of each count."""
+        return tuple(-(-c // f) for c, f in self._counted())
+
     @property
     def implied_lower_bound(self) -> int:
-        return max(-(-self.special_count // 60),
-                   -(-self.isolated_count // 180),
-                   self.slave_count)
+        return max(self.implied_bounds)
 
     @property
     def accepted(self) -> bool:
-        return (self.special_count >= 60 * self.k
-                or self.isolated_count >= 180 * self.k
-                or self.slave_count >= self.k)
+        """Some count reaches its factor times k."""
+        return any(c >= f * self.k for c, f in self._counted())
 
     @property
     def decision(self) -> str:

@@ -114,6 +114,13 @@ class TestReachable:
         with pytest.raises(ValueError):
             reachable(path3(), 7)
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_removed_id_out_of_range(self, bad):
+        # -1 must not index vertex 3 from the end, nor 4 raise IndexError
+        path4 = RootedDigraph(4, 0, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+            reachable(path4, 0, [bad])
+
     @settings(max_examples=60, deadline=None)
     @given(small_digraphs(), st.sets(st.integers(1, 5)), st.sets(st.integers(1, 5)))
     def test_monotone_in_removals(self, d, more_v, more_a):
@@ -603,6 +610,12 @@ class TestRemoveVertices:
     def test_root_protected(self):
         with pytest.raises(ValueError):
             remove_vertices(path3(), {0})
+
+    @pytest.mark.parametrize("bad", [-1, 3, 5])
+    def test_id_out_of_range(self, bad):
+        # an id that is no vertex must not count as removed
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+            remove_vertices(RootedDigraph(3, 0, [(0, 1)]), [bad])
 
 
 def _family_graphs_and_shuffled(rng):

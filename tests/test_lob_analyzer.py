@@ -3,48 +3,29 @@ import pytest
 from sparse_outbranch.digraph import RootedDigraph, cut_structure, split_lonely_branching
 from sparse_outbranch.generators import gen_planar
 from sparse_outbranch.lob_analyzer import (
+    Bag,
+    ContractedGraph,
     StructureError,
+    WeakBipath,
     analyze,
     build_contracted,
     classify_masters_slaves,
     decompose_bipaths,
     isolated_vertices,
     outside_neighborhood,
-    special_vertex_set,
     special_vertices,
 )
 from sparse_outbranch.lob_reducer import LobInstance, find_rule, reduce_to_fixpoint
 from sparse_outbranch.oracle import SolveMode, solve_branch_and_bound
 from sparse_outbranch.outcomes import ReducedOutcome
+from sparse_outbranch.verify import hub_chain_instance
 
 from conftest import random_connected
 
 
-def parallel_instance(npaths, seg=1):
-    arcs = {(0, 1), (0, 2), (1, 3), (2, 4)}
-    nxt = 5
-    for _ in range(npaths):
-        chain = [3] + list(range(nxt, nxt + seg)) + [4]
-        nxt += seg
-        for a, b in zip(chain, chain[1:]):
-            arcs.add((a, b))
-            arcs.add((b, a))
-    return LobInstance(RootedDigraph(nxt, 0, arcs), 1)
-
-
-def pendant_chain_instance(chain_len=5, pendant_slots=(2,)):
-    """Hub-to-hub bidirectional chain with pendant leaves at chosen
-    internal chain offsets; pendants make size-2 bags."""
-    arcs = {(0, 1), (0, 2), (1, 3), (2, 4)}
-    chain = [3] + list(range(5, 5 + chain_len)) + [4]
-    nxt = 5 + chain_len
-    for a, b in zip(chain, chain[1:]):
-        arcs.add((a, b))
-        arcs.add((b, a))
-    for i in pendant_slots:
-        arcs.add((chain[i], nxt))
-        nxt += 1
-    return LobInstance(RootedDigraph(nxt, 0, arcs), 1)
+def identity_contracted(g):
+    """``g`` as its own contracted graph, every bag one vertex."""
+    return ContractedGraph(g, [Bag((v,), v, v) for v in range(g.n)], list(range(g.n)), g)
 
 
 def reduced_corpus(rng, count=40, max_core=12):
@@ -59,7 +40,7 @@ def reduced_corpus(rng, count=40, max_core=12):
 
 class TestBuildContracted:
     def test_lonely_edge_merged(self):
-        inst = pendant_chain_instance(3, (2,))
+        inst = hub_chain_instance(1, 3, (2,))
         dc = build_contracted(inst.graph)
         merged = [b for b in dc.bag_of if len(b.members) == 2]
         assert len(merged) == 1
@@ -69,7 +50,7 @@ class TestBuildContracted:
 
     def test_branching_not_contracted(self):
         # root out-arcs are branching cut-edges in reduced graphs
-        inst = parallel_instance(2)
+        inst = hub_chain_instance(2)
         dc = build_contracted(inst.graph)
         assert dc.graph.n == inst.graph.n  # no lonely cut-edges anywhere
 
@@ -91,14 +72,14 @@ class TestBuildContracted:
 class TestSpecialVertices:
     def test_indegree_three(self):
         d = RootedDigraph(5, 0, [(0, 4), (0, 1), (1, 4), (1, 2), (2, 4), (2, 3), (3, 2), (4, 1)])
-        assert 4 in special_vertex_set(d)
+        assert 4 in special_vertices(identity_contracted(d))
 
     def test_incoming_simple_arc(self):
         d = RootedDigraph(3, 0, [(0, 1), (1, 2), (2, 1)])
-        assert special_vertex_set(d) == {1}  # (0,1) has no reverse
+        assert special_vertices(identity_contracted(d)) == {1}  # (0,1) has no reverse
 
     def test_bipath_internal_not_special(self):
-        inst = parallel_instance(1)
+        inst = hub_chain_instance(1)
         dc = build_contracted(inst.graph)
         x = 5  # the single internal vertex
         assert dc.origin[x] not in special_vertices(dc)
@@ -106,19 +87,19 @@ class TestSpecialVertices:
 
 class TestIsolatedVertices:
     def test_mid_chain_pendant_isolated(self):
-        inst = pendant_chain_instance(3, (2,))
+        inst = hub_chain_instance(1, 3, (2,))
         assert find_rule(inst) is None
         ana = analyze(inst)
         assert len(ana.isolated) == 1
 
     def test_size_one_bag_never_isolated(self):
-        inst = parallel_instance(3)
+        inst = hub_chain_instance(3)
         ana = analyze(inst)
         assert ana.isolated == set()
 
     def test_tail_arc_into_special_bag_blocks(self):
         # pendant right next to the special hub: its bag sees a special bag
-        inst = pendant_chain_instance(3, (1,))
+        inst = hub_chain_instance(1, 3, (1,))
         assert find_rule(inst) is None
         ana = analyze(inst)
         assert len(ana.isolated) == 0
@@ -127,7 +108,7 @@ class TestIsolatedVertices:
     def test_reads_the_special_set_it_is_given(self):
         # the pendant's bag sends an arc into hub 3's bag, which is special
         # in the graph but not in an empty set
-        dc = build_contracted(pendant_chain_instance(3, (1,)).graph)
+        dc = build_contracted(hub_chain_instance(1, 3, (1,)).graph)
         assert dc.bag_of[5].members == (5, 8)
         assert isolated_vertices(dc, special_vertices(dc)) == set()
         assert isolated_vertices(dc, set()) == {5}
@@ -136,13 +117,13 @@ class TestIsolatedVertices:
 
 class TestDecomposition:
     def test_whole_graph_seed_gives_no_paths(self):
-        inst = parallel_instance(2)
+        inst = hub_chain_instance(2)
         dc = build_contracted(inst.graph)
         dec = decompose_bipaths(dc, set(range(dc.graph.n)))
         assert dec.paths == []
 
     def test_missing_special_rejected(self):
-        inst = parallel_instance(2)
+        inst = hub_chain_instance(2)
         dc = build_contracted(inst.graph)
         with pytest.raises(ValueError):
             decompose_bipaths(dc, {dc.graph.root})
@@ -151,12 +132,36 @@ class TestDecomposition:
         # an unreduced shape smuggled in as a contracted graph: b has
         # in-degree 1 but is not special, which the decomposition lemma
         # rules out on genuinely reduced input
-        from sparse_outbranch.lob_analyzer import Bag, ContractedGraph
         g = RootedDigraph(3, 0, [(0, 1), (1, 2), (2, 1)])
-        dc = ContractedGraph(g, [Bag((v,), v, v) for v in range(3)],
-                             [0, 1, 2], g)
         with pytest.raises(StructureError):
+            decompose_bipaths(identity_contracted(g), {0, 1})
+
+    def test_bidirectional_cycle_outside_seed_flags_engine_bug(self):
+        # a bidirectional 4-cycle 1-2-3-4 beside an isolated root: every
+        # cycle vertex has in-degree 2, but no walk reaches the seed
+        cycle = [(1, 2), (2, 3), (3, 4), (4, 1)]
+        g = RootedDigraph(5, 0, cycle + [(b, a) for a, b in cycle])
+        with pytest.raises(StructureError, match="^bidirectional cycle outside the seed set$"):
+            decompose_bipaths(identity_contracted(g), {0})
+
+    def test_coinciding_extremities_flag_engine_bug(self):
+        # a bidirectional triangle 1-2-3 fed by 0->1: 1 is special, and the
+        # chain 2-3 leaves and re-enters the seed at 1
+        triangle = [(1, 2), (2, 3), (3, 1)]
+        g = RootedDigraph(4, 0, [(0, 1)] + triangle + [(b, a) for a, b in triangle])
+        dc = identity_contracted(g)
+        assert special_vertices(dc) == {1}
+        with pytest.raises(StructureError,
+                           match="^weak bipath with coinciding extremities at 1$"):
             decompose_bipaths(dc, {0, 1})
+
+    def test_path_runs_from_smaller_extremity(self):
+        # the walk from internal 3 reaches extremity 2 first (in_adj[3] is
+        # [2, 4]), yet the path starts at the smaller extremity 1
+        chain = [(2, 3), (3, 4), (4, 1)]
+        g = RootedDigraph(5, 0, [(0, 1), (0, 2)] + chain + [(b, a) for a, b in chain])
+        dec = decompose_bipaths(identity_contracted(g), {0, 1, 2})
+        assert dec.paths == [WeakBipath((1, 4, 3, 2))]
 
     def test_partition_and_extremities(self, rng):
         for inst in reduced_corpus(rng, 25):
@@ -168,13 +173,13 @@ class TestDecomposition:
             assert set(internals) == set(range(dc.graph.n)) - seed
             for p in ana.decomposition.paths:
                 u, v = p.extremities
-                assert u in seed and v in seed and u != v
+                assert u in seed and v in seed and u < v
                 for w in p.internals:
                     off_path = set(dc.graph.out_adj[w]) - set(p.vertices)
                     assert off_path <= seed
 
     def test_caterpillar_chains_become_paths(self):
-        inst = pendant_chain_instance(5, (2, 4))
+        inst = hub_chain_instance(1, 5, (2, 4))
         assert find_rule(inst) is None
         ana = analyze(inst)
         # the two isolated bags are easy, so the chain splits into three
@@ -186,26 +191,26 @@ class TestDecomposition:
 
 class TestMastersSlaves:
     def test_three_parallel_one_slave(self):
-        inst = parallel_instance(3)
+        inst = hub_chain_instance(3)
         ana = analyze(inst)
         assert len(ana.masters) == 2
         assert len(ana.slaves) == 1
 
     def test_unique_path_no_slaves(self):
-        inst = parallel_instance(1)
+        inst = hub_chain_instance(1)
         ana = analyze(inst)
         assert len(ana.slaves) == 0
 
     def test_oracle_bound_on_slaves(self):
         for npaths in (3, 4, 5):
-            inst = parallel_instance(npaths)
+            inst = hub_chain_instance(npaths)
             ana = analyze(inst)
             ml = solve_branch_and_bound(inst.graph, None, SolveMode.LEAF).best_value
             assert ml >= len(ana.slaves)
 
     def test_groups_need_same_outside_set(self):
         # different outside neighborhoods split the group: no slaves
-        inst = parallel_instance(3)
+        inst = hub_chain_instance(3)
         d = inst.graph
         arcs = set(d.arcs())
         arcs.add((5, 0) if False else (5, 1))  # one path's internal also sees hub gateway
@@ -231,18 +236,18 @@ class TestCertificate:
         assert ana.cert.decision == "yes"
 
     def test_large_k_undecided(self):
-        inst = parallel_instance(2)
+        inst = hub_chain_instance(2)
         ana = analyze(LobInstance(inst.graph, 50))
         assert ana.cert.decision == "undecided"
 
     def test_slave_acceptance(self):
-        inst = parallel_instance(4)  # 2 slaves
+        inst = hub_chain_instance(4)  # 2 slaves
         ana = analyze(LobInstance(inst.graph, 2))
         assert ana.cert.slave_count == 2
         assert ana.cert.decision == "yes"
 
     def test_standalone_certificate_and_report(self):
-        inst = parallel_instance(4)
+        inst = hub_chain_instance(4)
         ana = analyze(inst)
         assert ana.cert.slave_count == 2
         assert ana.report["hard_count"] == 4
