@@ -162,8 +162,8 @@ def cmd_reduce_lob(args) -> int:
     t1 = time.monotonic()
     ana = analyze(reduced, check=False)
     report["timing"]["analyze_s"] = round(time.monotonic() - t1, 3)
-    report["certificate"] = ana.cert.to_dict()
-    report["size_report"] = {k: v for k, v in ana.report.items() if k != "paths"}
+    report["certificate"] = ana.report["certificate"]
+    report["size_report"] = ana.report
     if args.dot:
         _dot_export(args.dot, reduced, ana)
     if ana.cert.accepted:

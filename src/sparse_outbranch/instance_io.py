@@ -178,10 +178,19 @@ def _scan(text: str) -> InstanceFile:
     return InstanceFile(kind, graph, k, comments, warnings)
 
 
+def _breaks_line(text: str) -> bool:
+    return "\n" in text or any(b in text for b in _OTHER_BREAKS)
+
+
 def serialize_instance(kind: str, graph: RootedDigraph, k: int,
                        comments: Iterable[str] = ()) -> str:
+    """The file text. A comment holding a line break, which would read
+    back as a line of its own, raises ValueError."""
     if kind not in ("lob", "iob"):
         raise ValueError(f"unknown problem kind {kind!r}")
+    comments = list(comments)
+    if _breaks_line("".join(comments)):  # one check: kernelize-iob writes a comment per vertex
+        raise ValueError(f"comment {next(filter(_breaks_line, comments))!r} holds a line break")
     lines = [f"c {c}".rstrip() for c in comments]
     lines.append(f"p {kind} {graph.n} {graph.m} {graph.root} {k}")
     lines.extend(f"a {u} {v}" for u, v in graph.arcs())
@@ -195,5 +204,6 @@ def load_instance(path: str) -> InstanceFile:
 
 def save_instance(path: str, kind: str, graph: RootedDigraph, k: int,
                   comments: Iterable[str] = ()) -> None:
+    text = serialize_instance(kind, graph, k, comments)  # a refusal leaves `path` as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_instance(kind, graph, k, comments))
+        fh.write(text)

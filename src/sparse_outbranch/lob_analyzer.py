@@ -10,6 +10,7 @@ instance's leaf target k.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .digraph import RootedDigraph, cut_structure, split_lonely_branching
@@ -119,21 +120,21 @@ class BipathDecomposition(NamedTuple):
 def decompose_bipaths(dc: ContractedGraph, seed: set[int]) -> BipathDecomposition:
     """Partition the contracted graph outside ``seed`` into the internal
     vertices of weak bipaths whose extremities lie in the seed set. The
-    seed must contain the root and every special vertex; on reduced input
-    the decomposition lemma guarantees the partition exists, so any
-    violation raises StructureError."""
+    seed must contain the root and every special vertex; all of them fail
+    the weak-bipath test, so the first vertex that fails it names those the
+    seed misses (ValueError). On reduced input the decomposition lemma
+    guarantees the partition exists, so any other violation raises
+    StructureError."""
     g = dc.graph
-    special = special_vertices(dc)
-    missing = ({g.root} | special) - seed
-    if missing:
-        raise ValueError(f"seed set misses root/special vertices: {sorted(missing)}")
-
     side: dict[int, list[int]] = {}  # the two chain neighbours
     for v in range(g.n):
         if v in seed:
             continue
         ins = g.in_adj[v]
         if len(ins) != 2 or any(not g.has_arc(v, u) for u in ins):
+            missing = ({g.root} | special_vertices(dc)) - seed
+            if missing:
+                raise ValueError(f"seed set misses root/special vertices: {sorted(missing)}")
             raise StructureError(
                 f"vertex {v} outside the seed is not weak-bipath internal")
         side[v] = ins
@@ -178,15 +179,14 @@ def outside_neighborhood(dc: ContractedGraph, path: WeakBipath) -> frozenset[int
     return frozenset(out - internals)
 
 
-def classify_masters_slaves(dec: BipathDecomposition, dc: ContractedGraph
+def classify_masters_slaves(dec: BipathDecomposition, outside: list[frozenset[int]]
                             ) -> tuple[list[WeakBipath], list[WeakBipath]]:
     """Group maximal hard bipaths by extremity pair and outside
-    neighborhood; the two lexicographically smallest paths of each group
-    are masters, the rest slaves."""
+    neighborhood, ``outside[i]`` for ``dec.paths[i]``; the two smallest
+    paths of each group are masters, the rest slaves."""
     groups: dict[tuple[frozenset[int], frozenset[int]], list[WeakBipath]] = {}
-    for p in dec.paths:
-        key = (frozenset(p.extremities), outside_neighborhood(dc, p))
-        groups.setdefault(key, []).append(p)
+    for p, o in zip(dec.paths, outside):
+        groups.setdefault((frozenset(p.extremities), o), []).append(p)
     masters: list[WeakBipath] = []
     slaves: list[WeakBipath] = []
     for key in sorted(groups, key=lambda k: (sorted(k[0]), sorted(k[1]))):
@@ -234,47 +234,30 @@ class LobCertificate(NamedTuple):
                 "decision": self.decision}
 
 
-def size_report(dc: ContractedGraph, dec: BipathDecomposition,
-                sp: set[int], iso: set[int]) -> dict:
+def size_report(dc: ContractedGraph, dec: BipathDecomposition, sp: set[int],
+                iso: set[int], outside: list[frozenset[int]]) -> dict:
     """Diagnostics over the hard-bipath structure: easy/hard counts, the
     per-path outside-neighborhood histogram (equivalently the bipath-minor
-    degree distribution), and the 10|O|+6 length check per path. ``sp``
-    and ``iso`` are the special and isolated vertices of ``dc``."""
+    degree distribution), and the 10|O|+6 length check per path. ``sp``,
+    ``iso`` and ``outside`` are as ``analyze`` builds them, and ``dec`` is
+    over the easy seed, so the hard vertices of a path are its internals."""
     g = dc.graph
-    easy = {g.root} | sp | iso
-    hard = set(range(g.n)) - easy
-    per_path = []
-    histogram: dict[int, int] = {}
-    a_degree: dict[int, int] = {}
-    for p in dec.paths:
-        o = outside_neighborhood(dc, p)
-        hd_on_path = len([w for w in p.internals if w in hard])
-        per_path.append({
-            "vertices": list(p.vertices),
-            "internal_count": len(p.internals),
-            "hard_on_path": hd_on_path,
-            "outside_size": len(o),
-            "length_bound_ok": hd_on_path <= 10 * len(o) + 6,
-        })
-        histogram[len(o)] = histogram.get(len(o), 0) + 1
-        for u in o:
-            a_degree[u] = a_degree.get(u, 0) + 1
-    a_hist: dict[int, int] = {}
-    for deg in a_degree.values():
-        a_hist[deg] = a_hist.get(deg, 0) + 1
+    easy = len(dec.seed_set)
+    histogram = Counter(map(len, outside))
+    a_hist = Counter(Counter(u for o in outside for u in o).values())
     return {
         "n_original": dc.original.n,
         "n_contracted": g.n,
-        "easy_count": len(easy),
-        "hard_count": len(hard),
+        "easy_count": easy,
+        "hard_count": g.n - easy,
         "special_count": len(sp),
         "isolated_count": len(iso),
         "outside_size_histogram": {str(k): v for k, v in sorted(histogram.items())},
-        "bipath_minor_b_degrees": sorted(r["outside_size"] for r in per_path),
+        "bipath_minor_b_degrees": sorted(map(len, outside)),
         "bipath_minor_a_degree_histogram": {
             str(k): v for k, v in sorted(a_hist.items())},
-        "all_length_bounds_ok": all(r["length_bound_ok"] for r in per_path),
-        "paths": per_path,
+        "all_length_bounds_ok": all(len(p.internals) <= 10 * len(o) + 6
+                                    for p, o in zip(dec.paths, outside)),
     }
 
 
@@ -296,8 +279,9 @@ def analyze(inst: LobInstance, check: bool = True) -> LobAnalysis:
     sp = special_vertices(dc)
     iso = isolated_vertices(dc, sp)
     dec = decompose_bipaths(dc, {dc.graph.root} | sp | iso)
-    masters, slaves = classify_masters_slaves(dec, dc)
+    outside = [outside_neighborhood(dc, p) for p in dec.paths]
+    masters, slaves = classify_masters_slaves(dec, outside)
     cert = LobCertificate(inst.k, len(sp), len(iso), len(slaves))
-    report = size_report(dc, dec, sp, iso)
+    report = size_report(dc, dec, sp, iso, outside)
     report["certificate"] = cert.to_dict()
     return LobAnalysis(dc, sp, iso, dec, masters, slaves, cert, report)

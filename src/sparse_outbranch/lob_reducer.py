@@ -424,5 +424,7 @@ def replay_steps(inst: LobInstance, trace: ReductionTrace) -> Iterator[tuple]:
 
 def replay_trace(inst: LobInstance, trace: ReductionTrace) -> KernelOutcome | LobInstance:
     """Where ``replay_steps`` ends: the reduced instance or the No outcome."""
-    steps = list(replay_steps(inst, trace))
-    return steps[-1][2] if steps else inst
+    result = inst
+    for _, _, result in replay_steps(inst, trace):  # keeps the last result alone
+        pass
+    return result

@@ -33,7 +33,7 @@ from .iob_kernel import (
     kernelize_iob,
     vc_or_solution,
 )
-from .lob_analyzer import analyze, decompose_bipaths, special_vertices
+from .lob_analyzer import analyze, decompose_bipaths
 from .lob_reducer import (
     LobInstance,
     apply,
@@ -309,8 +309,7 @@ def verify_structure(instances: int = 300, seed: int = 0) -> SuiteResult:
         # decomposition over the easy seed (built inside analyze) and over
         # a random larger seed
         paths_seen += len(ana.decomposition.paths)
-        sp = special_vertices(dc)
-        base = {g.root} | sp
+        base = {g.root} | ana.special
         extra = [v for v in range(g.n) if v not in base]
         rng.shuffle(extra)
         s = base | set(extra[:rng.randint(0, len(extra))])

@@ -32,6 +32,20 @@ class TestParse:
         assert f.graph == g and f.k == 3 and f.kind == "lob"
         assert serialize_instance(f.kind, f.graph, f.k, ["hello"]) == text
 
+    @pytest.mark.parametrize("brk", ["\n", *instance_io._OTHER_BREAKS])
+    def test_comment_with_a_line_break_is_refused(self, tmp_path, brk):
+        # the reader would take the text after the break for a line of its
+        # own; an existing file is left as it was
+        g = generate("planar", 40, 3, seed=9)
+        comments = ["hello", f"reduced from a{brk}b.lob"]
+        with pytest.raises(ValueError, match=re.escape(f"comment {comments[1]!r}")):
+            serialize_instance("lob", g, 3, comments=comments)
+        old = tmp_path / "old.lob"
+        old.write_text("kept\n")
+        with pytest.raises(ValueError):
+            instance_io.save_instance(str(old), "lob", g, 3, comments=comments)
+        assert old.read_text() == "kept\n"
+
     def test_iob_root_arc_dropped_with_warning(self):
         f = parse_instance("p iob 3 3 0 1\na 0 1\na 1 2\na 2 0\n")
         assert len(f.warnings) == 1
@@ -430,6 +444,19 @@ class TestCliPipelines:
         # round trip: serialize -> parse -> identical graph
         f2 = parse_instance(serialize_instance("lob", f.graph, f.k))
         assert f2.graph == f.graph
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"])
+    def test_input_name_with_a_line_break_is_one_error_line(self, tmp_path, capsys, brk):
+        inst = tmp_path / f"a{brk}b.lob"
+        assert self.run("gen", "planar", "--n", "80", "--k", "40", "--seed", "4",
+                        "--keep-prob", "0.3", "--out", str(inst)) == 0
+        capsys.readouterr()
+        assert self.run("reduce-lob", str(inst), "--solve-max-n", "0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: comment ")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [inst]
 
     def test_kernelize_roundtrip(self, tmp_path):
         inst = tmp_path / "t.iob"

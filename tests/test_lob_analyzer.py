@@ -1,6 +1,7 @@
 import pytest
 
 from sparse_outbranch.digraph import RootedDigraph, cut_structure, split_lonely_branching
+from sparse_outbranch import lob_analyzer
 from sparse_outbranch.generators import gen_planar
 from sparse_outbranch.lob_analyzer import (
     Bag,
@@ -127,6 +128,14 @@ class TestDecomposition:
         dc = build_contracted(inst.graph)
         with pytest.raises(ValueError):
             decompose_bipaths(dc, {dc.graph.root})
+
+    def test_missed_special_named_at_first_failing_vertex(self):
+        # 1 (in-degree one) fails the weak-bipath test before 2, the
+        # special vertex the seed misses; the missed seed is what is named
+        g = RootedDigraph(3, 0, [(0, 2), (2, 1), (1, 2)])
+        with pytest.raises(ValueError,
+                           match=r"^seed set misses root/special vertices: \[2\]$"):
+            decompose_bipaths(identity_contracted(g), {0})
 
     def test_indegree_one_outside_seed_flags_engine_bug(self):
         # an unreduced shape smuggled in as a contracted graph: b has
@@ -267,9 +276,10 @@ class TestSizeReport:
     def test_length_bound_on_paths(self, rng):
         for inst in reduced_corpus(rng, 20):
             ana = analyze(inst)
+            dc = ana.contracted
             assert ana.report["all_length_bounds_ok"]
-            for rec in ana.report["paths"]:
-                assert rec["hard_on_path"] <= 10 * rec["outside_size"] + 6
+            for p in ana.decomposition.paths:
+                assert len(p.internals) <= 10 * len(outside_neighborhood(dc, p)) + 6
 
     def test_no_hard_vertices_empty_histogram(self):
         # a fully easy contracted graph: single-vertex instance
@@ -292,3 +302,28 @@ class TestSizeReport:
                     assert all(y == B.tail for _, y in ab)
                     if g.has_arc(b, a):
                         assert len(ab) == 1
+
+
+class TestEachFactOnce:
+    def _counted(self, monkeypatch, name):
+        """Calls of ``lob_analyzer.<name>`` made from here on, by argument
+        lists."""
+        calls = []
+        real = getattr(lob_analyzer, name)
+        monkeypatch.setattr(lob_analyzer, name,
+                            lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    def test_special_vertices_computed_once(self, monkeypatch):
+        calls = self._counted(monkeypatch, "special_vertices")
+        analyze(hub_chain_instance(3))
+        assert len(calls) == 1
+
+    def test_outside_neighborhood_once_per_path(self, monkeypatch):
+        calls = self._counted(monkeypatch, "outside_neighborhood")
+        ana = analyze(hub_chain_instance(3))
+        assert len(ana.decomposition.paths) == 3
+        assert sorted(p for _, p in calls) == ana.decomposition.paths
+
+    def test_report_holds_no_per_path_records(self):
+        assert "paths" not in analyze(hub_chain_instance(3)).report

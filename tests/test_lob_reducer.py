@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -488,6 +489,20 @@ class TestDriver:
         assert cut_structure(d) == (set(), set())
         with pytest.raises(ValueError):
             replay_trace(inst, ReductionTrace([app]))
+
+    def test_replay_holds_one_instance(self):
+        # the 600-vertex chain reduces in hundreds of steps; holding every
+        # step's instance peaks near 37 MB
+        inst = LobInstance(gen_bipath_chain(600), 3)
+        out, trace = reduce_to_fixpoint(inst)
+        tracemalloc.start()
+        try:
+            replayed = replay_trace(inst, trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert replayed == out.instance
+        assert peak < 5 * 2**20
 
     def test_replay_random(self, rng):
         for _ in range(40):
