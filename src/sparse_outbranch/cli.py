@@ -300,9 +300,8 @@ def cmd_bench(args) -> int:
     if args.k_max < args.k_min:
         raise ValueError(f"--k-max {args.k_max} is below --k-min {args.k_min}")
     lob = args.family in ("planar", "bipath-chain")
-    # the workload's own defaults: planar inputs sparser than gen's, d = 3
-    params = {"planar": {"both_prob": 0.1, "keep_prob": 0.25},
-              "bipath-chain": {}}.get(args.family, {"d": 3})
+    # the workload's planar inputs are sparser than gen's; d keeps gen's default
+    params = {"both_prob": 0.1, "keep_prob": 0.25} if args.family == "planar" else {}
     params.update({} if args.d is None else {"d": args.d})
     reads_n = "n" in family_reads(args.family)
     if args.scale is not None and not reads_n:
@@ -444,6 +443,9 @@ def main(argv=None) -> int:
         # RuntimeError covers lob_analyzer.StructureError, the reducers'
         # missing fixpoint and broken contract checks
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -279,23 +280,68 @@ def _run_python(argv, **env):
                           env={**os.environ, "PYTHONPATH": path, **env})
 
 
-def test_readme_quick_start_runs(capsys):
-    # the README's library example is the documented API; it must run as is
+# Sets a 100 MB address-space cap, then runs the CLI on argv; exits 77
+# where the cap cannot be set or is not enforced, so no command ever runs
+# without it (uncapped, a huge n can take the machine's memory first).
+_CAPPED_CLI = """\
+import resource, sys
+cap = 100 * 2**20
+try:
+    resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+    bytearray(cap)  # an enforced cap refuses this
+    sys.exit(77)
+except MemoryError:
+    pass
+except (ValueError, OSError):
+    sys.exit(77)
+from sparse_outbranch.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce-lob", "huge.lob"], ["solve", "huge.lob"], ["kernelize-iob", "huge.iob"],
+    ["gen", "path", "--n", "1000000000000"]], ids=["reduce-lob", "solve", "kernelize-iob", "gen"])
+def test_out_of_memory_is_one_error_line(tmp_path, argv):
+    pytest.importorskip("resource")
+    for kind in ("lob", "iob"):
+        (tmp_path / f"huge.{kind}").write_text(f"p {kind} 1000000000000 0 0 1\n")
+    argv = [str(tmp_path / a) if a.startswith("huge.") else a for a in argv]
+    proc = _run_python(["-c", _CAPPED_CLI, *argv])
+    if proc.returncode == 77:
+        pytest.skip("RLIMIT_AS cannot be set or is not enforced here")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
+
+
+def _readme_block(section: str, lang: str) -> str:
+    """The first code block of the README's ``## section``."""
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
               encoding="utf-8") as fh:
-        block = re.search(r"## Library quick start\n\n```python\n(.*?)```", fh.read(), re.S)
-    exec(block.group(1), {})
+        return re.search(rf"## {section}\n\n```{lang}\n(.*?)```", fh.read(), re.S).group(1)
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's library example is the documented API; it must run as is
+    exec(_readme_block("Library quick start", "python"), {})
     assert capsys.readouterr().out.splitlines()[0].startswith("reduced RULE 2")
+
+
+def test_package_root_exports_the_quick_start():
+    # the root's names are the quick start's; every other name is imported
+    # from its own module
+    imports = re.search(r"from sparse_outbranch import \((.*?)\)",
+                        _readme_block("Library quick start", "python"), re.S)
+    names = set(imports.group(1).replace(",", " ").split())
+    assert len(names) == 8
+    assert {name for name, value in vars(sparse_outbranch).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)} == names
 
 
 def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
     # every command of the README's CLI walkthrough runs as written, in
     # order, and ends with an exit code the README documents
-    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
-              encoding="utf-8") as fh:
-        block = re.search(r"## CLI walkthrough\n\n```sh\n(.*?)```", fh.read(), re.S)
     monkeypatch.chdir(tmp_path)
-    commands = [shlex.split(line) for line in block.group(1).splitlines()
+    commands = [shlex.split(line) for line in _readme_block("CLI walkthrough", "sh").splitlines()
                 if line.startswith("sparse-outbranch ")]
     assert len(commands) == 7
     for argv in commands:
