@@ -1,11 +1,11 @@
 """Command-line surface: generate, reduce, kernelize, solve, verify, bench.
 
 Exit codes are a stable contract: 0 for reduced/solved output, 10 for a
-YES resolution, 20 for a NO resolution, 1 for input errors and failed
-structural or contract checks (one ``error:`` line, no traceback). All
-randomness flows from --seed (or the SPARSE_OUTBRANCH_SEED environment
-variable), so identical invocations produce identical artifacts up to the
-timing fields of reports.
+YES resolution, 20 for a NO resolution, 1 for input errors, failed
+structural or contract checks and running out of memory (one ``error:``
+line, no traceback). All randomness flows from --seed (or the
+SPARSE_OUTBRANCH_SEED environment variable), so identical invocations
+produce identical artifacts up to the timing fields of reports.
 """
 
 from __future__ import annotations
